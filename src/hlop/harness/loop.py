@@ -194,7 +194,11 @@ def _train_one_task(
 ) -> None:
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
-    project = subspaces if cfg.hlop != "off" else None
+    # Linear circuits project the formed update in sgd_update (exact by
+    # linearity, and far fewer rows); burst-quantized ones project each
+    # trace row inside the trainer.
+    row_projected = {i: s for i, s in subspaces.items() if s.mode == "spiking"}
+    update_projected = {i: s for i, s in subspaces.items() if s.mode == "linear"}
     n = task.train_x.shape[0]
     for epoch in range(cfg.epochs):
         order = make_rng(cfg.seed, SEED_SHUFFLE, task_idx, epoch).permutation(n)
@@ -202,12 +206,13 @@ def _train_one_task(
             sl = order[start : start + cfg.batch]
             x = _net_input(cfg, task.train_x[sl], hw)
             y1h = _onehot(task.train_y[sl], n_classes)
-            packet, feeds, _ = trainer(net, x, y1h, epcfg, project, head)
+            packet, feeds, _ = trainer(net, x, y1h, epcfg, row_projected, head)
             for i, layer in enumerate(layers):
-                sgd_update(layer, packet.layers[i], cfg.lr, packet.batch)
-            if project is not None:
-                for i, sub in subspaces.items():
-                    sub.hebbian_update(feeds[i])
+                sgd_update(
+                    layer, packet.layers[i], cfg.lr, packet.batch, update_projected.get(i)
+                )
+            for i, sub in subspaces.items():
+                sub.hebbian_update(feeds[i])
 
 
 def run_continual(

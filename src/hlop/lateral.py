@@ -12,7 +12,8 @@ subspace neurons over the layer's presynaptic space:
   subspace of the current input stream that is not already covered by ``H``.
 
 With no consolidated rows the rule reduces exactly to the Oja subspace form
-dH = eta (y x^T - y y^T H).
+dH = eta (y x^T - y y^T H); with them it is the same form with the projected
+trace x_hat in the Hebbian term, dH' = eta (y' x_hat^T - y' y'^T H').
 
 In spiking mode the subspace neuron outputs are burst-rate quantized before
 the return path, emulating lateral neurons that communicate through short
@@ -149,10 +150,14 @@ class LateralSubspace:
     def hebbian_update(self, x_batch: np.ndarray) -> None:
         """Run K two-stage Hebbian updates of ``H_new`` on one batch.
 
-        Each repeat recomputes the circuit responses with the current
-        weights, averages dH' = y' x^T + y' x_tilde^T over the batch rows,
-        folds it into the momentum buffer, and applies it. Consolidated
-        rows are untouched.
+        The two-stage rule dH' = y' x^T + y' x_tilde^T is evaluated in its
+        Oja form. The consolidated bank's part of the return, x + x_minus,
+        is the projected trace x_hat, which does not depend on ``H_new``, so
+        it is computed once per batch. Each repeat then needs only the
+        in-training response y' = H' x and forms
+        dH' = y' x_hat^T - (y' y'^T) H' (y' quantized in spiking mode),
+        averages it over the batch rows, folds it into the momentum buffer,
+        and applies it. Consolidated rows are untouched.
 
         The constant-step rule is only stable while the per-update spectral
         step eta/(1-momentum) * lambda_max(input second moment) stays below
@@ -176,9 +181,10 @@ class LateralSubspace:
             cap = 4.0 * (1.0 - self.momentum) / self.eta
             if energy > cap:
                 gain = cap / energy
+        x_hat = self.project_trace(x)
         for _ in range(self.K):
-            _, _, y_new, _, x_tilde = self.lateral_response(x)
-            delta = gain * (y_new.T @ x + y_new.T @ x_tilde) / rows
+            y_new = self._out(x @ self.H_new.T)
+            delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
             self.velocity = self.momentum * self.velocity + delta
             self.H_new = self.H_new + self.eta * self.velocity
 

@@ -219,12 +219,16 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
 
 
 def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
-    """Non-overlapping average pooling over the trailing two axes."""
+    """Non-overlapping average pooling over the trailing two axes.
+
+    Sums the size*size strided sub-grids, one per window offset, which is
+    several times faster than a reshaped mean and exact on spike maps.
+    """
     *lead, h, w = x.shape
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    r = x.reshape(*lead, h // size, size, w // size, size)
-    return r.mean(axis=(-3, -1))
+    total = sum(x[..., i::size, j::size] for i in range(size) for j in range(size))
+    return total / (size * size)
 
 
 def avg_pool_backward(grad: np.ndarray, size: int) -> np.ndarray:

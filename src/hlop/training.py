@@ -13,14 +13,23 @@ Three trainers are provided:
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
 trainable layer, and every weight update is formed as delta^T @ trace — the
-single pathway through which lateral circuits modify learning, by editing
-the trace rows. Error signals can travel by plain backprop, feedback
-alignment (fixed random matrices), or sign symmetry.
+single pathway through which lateral circuits modify learning. Where the
+projection x_hat = x - H^T H x happens depends on the circuit's mode:
+
+* linear circuits project the formed update, dW (I - H^T H), in
+  ``sgd_update``; by linearity this equals delta^T x_hat, and the update has
+  far fewer rows than the trace;
+* burst-quantized (spiking-mode) circuits are nonlinear per row, so the
+  trainers project each trace row when the circuit is passed to them.
+
+Error signals can travel by plain backprop, feedback alignment (fixed random
+matrices), or sign symmetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,12 +245,20 @@ def sgd_update(
 ) -> None:
     """Apply W <- W - lr * delta^T @ trace / batch (bias from delta alone).
 
-    When ``subspace`` is given the trace rows are projected off the
-    consolidated subspace first, so the update cannot disturb directions old
-    tasks relied on. Biases are excluded from projection.
+    When ``subspace`` is given the update is projected off the consolidated
+    subspace, so it cannot disturb directions old tasks relied on. A linear
+    circuit projects the formed update, delta^T trace (I - H^T H), whose
+    (out, in) rows are far fewer than the trace rows; by linearity this
+    equals delta^T x_hat. A burst-quantized circuit is nonlinear per row, so
+    it projects each trace row first. Biases are excluded from projection.
     """
-    trace = grad.trace if subspace is None else subspace.project_trace(grad.trace)
-    layer.weight -= lr * (grad.delta.T @ trace) / batch
+    if subspace is None:
+        dw = grad.delta.T @ grad.trace
+    elif subspace.mode == "linear":
+        dw = subspace.project_trace(grad.delta.T @ grad.trace)
+    else:
+        dw = grad.delta.T @ subspace.project_trace(grad.trace)
+    layer.weight -= lr * dw / batch
     layer.bias -= lr * grad.delta.sum(axis=0) / batch
 
 
@@ -269,6 +286,32 @@ def _layer_current(layer: Layer, rows: np.ndarray, batch: int) -> np.ndarray:
     return cur
 
 
+def _project(sub: LateralSubspace | None, rows: np.ndarray) -> np.ndarray:
+    return rows if sub is None else sub.project_trace(rows)
+
+
+class StaticInput(NamedTuple):
+    """First-layer values of a static input, fixed for all T steps of a batch."""
+
+    rows: np.ndarray  # presynaptic rows (unfolded patches for conv)
+    trace_rows: np.ndarray  # the rows as they enter the eligibility trace
+    current: np.ndarray  # synaptic current into the first layer
+
+
+def static_input(
+    net: SpikingNet, x: np.ndarray, head: int = 0, sub: LateralSubspace | None = None
+) -> StaticInput:
+    """Compute the first layer's rows, trace input and current once per batch.
+
+    The input is injected unchanged at every step and the weights do not
+    change within a batch, so these values are bit-identical at every step.
+    ``sub`` projects the trace input (spiking-mode circuits project rows).
+    """
+    layer = net.trainable_layers(head)[0]
+    rows = _presyn_rows(layer, x)
+    return StaticInput(rows, _project(sub, rows), _layer_current(layer, rows, x.shape[0]))
+
+
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
     """Spike output of a block as the carry for the next one (pooling included)."""
     if layer.kind == "conv" and layer.pool > 1:
@@ -279,7 +322,6 @@ def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
 def _delta_rows(layer: Layer, delta: np.ndarray) -> np.ndarray:
     """Match a (batch, out...) delta to the row layout of ``_presyn_rows``."""
     if layer.kind == "conv":
-        b = delta.shape[0]
         return delta.transpose(0, 2, 3, 1).reshape(-1, layer.out_dim)
     return delta
 
@@ -317,10 +359,6 @@ def _smooth_spike(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - u) / cfg.a2, -500.0, 500.0)))
 
 
-def _project(sub: LateralSubspace | None, rows: np.ndarray) -> np.ndarray:
-    return rows if sub is None else sub.project_trace(rows)
-
-
 def _spiking_forward_pass(
     net: SpikingNet,
     x: np.ndarray,
@@ -340,12 +378,16 @@ def _spiking_forward_pass(
     us: list[list[np.ndarray]] = [[] for _ in layers]
     ss: list[list[np.ndarray]] = [[] for _ in layers]
     pres: list[list[np.ndarray]] = [[] for _ in layers]
+    first = static_input(net, x, head)
     for _ in range(cfg.T):
         carry = x
         for i, layer in enumerate(layers):
-            rows = _presyn_rows(layer, carry)
+            if i == 0:
+                rows, current = first.rows, first.current
+            else:
+                rows = _presyn_rows(layer, carry)
+                current = _layer_current(layer, rows, batch)
             pres[i].append(rows)
-            current = _layer_current(layer, rows, batch)
             if smooth:
                 u_next = cfg.lam * (states[i].u - cfg.v_th * states[i].s) + current
                 s_next = _smooth_spike(u_next, cfg)
@@ -454,17 +496,23 @@ def ottt_step(
     epcfg: ErrorPropConfig,
     subspaces: dict[int, LateralSubspace] | None = None,
     head: int = 0,
+    static: StaticInput | None = None,
 ) -> tuple[GradPacket, OtttStates, list[np.ndarray], np.ndarray]:
     """One forward-in-time step: advance neurons and traces, emit the
     instantaneous gradient contribution.
 
     Eligibility traces accumulate presynaptic activity as
-    trace = lam * trace + input, where the per-step input is first modified
-    by the lateral circuit when one is attached (the projected trace of a
-    linear accumulation equals the accumulation of projected inputs, and in
-    spiking lateral mode the burst quantizer acts on each step's signal).
-    The instantaneous error uses the per-step loss L[t] = CE(s_out[t], y)/T
-    and never looks at past steps.
+    trace = lam * trace + input, where the per-step input is first projected
+    by the lateral circuit attached in ``subspaces``. Only burst-quantized
+    circuits need this per-row projection, since the quantizer acts on each
+    step's signal. Linear circuits are instead handed to ``sgd_update``,
+    which projects the formed update; by linearity that equals the update
+    from projected traces. The instantaneous error uses the per-step loss
+    L[t] = CE(s_out[t], y)/T and never looks at past steps.
+
+    ``static`` carries the first layer's values for a static input (see
+    ``static_input``, built with the same subspace); without it they are
+    computed from ``input_t``.
 
     Returns (packet_t, states, raw per-step presynaptic rows, output spikes).
     """
@@ -476,14 +524,14 @@ def ottt_step(
     carry = input_t
     pres_raw: list[np.ndarray] = []
     for i, layer in enumerate(layers):
-        rows = _presyn_rows(layer, carry)
+        if i == 0 and static is not None:
+            rows, trace_rows, current = static
+        else:
+            rows = _presyn_rows(layer, carry)
+            trace_rows = _project(subspaces.get(i), rows)
+            current = _layer_current(layer, rows, batch)
         pres_raw.append(rows)
-        states.traces[i] = cfg.lam * states.traces[i] + _project(subspaces.get(i), rows)
-        if i > 0:
-            # connection i's presynaptic trace is the eligibility trace of
-            # layer i-1's own activity; expose it on that layer's state
-            states.layer_states[i - 1].trace = states.traces[i]
-        current = _layer_current(layer, rows, batch)
+        states.traces[i] = cfg.lam * states.traces[i] + trace_rows
         lif_step(states.layer_states[i], current, cfg)
         carry = _post_block(layer, states.layer_states[i].s)
     states.t += 1
@@ -513,23 +561,38 @@ def ottt_backward(
 ) -> tuple[GradPacket, list[np.ndarray], np.ndarray]:
     """Run all T steps of online learning on one batch of static inputs.
 
+    The first layer's rows and current are computed once for the batch, and
+    the T step packets are concatenated once per layer at the end.
+
     Returns the accumulated grad packet, the raw Hebbian feed rows per layer
     (per-step presynaptic spikes; the constant input is fed once), and the
     output firing rate.
     """
     cfg = net.cfg
+    n_layers = len(net.trainable_layers(head))
     states = ottt_init_states(net, x.shape[0], head)
-    packet: GradPacket | None = None
-    feeds: list[list[np.ndarray]] = [[] for _ in net.trainable_layers(head)]
+    static = static_input(net, x, head, (subspaces or {}).get(0))
+    packets: list[GradPacket] = []
+    feeds: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     rate_sum = None
     for _ in range(cfg.T):
         packet_t, states, pres_raw, s_out = ottt_step(
-            net, states, x, y_onehot, epcfg, subspaces, head
+            net, states, x, y_onehot, epcfg, subspaces, head, static
         )
-        packet = packet_t if packet is None else packet.merge(packet_t)
+        packets.append(packet_t)
         for i, rows in enumerate(pres_raw):
             feeds[i].append(rows)
         rate_sum = s_out if rate_sum is None else rate_sum + s_out
+    packet = GradPacket(
+        layers=[
+            LayerGrad(
+                delta=np.concatenate([p.layers[i].delta for p in packets]),
+                trace=np.concatenate([p.layers[i].trace for p in packets]),
+            )
+            for i in range(n_layers)
+        ],
+        batch=x.shape[0],
+    )
     merged_feeds = [
         fs[0] if i == 0 else np.concatenate(fs) for i, fs in enumerate(feeds)
     ]
@@ -619,11 +682,14 @@ def spiking_rate_readout(net: SpikingNet, x: np.ndarray, head: int = 0) -> np.nd
     batch = x.shape[0]
     states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
     acc = np.zeros((batch, layers[-1].out_dim))
+    first_current = static_input(net, x, head).current
     for _ in range(cfg.T):
         carry = x
         for i, layer in enumerate(layers):
-            rows = _presyn_rows(layer, carry)
-            current = _layer_current(layer, rows, batch)
+            if i == 0:
+                current = first_current
+            else:
+                current = _layer_current(layer, _presyn_rows(layer, carry), batch)
             lif_step(states[i], current, cfg)
             carry = _post_block(layer, states[i].s)
         acc += states[-1].s

@@ -10,7 +10,6 @@ from .lateral import LateralSubspace, QuantConfig, quantize_subspace_output
 from .linalg import (
     kaiming_uniform_init,
     make_rng,
-    matmul,
     rowspace_projector,
     subspace_alignment_error,
     topk_principal,
@@ -33,7 +32,6 @@ from .training import (
     backprop_error,
     bptt_sg_backward,
     ottt_backward,
-    ottt_step,
     rate_backward,
     sgd_update,
 )
@@ -58,9 +56,7 @@ __all__ = [
     "lif_step",
     "load_config",
     "make_rng",
-    "matmul",
     "ottt_backward",
-    "ottt_step",
     "quantize_subspace_output",
     "rate_backward",
     "rate_forward_transform",

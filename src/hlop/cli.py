@@ -6,7 +6,8 @@
     hlop synth-data --out DIR    generate the offline IDX dataset
 
 Exit codes: 0 success, 1 failed checks / failed run, 2 invalid configuration
-or arguments, 3 missing or malformed dataset files.
+or arguments, 3 missing or malformed dataset or checkpoint files (including
+a checkpoint that does not fit the resuming run).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, echo_config, load_config
-from .harness.checkpoint import load_checkpoint
+from .harness.checkpoint import CheckpointError, load_checkpoint
 from .harness.data import DatasetError, write_idx_dataset
 from .harness.loop import run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
@@ -52,6 +53,9 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
         )
     except (FileNotFoundError, DatasetError) as e:
         print(f"dataset error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
         return EXIT_DATA
 
     for line in result.logs:
@@ -120,7 +124,7 @@ def cmd_oracle(
     if checkpoint is not None:
         try:
             ckpt = load_checkpoint(checkpoint)
-        except Exception as e:
+        except (OSError, CheckpointError) as e:
             print(f"error: cannot read checkpoint: {e}", file=sys.stderr)
             return EXIT_DATA
         if layer not in ckpt.subspaces:

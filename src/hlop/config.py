@@ -56,11 +56,6 @@ class ExperimentConfig:
     conv_pool: int = 2
     conv_hidden: int = 100
 
-    def n_projected_layers(self) -> int:
-        if self.task == "split_mnist":
-            return 2  # conv block + dense block; per-task heads are not projected
-        return len(self.hidden_sizes) + 1  # hidden layers + shared classifier
-
     def resolved_data_dir(self) -> str:
         return self.data_dir or os.environ.get("HLOP_DATA_DIR", "")
 
@@ -87,15 +82,13 @@ def default_subspace_schedule(cfg: ExperimentConfig) -> list:
     per-task expansions near 9% of the width (e.g. hidden width 200 gives 50
     first-task rows and +18 per later task).
     """
+    widths = _projected_widths(cfg)
     if cfg.task == "split_mnist":
-        patch = cfg.conv_kernel * cfg.conv_kernel  # single input channel
-        oh = (28 - cfg.conv_kernel) + 1
-        flat = cfg.conv_channels * (oh // cfg.conv_pool) ** 2
+        patch, flat = widths
         return [
             [max(2, patch // 4), 1],
             [max(4, flat // 4), max(2, flat // 12)],
         ]
-    widths = [784, *cfg.hidden_sizes]  # presynaptic width per projected layer
     first_ratio = [0.102] + [0.25] * (len(widths) - 2) + [0.125]
     sched = []
     for w, r in zip(widths, first_ratio):
@@ -186,14 +179,13 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append("head_mode: split_mnist runs use per-task heads")
     if cfg.hlop != "off":
         sched = cfg.subspace_schedule
-        want = cfg.n_projected_layers()
-        if len(sched) != want:
+        widths = _projected_widths(cfg)
+        if len(sched) != len(widths):
             p.append(
-                f"subspace_schedule: need {want} per-layer [first, expand] entries, "
+                f"subspace_schedule: need {len(widths)} per-layer [first, expand] entries, "
                 f"got {len(sched)}"
             )
         else:
-            widths = _projected_widths(cfg)
             for i, entry in enumerate(sched):
                 if (
                     not isinstance(entry, list)
@@ -212,6 +204,9 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
 
 
 def _projected_widths(cfg: ExperimentConfig) -> list[int]:
+    """Presynaptic width of each projected layer, for 28x28 single-channel input:
+    every hidden layer plus the shared classifier, or on split runs the conv
+    and dense blocks (per-task heads are never revisited)."""
     if cfg.task == "split_mnist":
         patch = cfg.conv_kernel * cfg.conv_kernel
         oh = (28 - cfg.conv_kernel) + 1

@@ -24,8 +24,9 @@ Layout (version 1, all multi-byte fields little-endian):
       per row: u32 length + f64 accuracies
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
-always complete. Reloading a mid-sequence checkpoint and continuing the run
-reproduces the uninterrupted run bit for bit.
+always complete. A file that does not parse as this layout raises
+``CheckpointError`` and nothing else. Reloading a mid-sequence checkpoint and
+continuing the run reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ MAGIC = b"HLOPCKP1"
 VERSION = 1
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed, or does not fit the run resuming it."""
 
 
 @dataclass
@@ -85,11 +86,18 @@ def _w_str(f, s: str) -> None:
 
 def _r_str(f) -> str:
     (n,) = struct.unpack("<H", _read(f, 2))
-    return _read(f, n).decode("utf-8")
+    raw = _read(f, n)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"name {raw!r} is not UTF-8") from e
 
 
 def _read(f, n: int) -> bytes:
-    buf = f.read(n)
+    # Read no more than the file holds, so a corrupted length field is
+    # reported as truncation instead of allocating the size it claims.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    buf = f.read(min(n, left))
     if len(buf) != n:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
     return buf
@@ -154,17 +162,20 @@ def load_checkpoint(path: str) -> Checkpoint:
             eta, momentum, k_updates = struct.unpack("<ddI", _read(f, 20))
             (mode_b,) = struct.unpack("<B", _read(f, 1))
             scale, t_l = struct.unpack("<dI", _read(f, 12))
-            subspaces[idx] = LateralSubspace(
-                n=n,
-                H=h,
-                H_new=h_new,
-                velocity=vel,
-                eta=eta,
-                momentum=momentum,
-                K=k_updates,
-                mode="spiking" if mode_b else "linear",
-                quant=QuantConfig(scale=scale, T_l=t_l),
-            )
+            try:
+                subspaces[idx] = LateralSubspace(
+                    n=n,
+                    H=h,
+                    H_new=h_new,
+                    velocity=vel,
+                    eta=eta,
+                    momentum=momentum,
+                    K=k_updates,
+                    mode="spiking" if mode_b else "linear",
+                    quant=QuantConfig(scale=scale, T_l=t_l),
+                )
+            except ValueError as e:
+                raise CheckpointError(f"{path}: subspace {idx}: {e}") from e
         (n_rng,) = struct.unpack("<I", _read(f, 4))
         rng_states = {}
         for _ in range(n_rng):

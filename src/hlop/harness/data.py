@@ -169,7 +169,7 @@ def synth_digit_pools(
     Returns (train_images, train_labels, test_images, test_labels) with
     uint8 images of shape (n, h, w).
     """
-    rng = make_rng(seed, 6)
+    rng = make_rng(seed, SEED_SYNTH)
     protos = _class_prototypes(rng, hw)
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:

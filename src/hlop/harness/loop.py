@@ -33,8 +33,9 @@ from ..training import (
     rate_chain_forward,
     sgd_update,
     _spiking_forward_pass,
+    _stack_feeds,
 )
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     SEED_AUDIT,
@@ -176,9 +177,7 @@ def collect_feeds(
         pres, _ = rate_chain_forward(net, x, head)
         return pres
     _, _, pres = _spiking_forward_pass(net, x, head)
-    return [
-        rows[0] if i == 0 else np.concatenate(rows) for i, rows in enumerate(pres)
-    ]
+    return _stack_feeds(pres)
 
 
 def _train_one_task(
@@ -260,10 +259,7 @@ def run_continual(
     start_task = 0
     if resume_path is not None:
         ckpt = load_checkpoint(resume_path)
-        if ckpt.master_seed != cfg.seed:
-            raise ValueError(
-                f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}"
-            )
+        _check_resume_fits(ckpt, cfg, net, subspaces)
         by_name = {name: (w, b) for name, w, b in ckpt.layers}
         for layer in layers_all:
             w, b = by_name[layer.meta["name"]]
@@ -341,6 +337,29 @@ def run_continual(
     return RunResult(
         matrix=matrix, logs=logs, net=net, subspaces=subspaces, seq=seq, audit=audit
     )
+
+
+def _check_resume_fits(
+    ckpt: Checkpoint,
+    cfg: ExperimentConfig,
+    net: SpikingNet,
+    subspaces: dict[int, LateralSubspace],
+) -> None:
+    """Refuse a checkpoint whose seed, task cursor, layer shapes or lateral
+    circuit widths differ from the run built from ``cfg``."""
+    if ckpt.master_seed != cfg.seed:
+        raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
+    if ckpt.task_cursor > cfg.n_tasks or len(ckpt.acc_matrix) != ckpt.task_cursor:
+        raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
+    saved = {name: (w.shape, b.shape) for name, w, b in ckpt.layers}
+    saved.update((f"subspace {i}", sub.n) for i, sub in ckpt.subspaces.items())
+    built = {l.meta["name"]: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
+    built.update((f"subspace {i}", sub.n) for i, sub in subspaces.items())
+    for key in sorted(saved.keys() | built.keys()):
+        if saved.get(key) != built.get(key):
+            raise CheckpointError(
+                f"{key}: checkpoint has {saved.get(key, 'none')}, run has {built.get(key, 'none')}"
+            )
 
 
 def interference_audit(net: SpikingNet, store: dict) -> dict:

@@ -97,6 +97,8 @@ class LateralSubspace:
         for name, m in (("H", self.H), ("H_new", self.H_new)):
             if m.shape[1] != self.n:
                 raise ShapeError(f"{name} width {m.shape[1]} != presynaptic width {self.n}")
+        if self.velocity.shape != self.H_new.shape:
+            raise ShapeError(f"velocity {self.velocity.shape} != H_new {self.H_new.shape}")
 
     @property
     def k(self) -> int:
@@ -191,9 +193,9 @@ class LateralSubspace:
     def expand(self, k_add: int, rng: np.random.Generator) -> None:
         """Grow the in-training bank by ``k_add`` small random rows.
 
-        New rows are Kaiming-uniform scaled by 0.1; the momentum buffer is
-        reset to match the new shape. Projection is unaffected since it only
-        reads consolidated rows.
+        New rows are Kaiming-uniform scaled by ``INIT_SCALE``; the momentum
+        buffer is reset to match the new shape. Projection is unaffected since
+        it only reads consolidated rows.
         """
         if k_add < 0:
             raise ValueError(f"k_add must be >= 0, got {k_add}")

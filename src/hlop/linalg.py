@@ -19,36 +19,12 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape report on mismatch.
-
-    Args:
-        a: Left operand, shape (m, k).
-        b: Right operand, shape (k, n).
-
-    Returns:
-        The (m, n) product as float64.
-
-    Raises:
-        ShapeError: if inner dimensions disagree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]}); inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-    return a @ b
-
-
 def make_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Derive a named PCG64 sub-stream from the master seed.
 
-    ``path`` is a tuple of small integers identifying the consumer (see
-    ``seeds.py`` for the registry used by the harness). The same
+    ``path`` is a tuple of small integers identifying the consumer (the
+    harness's registry is the ``SEED_*`` constants of ``hlop.harness.data``
+    plus ``SEED_SHUFFLE`` in ``hlop.harness.loop``). The same
     (master_seed, path) pair always yields the same stream, and distinct
     paths yield statistically independent streams.
     """

@@ -33,7 +33,6 @@ class NeuronConfig:
     v_th: float = 1.0
     T: int = 6
     a2: float = 0.25
-    u_rest: float = 0.0
     delta_t: float = 0.05
     tau: float = 1.0
 
@@ -69,23 +68,17 @@ class NeuronConfig:
 
 @dataclass
 class LayerState:
-    """Per-layer dynamic state: membrane potentials, spikes, eligibility trace.
+    """Per-layer dynamic state: membrane potentials and spikes.
 
-    Arrays are (batch, neurons). ``trace`` is only maintained by the online
-    trainer.
+    Arrays are (batch, neurons).
     """
 
     u: np.ndarray
     s: np.ndarray
-    trace: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, batch: int, n: int, with_trace: bool = False) -> "LayerState":
-        return cls(
-            u=np.zeros((batch, n)),
-            s=np.zeros((batch, n)),
-            trace=np.zeros((batch, n)) if with_trace else None,
-        )
+    def zeros(cls, batch: int, n: int) -> "LayerState":
+        return cls(u=np.zeros((batch, n)), s=np.zeros((batch, n)))
 
     @classmethod
     def zeros_shape(cls, shape: tuple[int, ...]) -> "LayerState":
@@ -270,19 +263,6 @@ class Layer:
         if self.kind != "conv":
             raise ShapeError("out_hw only defined for conv layers")
         return conv_output_hw(*self.in_hw, self.kernel, self.stride)
-
-    def copy(self) -> "Layer":
-        return Layer(
-            weight=self.weight.copy(),
-            bias=self.bias.copy(),
-            kind=self.kind,
-            kernel=self.kernel,
-            stride=self.stride,
-            in_channels=self.in_channels,
-            in_hw=self.in_hw,
-            pool=self.pool,
-            meta=dict(self.meta),
-        )
 
 
 def dense_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> Layer:

@@ -7,9 +7,14 @@ Three trainers are provided:
 * ``bptt_sg_backward`` — full backpropagation through time with the sigmoid
   surrogate at every spike, credit flowing through both the membrane and the
   reset path, traces are per-step presynaptic spikes;
-* ``ottt_step`` / ``ottt_backward`` — forward-in-time learning with
-  eligibility traces (trace[t+1] = lam * trace[t] + s[t+1]) and instantaneous
-  per-step errors, no stored computational graph.
+* ``ottt_backward`` — forward-in-time learning with eligibility traces
+  (trace[t+1] = lam * trace[t] + s[t+1]) and instantaneous per-step errors,
+  no stored computational graph.
+
+The spiking trainers and the inference readout all read one T-step LIF layer
+walk, ``_run_steps``, on a static input; ``ottt_backward`` hands each step of
+it to ``ottt_step``, which advances the eligibility traces and forms the
+instantaneous error.
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
 trainable layer, and every weight update is formed as delta^T @ trace — the
@@ -28,8 +33,8 @@ matrices), or sign symmetry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +71,6 @@ class SpikingNet:
 
     def trainable_layers(self, head: int = 0) -> list[Layer]:
         return [*self.blocks, self.heads[head]]
-
-    def copy_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        layers = [*self.blocks, *self.heads]
-        return [(l.weight.copy(), l.bias.copy()) for l in layers]
-
-    def restore_weights(self, snap: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        layers = [*self.blocks, *self.heads]
-        for layer, (w, b) in zip(layers, snap):
-            layer.weight[...] = w
-            layer.bias[...] = b
 
 
 def build_mlp(
@@ -290,28 +285,6 @@ def _project(sub: LateralSubspace | None, rows: np.ndarray) -> np.ndarray:
     return rows if sub is None else sub.project_trace(rows)
 
 
-class StaticInput(NamedTuple):
-    """First-layer values of a static input, fixed for all T steps of a batch."""
-
-    rows: np.ndarray  # presynaptic rows (unfolded patches for conv)
-    trace_rows: np.ndarray  # the rows as they enter the eligibility trace
-    current: np.ndarray  # synaptic current into the first layer
-
-
-def static_input(
-    net: SpikingNet, x: np.ndarray, head: int = 0, sub: LateralSubspace | None = None
-) -> StaticInput:
-    """Compute the first layer's rows, trace input and current once per batch.
-
-    The input is injected unchanged at every step and the weights do not
-    change within a batch, so these values are bit-identical at every step.
-    ``sub`` projects the trace input (spiking-mode circuits project rows).
-    """
-    layer = net.trainable_layers(head)[0]
-    rows = _presyn_rows(layer, x)
-    return StaticInput(rows, _project(sub, rows), _layer_current(layer, rows, x.shape[0]))
-
-
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
     """Spike output of a block as the carry for the next one (pooling included)."""
     if layer.kind == "conv" and layer.pool > 1:
@@ -353,10 +326,49 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _smooth_spike(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
-    # Sigmoid relaxation of the spike step; its derivative is exactly the
-    # surrogate, which makes finite-difference checks of the backward pass exact.
-    return 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - u) / cfg.a2, -500.0, 500.0)))
+def _smooth_step(state: LayerState, input_current: np.ndarray, cfg: NeuronConfig) -> None:
+    """``lif_step`` with the spike step replaced by its sigmoid relaxation.
+
+    The relaxation's derivative is exactly the surrogate, which makes
+    finite-difference checks of the backward pass exact.
+    """
+    state.u = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
+    state.s = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - state.u) / cfg.a2, -500.0, 500.0)))
+
+
+def _run_steps(
+    net: SpikingNet, x: np.ndarray, head: int = 0, smooth: bool = False
+) -> Iterator[tuple[list[np.ndarray], list[LayerState]]]:
+    """Walk the layers for T steps on a static input, yielding after each step.
+
+    Each step yields the per-layer presynaptic rows and per-layer states.
+    Layers propagate within a step; the input is injected as a constant
+    current at every step. The input and the weights are fixed for the batch,
+    so the first layer's rows and current are computed once. The states are
+    advanced in place by the next step, but their arrays are rebound, never
+    mutated, so a caller may keep the ``u`` and ``s`` it reads. With
+    ``smooth`` the spike step is replaced by its sigmoid relaxation (used only
+    by gradient-checking code paths).
+    """
+    cfg = net.cfg
+    layers = net.trainable_layers(head)
+    batch = x.shape[0]
+    step = _smooth_step if smooth else lif_step
+    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    first_rows = _presyn_rows(layers[0], x)
+    first_current = _layer_current(layers[0], first_rows, batch)
+    for _ in range(cfg.T):
+        rows = [first_rows]
+        step(states[0], first_current, cfg)
+        for i in range(1, len(layers)):
+            rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
+            step(states[i], _layer_current(layers[i], rows[i], batch), cfg)
+        yield rows, states
+
+
+def _stack_feeds(pres: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Hebbian feed rows: per-step rows stacked; the constant input fed once."""
+    return [rows[0] if i == 0 else np.concatenate(rows) for i, rows in enumerate(pres)]
 
 
 def _spiking_forward_pass(
@@ -367,36 +379,18 @@ def _spiking_forward_pass(
 ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[list[np.ndarray]]]:
     """Run T steps, returning per-layer per-step (u, s) and presynaptic rows.
 
-    Layers propagate within a step; the input is injected as a constant
-    current at every step. With ``smooth`` the spike step is replaced by its
-    sigmoid relaxation (used only by gradient-checking code paths).
+    With ``smooth`` the spike step is replaced by its sigmoid relaxation
+    (used only by gradient-checking code paths).
     """
-    cfg = net.cfg
-    layers = net.trainable_layers(head)
-    batch = x.shape[0]
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
-    us: list[list[np.ndarray]] = [[] for _ in layers]
-    ss: list[list[np.ndarray]] = [[] for _ in layers]
-    pres: list[list[np.ndarray]] = [[] for _ in layers]
-    first = static_input(net, x, head)
-    for _ in range(cfg.T):
-        carry = x
-        for i, layer in enumerate(layers):
-            if i == 0:
-                rows, current = first.rows, first.current
-            else:
-                rows = _presyn_rows(layer, carry)
-                current = _layer_current(layer, rows, batch)
-            pres[i].append(rows)
-            if smooth:
-                u_next = cfg.lam * (states[i].u - cfg.v_th * states[i].s) + current
-                s_next = _smooth_spike(u_next, cfg)
-                states[i].u, states[i].s = u_next, s_next
-            else:
-                lif_step(states[i], current, cfg)
-            us[i].append(states[i].u.copy())
-            ss[i].append(states[i].s.copy())
-            carry = _post_block(layer, states[i].s)
+    n_layers = len(net.trainable_layers(head))
+    us: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+    ss: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+    pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+    for rows, states in _run_steps(net, x, head, smooth):
+        for i, state in enumerate(states):
+            us[i].append(state.u)
+            ss[i].append(state.s)
+            pres[i].append(rows[i])
     return us, ss, pres
 
 
@@ -469,86 +463,43 @@ def bptt_sg_backward(
 # trainer: online training through time with eligibility traces
 
 
-@dataclass
-class OtttStates:
-    """Carry-over state for forward-in-time learning of one batch."""
-
-    layer_states: list[LayerState]
-    traces: list[np.ndarray]  # eligibility trace rows per trainable layer
-    t: int = 0
-
-
-def ottt_init_states(net: SpikingNet, batch: int, head: int = 0) -> OtttStates:
-    layers = net.trainable_layers(head)
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
-    traces = []
-    for layer in layers:
-        rows = batch * (layer.out_hw[0] * layer.out_hw[1]) if layer.kind == "conv" else batch
-        traces.append(np.zeros((rows, layer.in_dim)))
-    return OtttStates(layer_states=states, traces=traces)
-
-
 def ottt_step(
     net: SpikingNet,
-    states: OtttStates,
-    input_t: np.ndarray,
+    states: list[LayerState],
+    traces: list,
+    trace_inputs: list[np.ndarray],
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
-    subspaces: dict[int, LateralSubspace] | None = None,
     head: int = 0,
-    static: StaticInput | None = None,
-) -> tuple[GradPacket, OtttStates, list[np.ndarray], np.ndarray]:
-    """One forward-in-time step: advance neurons and traces, emit the
-    instantaneous gradient contribution.
+) -> GradPacket:
+    """The learning half of one forward-in-time step, on the layer states the
+    walk has just advanced.
 
-    Eligibility traces accumulate presynaptic activity as
-    trace = lam * trace + input, where the per-step input is first projected
-    by the lateral circuit attached in ``subspaces``. Only burst-quantized
-    circuits need this per-row projection, since the quantizer acts on each
-    step's signal. Linear circuits are instead handed to ``sgd_update``,
-    which projects the formed update; by linearity that equals the update
-    from projected traces. The instantaneous error uses the per-step loss
-    L[t] = CE(s_out[t], y)/T and never looks at past steps.
+    Each layer's eligibility trace advances in place as
+    trace = lam * trace + input, where ``trace_inputs`` are the step's
+    presynaptic rows after any per-row projection. The instantaneous error
+    uses the per-step loss L[t] = CE(s_out[t], y)/T and never looks at past
+    steps.
 
-    ``static`` carries the first layer's values for a static input (see
-    ``static_input``, built with the same subspace); without it they are
-    computed from ``input_t``.
-
-    Returns (packet_t, states, raw per-step presynaptic rows, output spikes).
+    Returns the step's (delta, trace) factors.
     """
     cfg = net.cfg
-    subspaces = subspaces or {}
     layers = net.trainable_layers(head)
-    batch = input_t.shape[0]
-
-    carry = input_t
-    pres_raw: list[np.ndarray] = []
-    for i, layer in enumerate(layers):
-        if i == 0 and static is not None:
-            rows, trace_rows, current = static
-        else:
-            rows = _presyn_rows(layer, carry)
-            trace_rows = _project(subspaces.get(i), rows)
-            current = _layer_current(layer, rows, batch)
-        pres_raw.append(rows)
-        states.traces[i] = cfg.lam * states.traces[i] + trace_rows
-        lif_step(states.layer_states[i], current, cfg)
-        carry = _post_block(layer, states.layer_states[i].s)
-    states.t += 1
-
-    s_out = states.layer_states[-1].s
-    err = (softmax(s_out) - y_onehot) / cfg.T
+    batch = y_onehot.shape[0]
+    for i, rows in enumerate(trace_inputs):
+        traces[i] = cfg.lam * traces[i] + rows
+    err = (softmax(states[-1].s) - y_onehot) / cfg.T
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        c = err * surrogate_derivative(states.layer_states[i].u, cfg)
-        grads[i] = LayerGrad(delta=_delta_rows(layer, c), trace=states.traces[i])
+        c = _delta_rows(layer, err * surrogate_derivative(states[i].u, cfg))
+        grads[i] = LayerGrad(delta=c, trace=traces[i])
         if i > 0:
             if layer.kind == "conv":
                 raise ShapeError("error propagation below a conv layer is not supported")
-            d = backprop_error(_delta_rows(layer, c), layer, epcfg)
+            d = backprop_error(c, layer, epcfg)
             err = _route_error_to_block(d, layers[i - 1], batch)
-    return GradPacket(layers=grads, batch=batch), states, pres_raw, s_out
+    return GradPacket(layers=grads, batch=batch)
 
 
 def ottt_backward(
@@ -561,42 +512,48 @@ def ottt_backward(
 ) -> tuple[GradPacket, list[np.ndarray], np.ndarray]:
     """Run all T steps of online learning on one batch of static inputs.
 
-    The first layer's rows and current are computed once for the batch, and
-    the T step packets are concatenated once per layer at the end.
+    Each step's presynaptic rows are first projected by the lateral circuit
+    attached in ``subspaces``, then fed to ``ottt_step``. Only
+    burst-quantized circuits need this per-row projection, since the
+    quantizer acts on each step's signal; the static input's rows are the
+    same at every step, so they are projected once. Linear circuits are
+    instead handed to ``sgd_update``, which projects the formed update; by
+    linearity that equals the update from projected traces. The T step
+    factors are concatenated once per layer at the end.
 
     Returns the accumulated grad packet, the raw Hebbian feed rows per layer
     (per-step presynaptic spikes; the constant input is fed once), and the
     output firing rate.
     """
     cfg = net.cfg
+    subspaces = subspaces or {}
     n_layers = len(net.trainable_layers(head))
-    states = ottt_init_states(net, x.shape[0], head)
-    static = static_input(net, x, head, (subspaces or {}).get(0))
-    packets: list[GradPacket] = []
-    feeds: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    rate_sum = None
-    for _ in range(cfg.T):
-        packet_t, states, pres_raw, s_out = ottt_step(
-            net, states, x, y_onehot, epcfg, subspaces, head, static
-        )
-        packets.append(packet_t)
-        for i, rows in enumerate(pres_raw):
-            feeds[i].append(rows)
-        rate_sum = s_out if rate_sum is None else rate_sum + s_out
+    traces: list = [0.0] * n_layers  # eligibility trace rows, zero before step 1
+    steps: list[GradPacket] = []
+    pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+    first_input = None
+    rate_sum = 0.0
+    for rows, states in _run_steps(net, x, head):
+        if first_input is None:
+            first_input = _project(subspaces.get(0), rows[0])
+        trace_inputs = [first_input] + [
+            _project(subspaces.get(i), rows[i]) for i in range(1, n_layers)
+        ]
+        steps.append(ottt_step(net, states, traces, trace_inputs, y_onehot, epcfg, head))
+        for i in range(n_layers):
+            pres[i].append(rows[i])
+        rate_sum = rate_sum + states[-1].s
     packet = GradPacket(
         layers=[
             LayerGrad(
-                delta=np.concatenate([p.layers[i].delta for p in packets]),
-                trace=np.concatenate([p.layers[i].trace for p in packets]),
+                delta=np.concatenate([p.layers[i].delta for p in steps]),
+                trace=np.concatenate([p.layers[i].trace for p in steps]),
             )
             for i in range(n_layers)
         ],
         batch=x.shape[0],
     )
-    merged_feeds = [
-        fs[0] if i == 0 else np.concatenate(fs) for i, fs in enumerate(feeds)
-    ]
-    return packet, merged_feeds, rate_sum / cfg.T
+    return packet, _stack_feeds(pres), rate_sum / cfg.T
 
 
 # ---------------------------------------------------------------------------
@@ -677,23 +634,7 @@ def rate_backward(
 
 def spiking_rate_readout(net: SpikingNet, x: np.ndarray, head: int = 0) -> np.ndarray:
     """Output firing rate over T steps (no learning, no lateral traffic)."""
-    cfg = net.cfg
-    layers = net.trainable_layers(head)
-    batch = x.shape[0]
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
-    acc = np.zeros((batch, layers[-1].out_dim))
-    first_current = static_input(net, x, head).current
-    for _ in range(cfg.T):
-        carry = x
-        for i, layer in enumerate(layers):
-            if i == 0:
-                current = first_current
-            else:
-                current = _layer_current(layer, _presyn_rows(layer, carry), batch)
-            lif_step(states[i], current, cfg)
-            carry = _post_block(layer, states[i].s)
-        acc += states[-1].s
-    return acc / cfg.T
+    return sum(states[-1].s for _, states in _run_steps(net, x, head)) / net.cfg.T
 
 
 def predict(net: SpikingNet, x: np.ndarray, trainer: str, head: int = 0) -> np.ndarray:

@@ -86,6 +86,32 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--resume", str(out / "task1.ckpt")]) == 0
         assert (out / "metrics.csv").read_bytes() == full
 
+    def _refused_resume(self, run_env, capsys, ckpt_kw, resume_kw, corrupt=None):
+        first = run_env / "first"
+        cfg = run_env / "first.cfg"
+        _write_cfg(str(cfg), str(first), n_tasks=1, train_per_task=100, **ckpt_kw)
+        assert main(["run", str(cfg)]) == 0
+        ckpt = first / "task1.ckpt"
+        if corrupt is not None:
+            ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        capsys.readouterr()
+        cfg = run_env / "resume.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), train_per_task=100, **resume_kw)
+        assert main(["run", str(cfg), "--resume", str(ckpt)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("checkpoint error: ")
+        return line
+
+    def test_truncated_resume_exit_3(self, run_env, capsys):
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=lambda b: b[:-8])
+        assert "truncated" in line
+
+    def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):
+        line = self._refused_resume(
+            run_env, capsys, {"hidden_sizes": "[20, 20]"}, {"hidden_sizes": "[10, 20]"}
+        )
+        assert "block0" in line and "(20, 784)" in line and "(10, 784)" in line
+
 
 class TestVerifyCommand:
     def test_known_suites_pass(self, capsys):

@@ -2,9 +2,10 @@
 
 Each reference below is the straightforward form of its rule: the two-stage
 Hebbian loop over full circuit responses, row-space trace projection, and
-T-step loops that recompute every per-step value and merge packets step by
-step. The optimized code must reproduce them exactly (bit for bit where the
-arithmetic is unchanged, to 1e-12 where it is reassociated).
+self-contained T-step loops that recompute every per-step value (the first
+layer's rows and current included) without the shared layer walk
+``_run_steps``. The optimized code must reproduce them exactly (bit for bit
+where the arithmetic is unchanged, to 1e-12 where it is reassociated).
 """
 
 import numpy as np
@@ -12,21 +13,31 @@ import pytest
 
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
-from hlop.spiking import LayerState, NeuronConfig, avg_pool, dense_layer, lif_step
+from hlop.spiking import (
+    LayerState,
+    NeuronConfig,
+    avg_pool,
+    dense_layer,
+    lif_step,
+    surrogate_derivative,
+)
 from hlop.training import (
     ErrorPropConfig,
+    GradPacket,
     LayerGrad,
+    _delta_rows,
     _layer_current,
     _post_block,
     _presyn_rows,
+    _route_error_to_block,
     _spiking_forward_pass,
     _state_shape,
+    backprop_error,
     build_conv_net,
     build_mlp,
     ottt_backward,
-    ottt_init_states,
-    ottt_step,
     sgd_update,
+    softmax,
     spiking_rate_readout,
 )
 
@@ -110,20 +121,46 @@ class TestUpdateSpaceProjection:
 
 
 def _reference_ottt(net, x, y, epcfg, subspaces, head):
-    """Step-by-step OTTT: no static input, packets merged at every step."""
+    """Step-by-step OTTT: every layer's rows, current and projected trace
+    input recomputed at every step, per-step factors concatenated."""
     cfg = net.cfg
-    states = ottt_init_states(net, x.shape[0], head)
-    packet = None
-    feeds = [[] for _ in net.trainable_layers(head)]
-    rate_sum = None
+    subspaces = subspaces or {}
+    layers = net.trainable_layers(head)
+    batch = x.shape[0]
+    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    traces = [None] * len(layers)
+    deltas = [[] for _ in layers]
+    trace_steps = [[] for _ in layers]
+    feeds = [[] for _ in layers]
+    rate_sum = np.zeros((batch, layers[-1].out_dim))
     for _ in range(cfg.T):
-        packet_t, states, pres_raw, s_out = ottt_step(
-            net, states, x, y, epcfg, subspaces, head
-        )
-        packet = packet_t if packet is None else packet.merge(packet_t)
-        for i, rows in enumerate(pres_raw):
+        carry = x
+        for i, layer in enumerate(layers):
+            rows = _presyn_rows(layer, carry)
             feeds[i].append(rows)
-        rate_sum = s_out if rate_sum is None else rate_sum + s_out
+            sub = subspaces.get(i)
+            trace_in = rows if sub is None else sub.project_trace(rows)
+            if traces[i] is None:
+                traces[i] = np.zeros_like(trace_in)
+            traces[i] = cfg.lam * traces[i] + trace_in
+            lif_step(states[i], _layer_current(layer, rows, batch), cfg)
+            carry = _post_block(layer, states[i].s)
+        rate_sum += states[-1].s
+        err = (softmax(states[-1].s) - y) / cfg.T
+        for i in range(len(layers) - 1, -1, -1):
+            c = _delta_rows(layers[i], err * surrogate_derivative(states[i].u, cfg))
+            deltas[i].append(c)
+            trace_steps[i].append(traces[i])
+            if i > 0:
+                d = backprop_error(c, layers[i], epcfg)
+                err = _route_error_to_block(d, layers[i - 1], batch)
+    packet = GradPacket(
+        layers=[
+            LayerGrad(delta=np.concatenate(d), trace=np.concatenate(t))
+            for d, t in zip(deltas, trace_steps)
+        ],
+        batch=batch,
+    )
     feeds = [fs[0] if i == 0 else np.concatenate(fs) for i, fs in enumerate(feeds)]
     return packet, feeds, rate_sum / cfg.T
 

@@ -232,6 +232,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    # Byte offsets below follow the v1 layout: magic 8, version 4,
+    # seed + cursor 12, then the layer count (4) and the first layer name
+    # (u16 length at 28, bytes from 30), or, with no layers, the subspace
+    # count (4) and the first subspace's index (u32 at 32) and width (at 36).
+
+    def _corrupt(self, tmp_path, ckpt, offset, patch):
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, ckpt)
+        data = bytearray(open(path, "rb").read())
+        data[offset : offset + len(patch)] = patch
+        open(path, "wb").write(bytes(data))
+        return path
+
+    def test_rejects_corrupted_subspace_width(self, tmp_path):
+        sub = LateralSubspace(n=4, H=np.eye(4)[:2])
+        ckpt = Checkpoint(master_seed=1, task_cursor=0, layers=[], subspaces={0: sub})
+        path = self._corrupt(tmp_path, ckpt, 36, struct.pack("<I", 5))
+        with pytest.raises(CheckpointError, match="width 4 != presynaptic width 5"):
+            load_checkpoint(path)
+
+    def test_rejects_non_utf8_layer_name(self, tmp_path):
+        ckpt = Checkpoint(master_seed=1, task_cursor=0,
+                          layers=[("ab", np.zeros((2, 2)), np.zeros(2))])
+        path = self._corrupt(tmp_path, ckpt, 30, b"\xff\xfe")
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_rejects_oversized_length_field(self, tmp_path):
+        # A weight row count of 2^32 - 1 claims about 64 GiB; the reader
+        # must report truncation without trying to read that much.
+        ckpt = Checkpoint(master_seed=1, task_cursor=0,
+                          layers=[("ab", np.zeros((2, 2)), np.zeros(2))])
+        path = self._corrupt(tmp_path, ckpt, 32, struct.pack("<I", 2**32 - 1))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
 
 class TestRunContinual:
     def test_deterministic_matrix(self, data_pools):

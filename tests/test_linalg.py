@@ -2,44 +2,12 @@ import numpy as np
 import pytest
 
 from hlop.linalg import (
-    ShapeError,
     kaiming_uniform_init,
     make_rng,
-    matmul,
     rowspace_projector,
     subspace_alignment_error,
     topk_principal,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_annihilator(self):
-        a = make_rng(0, 0).normal(size=(3, 4))
-        assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-    def test_shape_report(self):
-        with pytest.raises(ShapeError, match=r"3x2.*4x5|inner dimensions 2 != 4"):
-            matmul(np.zeros((3, 2)), np.zeros((4, 5)))
-
-    def test_associativity(self):
-        rng = make_rng(7, 0)
-        for _ in range(50):
-            a = rng.normal(size=(4, 3))
-            b = rng.normal(size=(3, 5))
-            c = rng.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            rel = np.max(np.abs(left - right)) / max(np.max(np.abs(right)), 1e-300)
-            assert rel < 1e-10
 
 
 class TestKaimingUniform:

@@ -14,8 +14,6 @@ from hlop.training import (
     build_mlp,
     init_feedback,
     ottt_backward,
-    ottt_init_states,
-    ottt_step,
     rate_backward,
     sgd_update,
     softmax,
@@ -183,8 +181,10 @@ class TestBpttSg:
 
 class TestOttt:
     def test_trace_recurrence_hand_sequence(self):
-        # Presynaptic spikes [1, 0, 1] with lam = 0.5 give traces 1, 0.5, 1.25.
-        cfg = NeuronConfig(lam=0.5, v_th=1.0, T=3, a2=0.25)
+        # A constant drive of 0.8 makes the hidden neuron's potential run
+        # 0.8, 1.2, 0.9, 1.25, so it spikes [0, 1, 0, 1]; with lam = 0.5 the
+        # head's presynaptic traces are 0, 1, 0.5, 1.25.
+        cfg = NeuronConfig(lam=0.5, v_th=1.0, T=4, a2=0.25)
         net = SpikingNet(
             blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1),
                           meta={"name": "block0"})],
@@ -192,26 +192,18 @@ class TestOttt:
                          meta={"name": "head0"})],
             cfg=cfg,
         )
-        states = ottt_init_states(net, 1)
-        y = _onehot([0], 2)
-        ep = ErrorPropConfig()
-        seen = []
-        # inputs picked so the hidden neuron spikes exactly [1, 0, 1]
-        for drive in (1.2, -0.2, 1.2):
-            _, states, _, _ = ottt_step(net, states, np.array([[drive]]), y, ep)
-            seen.append(states.traces[1][0, 0])
-        assert np.allclose(seen, [1.0, 0.5, 1.25], atol=1e-12)
+        packet, _, _ = ottt_backward(net, np.array([[0.8]]), _onehot([0], 2), ErrorPropConfig())
+        assert np.allclose(packet.layers[1].trace[:, 0], [0.0, 1.0, 0.5, 1.25], atol=1e-12)
 
     def test_zero_instantaneous_error_gives_zero_packet(self):
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=1, a2=0.25)
         net = _mlp(10, [3, 4, 2], cfg)
         x = make_rng(11, 0).uniform(0.0, 1.5, size=(2, 3))
-        states = ottt_init_states(net, 2)
-        # First pass to observe the output spikes, then feed y = softmax(s).
-        packet, _, _, s_out = ottt_step(net, states, x, np.zeros((2, 2)), ErrorPropConfig())
+        # First pass to observe the output spikes (at T = 1 the rate is the
+        # spike vector), then feed y = softmax(s).
+        _, _, s_out = ottt_backward(net, x, np.zeros((2, 2)), ErrorPropConfig())
         y = softmax(s_out)
-        states = ottt_init_states(net, 2)
-        packet, _, _, _ = ottt_step(net, states, x, y, ErrorPropConfig())
+        packet, _, _ = ottt_backward(net, x, y, ErrorPropConfig())
         for lg in packet.layers:
             assert np.max(np.abs(lg.delta)) == 0.0
 
@@ -305,7 +297,7 @@ class TestSgdUpdate:
         delta = rng.normal(size=(5, 3))
         trace = rng.normal(size=(5, 4))
         a = dense_layer(3, 4, make_rng(24, 0))
-        b = a.copy()
+        b = dense_layer(3, 4, make_rng(24, 0))
         w0 = a.weight.copy()
         sgd_update(a, LayerGrad(delta=delta, trace=trace), lr=0.2, batch=5)
         sgd_update(b, LayerGrad(delta=delta, trace=2.0 * trace), lr=0.2, batch=5)

@@ -208,10 +208,10 @@ def _projected_widths(cfg: ExperimentConfig) -> list[int]:
     every hidden layer plus the shared classifier, or on split runs the conv
     and dense blocks (per-task heads are never revisited)."""
     if cfg.task == "split_mnist":
-        patch = cfg.conv_kernel * cfg.conv_kernel
-        oh = (28 - cfg.conv_kernel) + 1
-        flat = cfg.conv_channels * (oh // cfg.conv_pool) ** 2
-        return [patch, flat]
+        from .spiking import pooled_flat_width
+
+        flat = pooled_flat_width(cfg.conv_channels, (28, 28), cfg.conv_kernel, cfg.conv_pool)
+        return [cfg.conv_kernel * cfg.conv_kernel, flat]
     return [784, *cfg.hidden_sizes]
 
 

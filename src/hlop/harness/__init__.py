@@ -6,6 +6,7 @@ from .data import (
     Dataset,
     DatasetError,
     IdxCountMismatchError,
+    IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
     Task,
@@ -24,6 +25,7 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "IdxCountMismatchError",
+    "IdxHeaderError",
     "IdxMagicError",
     "IdxTruncatedError",
     "RunResult",

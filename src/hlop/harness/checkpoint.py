@@ -24,9 +24,10 @@ Layout (version 1, all multi-byte fields little-endian):
       per row: u32 length + f64 accuracies
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
-always complete. A file that does not parse as this layout raises
-``CheckpointError`` and nothing else. Reloading a mid-sequence checkpoint and
-continuing the run reproduces the uninterrupted run bit for bit.
+always complete. A file that cannot be opened or does not parse as this
+layout raises ``CheckpointError`` and nothing else. Reloading a mid-sequence
+checkpoint and continuing the run reproduces the uninterrupted run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot open checkpoint: {e.strerror}") from e
+    with f:
         if _read(f, 8) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", _read(f, 4))

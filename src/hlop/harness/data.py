@@ -52,7 +52,21 @@ class IdxCountMismatchError(DatasetError):
     code = "count-mismatch"
 
 
+class IdxHeaderError(DatasetError):
+    code = "bad-header"
+
+
+def _check_dims(path: str, **dims: int) -> None:
+    """Reject negative header dimensions before they size a read."""
+    bad = [f"{name} {v}" for name, v in dims.items() if v < 0]
+    if bad:
+        raise IdxHeaderError(f"{path}: negative {', '.join(bad)} in header")
+
+
 def _read_exact(f, n: int, path: str) -> bytes:
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise IdxTruncatedError(f"{path}: expected {n} more bytes, {left} left")
     buf = f.read(n)
     if len(buf) != n:
         raise IdxTruncatedError(f"{path}: expected {n} more bytes, got {len(buf)}")
@@ -68,6 +82,7 @@ def load_idx_images(path: str) -> np.ndarray:
                 f"{path}: image magic 0x{magic & 0xffffffff:08x}, expected 0x{IMAGE_MAGIC:08x}"
             )
         count, rows, cols = struct.unpack(">iii", _read_exact(f, 12, path))
+        _check_dims(path, count=count, rows=rows, cols=cols)
         payload = _read_exact(f, count * rows * cols, path)
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
@@ -81,6 +96,7 @@ def load_idx_labels(path: str) -> np.ndarray:
                 f"{path}: label magic 0x{magic & 0xffffffff:08x}, expected 0x{LABEL_MAGIC:08x}"
             )
         count, = struct.unpack(">i", _read_exact(f, 4, path))
+        _check_dims(path, count=count)
         payload = _read_exact(f, count, path)
     return np.frombuffer(payload, dtype=np.uint8).copy()
 

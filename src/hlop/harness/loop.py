@@ -193,8 +193,8 @@ def _train_one_task(
 ) -> None:
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
-    # Linear circuits project the formed update in sgd_update (exact by
-    # linearity, and far fewer rows); burst-quantized ones project each
+    # Linear circuits are projected in sgd_update, on whichever factor has
+    # fewer rows (exact by linearity); burst-quantized ones project each
     # trace row inside the trainer.
     row_projected = {i: s for i, s in subspaces.items() if s.mode == "spiking"}
     update_projected = {i: s for i, s in subspaces.items() if s.mode == "linear"}

@@ -211,6 +211,13 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
     return (h - kernel) // stride + 1, (w - kernel) // stride + 1
 
 
+def pooled_flat_width(channels: int, in_hw: tuple[int, int], kernel: int, pool: int) -> int:
+    """Width of a stride-1 conv block's flattened, pooled spike map: the
+    fan-in of the dense layer above it."""
+    oh, ow = conv_output_hw(*in_hw, kernel, 1)
+    return channels * (oh // pool) * (ow // pool)
+
+
 def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
     """Non-overlapping average pooling over the trailing two axes.
 

@@ -18,12 +18,16 @@ instantaneous error.
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
 trainable layer, and every weight update is formed as delta^T @ trace — the
-single pathway through which lateral circuits modify learning. Where the
-projection x_hat = x - H^T H x happens depends on the circuit's mode:
+single pathway through which lateral circuits modify learning. The static
+input is the same at every step, so the spiking trainers fold the first
+layer's T step factors into one block of batch rows: (sum_t c_t, x_hat) for
+BPTT and (sum_t a_t c_t, x_hat) for OTTT, whose eligibility trace at step t
+is a_t x_hat. The bias gradient, sum_t c_t, is carried on the factor. Where
+the projection x_hat = x - H^T H x happens depends on the circuit's mode:
 
-* linear circuits project the formed update, dW (I - H^T H), in
-  ``sgd_update``; by linearity this equals delta^T x_hat, and the update has
-  far fewer rows than the trace;
+* linear circuits are linear in the trace, so ``sgd_update`` projects
+  whichever factor has fewer rows: the formed update, dW (I - H^T H), or the
+  trace rows; both equal delta^T x_hat;
 * burst-quantized (spiking-mode) circuits are nonlinear per row, so the
   trainers project each trace row when the circuit is passed to them.
 
@@ -110,13 +114,11 @@ def build_conv_net(
     cfg: NeuronConfig,
     rng: np.random.Generator,
 ) -> SpikingNet:
-    from .spiking import conv_layer, conv_output_hw, dense_layer
+    from .spiking import conv_layer, dense_layer, pooled_flat_width
 
     conv = conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool)
     conv.meta["name"] = "block0"
-    oh, ow = conv_output_hw(*in_hw, kernel, 1)
-    flat = channels * (oh // pool) * (ow // pool)
-    dense = dense_layer(hidden, flat, rng)
+    dense = dense_layer(hidden, pooled_flat_width(channels, in_hw, kernel, pool), rng)
     dense.meta["name"] = "block1"
     heads = []
     for i in range(n_heads):
@@ -198,10 +200,21 @@ def backprop_error(
 
 @dataclass
 class LayerGrad:
-    """Row-matrix factors of one layer's update: dW = delta^T @ trace / batch."""
+    """Row-matrix factors of one layer's update: dW = delta^T @ trace / batch,
+    db = bias / batch.
+
+    ``bias`` defaults to the column sums of ``delta``. A folded first-layer
+    factor, whose delta is the a_t-weighted step sum sum_t a_t c_t, carries
+    the unweighted sum_t c_t explicitly.
+    """
 
     delta: np.ndarray  # (rows, out)
     trace: np.ndarray  # (rows, in)
+    bias: np.ndarray | None = None  # (out,)
+
+    def __post_init__(self) -> None:
+        if self.bias is None:
+            self.bias = self.delta.sum(axis=0)
 
 
 @dataclass
@@ -218,6 +231,7 @@ class GradPacket:
             LayerGrad(
                 delta=np.concatenate([a.delta, b.delta]),
                 trace=np.concatenate([a.trace, b.trace]),
+                bias=a.bias + b.bias,
             )
             for a, b in zip(self.layers, other.layers)
         ]
@@ -225,10 +239,7 @@ class GradPacket:
 
     def dense_grads(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Materialized (dW, db) per layer, batch-averaged."""
-        out = []
-        for lg in self.layers:
-            out.append((lg.delta.T @ lg.trace / self.batch, lg.delta.sum(axis=0) / self.batch))
-        return out
+        return [(lg.delta.T @ lg.trace / self.batch, lg.bias / self.batch) for lg in self.layers]
 
 
 def sgd_update(
@@ -238,23 +249,24 @@ def sgd_update(
     batch: int,
     subspace: LateralSubspace | None = None,
 ) -> None:
-    """Apply W <- W - lr * delta^T @ trace / batch (bias from delta alone).
+    """Apply W <- W - lr * delta^T @ trace / batch and b <- b - lr * bias / batch.
 
     When ``subspace`` is given the update is projected off the consolidated
     subspace, so it cannot disturb directions old tasks relied on. A linear
-    circuit projects the formed update, delta^T trace (I - H^T H), whose
-    (out, in) rows are far fewer than the trace rows; by linearity this
-    equals delta^T x_hat. A burst-quantized circuit is nonlinear per row, so
-    it projects each trace row first. Biases are excluded from projection.
+    circuit projects whichever factor has fewer rows: the formed update,
+    delta^T trace (I - H^T H), with one row per output, or the trace rows; by
+    linearity both equal delta^T x_hat. A burst-quantized circuit is
+    nonlinear per row, so it always projects each trace row first. Biases are
+    excluded from projection.
     """
     if subspace is None:
         dw = grad.delta.T @ grad.trace
-    elif subspace.mode == "linear":
+    elif subspace.mode == "linear" and grad.delta.shape[1] < grad.trace.shape[0]:
         dw = subspace.project_trace(grad.delta.T @ grad.trace)
     else:
         dw = grad.delta.T @ subspace.project_trace(grad.trace)
     layer.weight -= lr * dw / batch
-    layer.bias -= lr * grad.delta.sum(axis=0) / batch
+    layer.bias -= lr * grad.bias / batch
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +424,9 @@ def bptt_sg_backward(
     Cross-entropy on the output firing rate; credit for step t flows into
     earlier steps through both the leaky membrane path and the subtraction
     reset path. Traces are the per-step presynaptic spikes, projected when a
-    lateral subspace is attached to the layer.
+    lateral subspace is attached to the layer. The static input's rows are
+    the same at every step, so the first layer's factor is one block,
+    (sum_t c_t, x_hat), projected once.
 
     Returns the grad packet, the raw per-layer Hebbian feed rows, and the
     output firing rate.
@@ -441,12 +455,13 @@ def bptt_sg_backward(
             c = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
             cs[t] = c
             c_next = c
-        sub = subspaces.get(i)
-        delta_rows = np.concatenate([_delta_rows(layer, c) for c in cs])
-        raw_trace = np.concatenate(pres[i])
-        trace_rows = _project(sub, raw_trace)
-        grads[i] = LayerGrad(delta=delta_rows, trace=trace_rows)
-        feeds[i] = raw_trace if i > 0 else pres[i][0]
+        if i == 0:
+            feeds[i] = pres[i][0]
+            delta_rows = _delta_rows(layer, sum(cs))
+        else:
+            feeds[i] = np.concatenate(pres[i])
+            delta_rows = np.concatenate([_delta_rows(layer, c) for c in cs])
+        grads[i] = LayerGrad(delta=delta_rows, trace=_project(subspaces.get(i), feeds[i]))
         if i > 0:
             if layer.kind == "conv":
                 raise ShapeError("error propagation below a conv layer is not supported")
@@ -467,21 +482,22 @@ def ottt_step(
     net: SpikingNet,
     states: list[LayerState],
     traces: list,
-    trace_inputs: list[np.ndarray],
+    trace_inputs: list,
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
-) -> GradPacket:
+) -> list[np.ndarray]:
     """The learning half of one forward-in-time step, on the layer states the
     walk has just advanced.
 
     Each layer's eligibility trace advances in place as
     trace = lam * trace + input, where ``trace_inputs`` are the step's
-    presynaptic rows after any per-row projection. The instantaneous error
-    uses the per-step loss L[t] = CE(s_out[t], y)/T and never looks at past
-    steps.
+    presynaptic rows after any per-row projection. The static input's rows
+    x_hat are the same at every step, so its trace is a_t x_hat and is
+    carried as the scalar a_t: its input is 1. The instantaneous error uses
+    the per-step loss L[t] = CE(s_out[t], y)/T and never looks at past steps.
 
-    Returns the step's (delta, trace) factors.
+    Returns the step's per-layer errors c_t, in the row layout of the traces.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
@@ -489,17 +505,16 @@ def ottt_step(
     for i, rows in enumerate(trace_inputs):
         traces[i] = cfg.lam * traces[i] + rows
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
-    grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
+    cs: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        c = _delta_rows(layer, err * surrogate_derivative(states[i].u, cfg))
-        grads[i] = LayerGrad(delta=c, trace=traces[i])
+        cs[i] = _delta_rows(layer, err * surrogate_derivative(states[i].u, cfg))
         if i > 0:
             if layer.kind == "conv":
                 raise ShapeError("error propagation below a conv layer is not supported")
-            d = backprop_error(c, layer, epcfg)
+            d = backprop_error(cs[i], layer, epcfg)
             err = _route_error_to_block(d, layers[i - 1], batch)
-    return GradPacket(layers=grads, batch=batch)
+    return cs
 
 
 def ottt_backward(
@@ -515,11 +530,13 @@ def ottt_backward(
     Each step's presynaptic rows are first projected by the lateral circuit
     attached in ``subspaces``, then fed to ``ottt_step``. Only
     burst-quantized circuits need this per-row projection, since the
-    quantizer acts on each step's signal; the static input's rows are the
-    same at every step, so they are projected once. Linear circuits are
-    instead handed to ``sgd_update``, which projects the formed update; by
-    linearity that equals the update from projected traces. The T step
-    factors are concatenated once per layer at the end.
+    quantizer acts on each step's signal. Linear circuits are instead handed
+    to ``sgd_update``; by linearity its projection equals the update from
+    projected traces. The T step factors are concatenated once per layer at
+    the end, except the first layer's: its eligibility trace is a_t x_hat
+    with a_1 = 1 and a_{t+1} = lam * a_t + 1, so its factor is one block,
+    (sum_t a_t c_t, x_hat), with x_hat projected once, and its bias gradient
+    sum_t c_t is carried explicitly.
 
     Returns the accumulated grad packet, the raw Hebbian feed rows per layer
     (per-step presynaptic spikes; the constant input is fed once), and the
@@ -528,28 +545,30 @@ def ottt_backward(
     cfg = net.cfg
     subspaces = subspaces or {}
     n_layers = len(net.trainable_layers(head))
-    traces: list = [0.0] * n_layers  # eligibility trace rows, zero before step 1
-    steps: list[GradPacket] = []
+    traces: list = [0.0] * n_layers  # eligibility traces, zero before step 1
+    deltas: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+    trace_steps: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    first_input = None
-    rate_sum = 0.0
+    first_delta = first_bias = rate_sum = 0.0
     for rows, states in _run_steps(net, x, head):
-        if first_input is None:
-            first_input = _project(subspaces.get(0), rows[0])
-        trace_inputs = [first_input] + [
-            _project(subspaces.get(i), rows[i]) for i in range(1, n_layers)
-        ]
-        steps.append(ottt_step(net, states, traces, trace_inputs, y_onehot, epcfg, head))
+        trace_inputs = [1.0] + [_project(subspaces.get(i), rows[i]) for i in range(1, n_layers)]
+        cs = ottt_step(net, states, traces, trace_inputs, y_onehot, epcfg, head)
+        first_delta = first_delta + traces[0] * cs[0]
+        first_bias = first_bias + cs[0].sum(axis=0)
+        for i in range(1, n_layers):
+            deltas[i].append(cs[i])
+            trace_steps[i].append(traces[i])
         for i in range(n_layers):
             pres[i].append(rows[i])
         rate_sum = rate_sum + states[-1].s
+    first = LayerGrad(
+        delta=first_delta, trace=_project(subspaces.get(0), pres[0][0]), bias=first_bias
+    )
     packet = GradPacket(
-        layers=[
-            LayerGrad(
-                delta=np.concatenate([p.layers[i].delta for p in steps]),
-                trace=np.concatenate([p.layers[i].trace for p in steps]),
-            )
-            for i in range(n_layers)
+        layers=[first]
+        + [
+            LayerGrad(delta=np.concatenate(deltas[i]), trace=np.concatenate(trace_steps[i]))
+            for i in range(1, n_layers)
         ],
         batch=x.shape[0],
     )

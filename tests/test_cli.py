@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ class TestRunCommand:
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"))
         assert main(["run", str(cfg)]) == 3
+
+    def test_negative_idx_header_exit_3(self, run_env, monkeypatch, capsys):
+        data = run_env / "data"
+        data.mkdir()
+        for name, magic in (("train-images-idx3-ubyte", 0x803), ("t10k-images-idx3-ubyte", 0x803)):
+            (data / name).write_bytes(struct.pack(">iiii", magic, -1, -28, 28) + b"\x00" * 784)
+        for name in ("train-labels-idx1-ubyte", "t10k-labels-idx1-ubyte"):
+            (data / name).write_bytes(struct.pack(">ii", 0x801, 1) + b"\x00")
+        monkeypatch.setenv("HLOP_DATA_DIR", str(data))
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"))
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: ") and "negative count -1" in line
+
+    def test_missing_resume_file_exit_3(self, run_env, capsys):
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"))
+        missing = run_env / "missing.ckpt"
+        assert main(["run", str(cfg), "--resume", str(missing)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("checkpoint error: ") and "missing.ckpt" in line
 
     def test_resume_from_checkpoint(self, run_env):
         out = run_env / "out"

@@ -34,6 +34,7 @@ from hlop.training import (
     _state_shape,
     backprop_error,
     build_conv_net,
+    bptt_sg_backward,
     build_mlp,
     ottt_backward,
     sgd_update,
@@ -165,6 +166,59 @@ def _reference_ottt(net, x, y, epcfg, subspaces, head):
     return packet, feeds, rate_sum / cfg.T
 
 
+def _reference_bptt(net, x, y, epcfg, subspaces, head):
+    """Unrolled BPTT: a plain forward loop that stores every step's u, s and
+    rows, then per-step factors concatenated for every layer, the first
+    layer's T copies of the static input included."""
+    cfg = net.cfg
+    subspaces = subspaces or {}
+    layers = net.trainable_layers(head)
+    batch = x.shape[0]
+    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    us, ss, pres = ([[] for _ in layers] for _ in range(3))
+    for _ in range(cfg.T):
+        carry = x
+        for i, layer in enumerate(layers):
+            rows = _presyn_rows(layer, carry)
+            lif_step(states[i], _layer_current(layer, rows, batch), cfg)
+            us[i].append(states[i].u)
+            ss[i].append(states[i].s)
+            pres[i].append(rows)
+            carry = _post_block(layer, states[i].s)
+    rate = np.mean(ss[-1], axis=0)
+    ext = [[(softmax(rate) - y) / cfg.T] * cfg.T]
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        cs = [None] * cfg.T
+        c_next = np.zeros_like(us[i][0])
+        for t in range(cfg.T - 1, -1, -1):
+            ds = ext[-1][t] - cfg.lam * cfg.v_th * c_next
+            cs[t] = c_next = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
+        sub = subspaces.get(i)
+        trace = np.concatenate(pres[i])
+        grads.append(LayerGrad(
+            delta=np.concatenate([_delta_rows(layers[i], c) for c in cs]),
+            trace=trace if sub is None else sub.project_trace(trace),
+        ))
+        if i > 0:
+            ext.append([
+                _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], batch)
+                for c in cs
+            ])
+    feeds = [fs[0] if i == 0 else np.concatenate(fs) for i, fs in enumerate(pres)]
+    return GradPacket(layers=grads[::-1], batch=batch), feeds, rate
+
+
+def _assert_folded_first_layer(packet, ref_packet, T):
+    """The first layer's folded factor is one block of static-input rows and
+    gives the unfolded (dW, db) to 1e-12 relative."""
+    (dw, db), (ref_dw, ref_db) = packet.dense_grads()[0], ref_packet.dense_grads()[0]
+    assert packet.layers[0].trace.shape[0] * T == ref_packet.layers[0].trace.shape[0]
+    assert np.max(np.abs(dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
+    assert np.max(np.abs(db - ref_db)) <= 1e-12 * np.max(np.abs(ref_db))
+    assert np.abs(ref_dw).max() > 0.0 and np.abs(ref_db).max() > 0.0
+
+
 def _reference_readout(net, x, head):
     cfg = net.cfg
     layers = net.trainable_layers(head)
@@ -214,13 +268,31 @@ class TestStaticInputHoisting:
             net, x, y, ErrorPropConfig(), subs, head
         )
         assert packet.batch == ref_packet.batch
-        for a, b in zip(packet.layers, ref_packet.layers, strict=True):
+        _assert_folded_first_layer(packet, ref_packet, net.cfg.T)
+        for a, b in zip(packet.layers[1:], ref_packet.layers[1:], strict=True):
             assert np.array_equal(a.delta, b.delta)
             assert np.array_equal(a.trace, b.trace)
         for a, b in zip(feeds, ref_feeds, strict=True):
             assert np.array_equal(a, b)
         assert np.array_equal(rate, ref_rate)
         assert rate.any()  # the case exercises spiking output
+
+    @pytest.mark.parametrize("projected", [False, True], ids=["raw", "spiking-projected"])
+    def test_bptt_matches_unfolded_step_loop(self, case, projected):
+        net, x, y, head = case()
+        subs = _spiking_subspaces(net, head) if projected else None
+        packet, feeds, rate = bptt_sg_backward(net, x, y, ErrorPropConfig(), subs, head)
+        ref_packet, ref_feeds, ref_rate = _reference_bptt(
+            net, x, y, ErrorPropConfig(), subs, head
+        )
+        assert packet.batch == ref_packet.batch
+        _assert_folded_first_layer(packet, ref_packet, net.cfg.T)
+        for a, b in zip(packet.layers[1:], ref_packet.layers[1:], strict=True):
+            assert np.array_equal(a.delta, b.delta)
+            assert np.array_equal(a.trace, b.trace)
+        for a, b in zip(feeds, ref_feeds, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(rate, ref_rate)
 
     def test_readout_matches_step_loop(self, case):
         net, x, _, head = case()

@@ -8,8 +8,10 @@ from hlop.config import ConfigError, config_from_dict
 from hlop.harness.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from hlop.harness.data import (
     IdxCountMismatchError,
+    IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
+    load_idx_labels,
     load_mnist_idx,
     make_pmnist_tasks,
     make_split_tasks,
@@ -71,6 +73,23 @@ class TestIdxFormat:
         with pytest.raises(IdxTruncatedError):
             load_mnist_idx(str(p), str(p))
 
+    def test_negative_header_dims(self, tmp_path):
+        p = tmp_path / "neg"
+        p.write_bytes(struct.pack(">iiii", 0x00000803, -1, -28, 28) + b"\x00" * 784)
+        with pytest.raises(IdxHeaderError, match="count -1, rows -28"):
+            load_mnist_idx(str(p), str(p))
+        p.write_bytes(struct.pack(">ii", 0x00000801, -1) + b"\x00" * 4)
+        with pytest.raises(IdxHeaderError, match="count -1"):
+            load_idx_labels(str(p))
+
+    def test_oversized_count_refused_before_read(self, tmp_path):
+        # A count of 2^31 - 1 images would ask for 1.7 TB; the loader must
+        # compare it with the bytes left instead of reading.
+        p = tmp_path / "huge"
+        p.write_bytes(struct.pack(">iiii", 0x00000803, 2**31 - 1, 28, 28) + b"\x00" * 784)
+        with pytest.raises(IdxTruncatedError, match="784 left"):
+            load_mnist_idx(str(p), str(p))
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = str(tmp_path / "imgs"), str(tmp_path / "lbls")
         write_idx_images(ip, np.zeros((2, 2, 2), dtype=np.uint8))
@@ -79,8 +98,9 @@ class TestIdxFormat:
             load_mnist_idx(ip, lp)
 
     def test_error_codes_distinct(self):
-        codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code}
-        assert len(codes) == 3
+        codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
+                 IdxHeaderError.code}
+        assert len(codes) == 4
 
 
 class TestSyntheticCorpus:

@@ -3,7 +3,7 @@ import pytest
 
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
-from hlop.spiking import Layer, NeuronConfig, dense_layer
+from hlop.spiking import Layer, NeuronConfig, dense_layer, surrogate_derivative
 from hlop.training import (
     ErrorPropConfig,
     GradPacket,
@@ -195,6 +195,36 @@ class TestOttt:
         packet, _, _ = ottt_backward(net, np.array([[0.8]]), _onehot([0], 2), ErrorPropConfig())
         assert np.allclose(packet.layers[1].trace[:, 0], [0.0, 1.0, 0.5, 1.25], atol=1e-12)
 
+    def test_folded_first_layer_hand_sequence(self):
+        # Same drive as above, head weights 1 and 0.5: the hidden potential
+        # runs 0.8, 1.2, 0.9, 1.25 and the head's (1.0, 0.5) * s_hidden
+        # drives potentials (0, 0), (1, 0.5), (0, 0.25), (1, 0.625). The
+        # static input's trace is a_t * x with a = 1, 1.5, 1.75, 1.875, so
+        # the first layer's factor is one row: (sum_t a_t c_t, x), bias
+        # sum_t c_t.
+        cfg = NeuronConfig(lam=0.5, v_th=1.0, T=4, a2=0.25)
+        w_head = np.array([[1.0], [0.5]])
+        net = SpikingNet(
+            blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1),
+                          meta={"name": "block0"})],
+            heads=[Layer(weight=w_head.copy(), bias=np.zeros(2), meta={"name": "head0"})],
+            cfg=cfg,
+        )
+        x, y = np.array([[0.8]]), _onehot([0], 2)
+        packet, _, _ = ottt_backward(net, x, y, ErrorPropConfig())
+        u_hidden = np.array([0.8, 1.2, 0.9, 1.25])
+        u_out = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.25], [1.0, 0.625]])
+        s_out = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        c_out = (softmax(s_out) - y) / cfg.T * surrogate_derivative(u_out, cfg)
+        c = (c_out @ w_head)[:, 0] * surrogate_derivative(u_hidden, cfg)
+        assert np.all(c != 0.0)
+        first = packet.layers[0]
+        assert first.delta.shape == (1, 1) and first.trace.shape == (1, 1)
+        assert np.array_equal(first.trace, x)
+        assert np.allclose(first.delta[0, 0], np.dot([1.0, 1.5, 1.75, 1.875], c),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(first.bias[0], c.sum(), rtol=0, atol=1e-12)
+
     def test_zero_instantaneous_error_gives_zero_packet(self):
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=1, a2=0.25)
         net = _mlp(10, [3, 4, 2], cfg)
@@ -276,6 +306,15 @@ class TestSgdUpdate:
         grad = LayerGrad(delta=np.ones((4, 2)), trace=np.ones((4, 3)))
         sgd_update(layer, grad, lr=0.0, batch=4)
         assert np.array_equal(layer.weight, before)
+
+    def test_explicit_bias_gradient_is_applied(self):
+        # A folded factor's bias is not the column sum of its delta.
+        layer = Layer(weight=np.zeros((2, 3)), bias=np.zeros(2))
+        grad = LayerGrad(delta=np.ones((4, 2)), trace=np.ones((4, 3)),
+                         bias=np.array([2.0, -4.0]))
+        sgd_update(layer, grad, lr=0.5, batch=4)
+        assert np.array_equal(layer.bias, [-0.25, 0.5])
+        assert np.array_equal(GradPacket([grad], batch=4).dense_grads()[0][1], [0.5, -1.0])
 
     def test_zero_projected_trace_freezes_weights(self):
         layer = dense_layer(2, 3, make_rng(21, 0))

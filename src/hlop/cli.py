@@ -150,6 +150,10 @@ def cmd_oracle(
 
 
 def cmd_synth_data(out_dir: str, n_train: int, n_test: int, seed: int) -> int:
+    if n_train < 1 or n_test < 1:
+        print(f"error: --train and --test must be >= 1, got {n_train} and {n_test}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     write_idx_dataset(out_dir, n_train=n_train, n_test=n_test, seed=seed)
     print(f"wrote IDX dataset ({n_train} train / {n_test} test) to {out_dir}")
     return EXIT_OK

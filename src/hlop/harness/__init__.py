@@ -9,6 +9,7 @@ from .data import (
     IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
+    PoolTooSmallError,
     Task,
     TaskSequence,
     load_mnist_idx,
@@ -28,6 +29,7 @@ __all__ = [
     "IdxHeaderError",
     "IdxMagicError",
     "IdxTruncatedError",
+    "PoolTooSmallError",
     "RunResult",
     "Task",
     "TaskSequence",

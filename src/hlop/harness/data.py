@@ -17,6 +17,7 @@ Task sequences:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -56,6 +57,10 @@ class IdxHeaderError(DatasetError):
     code = "bad-header"
 
 
+class PoolTooSmallError(DatasetError):
+    code = "pool-too-small"
+
+
 def _check_dims(path: str, **dims: int) -> None:
     """Reject negative header dimensions before they size a read."""
     bad = [f"{name} {v}" for name, v in dims.items() if v < 0]
@@ -73,32 +78,28 @@ def _read_exact(f, n: int, path: str) -> bytes:
     return buf
 
 
+def _load_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.ndarray:
+    """Read an IDX file's uint8 payload in the shape its header gives."""
+    with open(path, "rb") as f:
+        found, = struct.unpack(">i", _read_exact(f, 4, path))
+        if found != magic:
+            raise IdxMagicError(
+                f"{path}: {kind} magic 0x{found & 0xffffffff:08x}, expected 0x{magic:08x}"
+            )
+        shape = struct.unpack(f">{len(dims)}i", _read_exact(f, 4 * len(dims), path))
+        _check_dims(path, **dict(zip(dims, shape)))
+        payload = _read_exact(f, math.prod(shape), path)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
 def load_idx_images(path: str) -> np.ndarray:
     """Read an IDX image file as a (count, rows, cols) uint8 array."""
-    with open(path, "rb") as f:
-        magic, = struct.unpack(">i", _read_exact(f, 4, path))
-        if magic != IMAGE_MAGIC:
-            raise IdxMagicError(
-                f"{path}: image magic 0x{magic & 0xffffffff:08x}, expected 0x{IMAGE_MAGIC:08x}"
-            )
-        count, rows, cols = struct.unpack(">iii", _read_exact(f, 12, path))
-        _check_dims(path, count=count, rows=rows, cols=cols)
-        payload = _read_exact(f, count * rows * cols, path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return _load_idx(path, IMAGE_MAGIC, "image", ("count", "rows", "cols"))
 
 
 def load_idx_labels(path: str) -> np.ndarray:
     """Read an IDX label file as a (count,) uint8 array."""
-    with open(path, "rb") as f:
-        magic, = struct.unpack(">i", _read_exact(f, 4, path))
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(
-                f"{path}: label magic 0x{magic & 0xffffffff:08x}, expected 0x{LABEL_MAGIC:08x}"
-            )
-        count, = struct.unpack(">i", _read_exact(f, 4, path))
-        _check_dims(path, count=count)
-        payload = _read_exact(f, count, path)
-    return np.frombuffer(payload, dtype=np.uint8).copy()
+    return _load_idx(path, LABEL_MAGIC, "label", ("count",)).copy()
 
 
 @dataclass
@@ -278,18 +279,19 @@ def make_pmnist_tasks(
     Fisher-Yates permutation drawn from its own sub-stream of the master
     seed. Per-task train subsets are sampled disjointly from the train pool
     so the run is a true online stream; test subsets are sampled per task
-    from the test pool.
+    from the test pool. A pool too small for that plan raises
+    ``PoolTooSmallError``.
     """
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     n_pix = train.images.shape[1]
     if n_tasks * train_per_task > len(train):
-        raise ValueError(
+        raise PoolTooSmallError(
             f"need {n_tasks * train_per_task} train samples for disjoint tasks, "
             f"pool has {len(train)}"
         )
     if test_per_task > len(test):
-        raise ValueError(f"test_per_task {test_per_task} exceeds pool {len(test)}")
+        raise PoolTooSmallError(f"test_per_task {test_per_task} exceeds pool {len(test)}")
 
     pool_order = make_rng(seed, SEED_DATA, 0).permutation(len(train))
     tasks = []

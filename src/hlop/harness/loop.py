@@ -2,17 +2,18 @@
 
 For each task the harness grows every lateral circuit by its scheduled
 number of subspace neurons, trains the network for the configured epochs
-(weight updates from projected traces, Hebbian learning on raw traces,
-interleaved per batch), evaluates on all tasks seen so far, and freezes the
-new subspace rows. All randomness derives from the master seed through
-fixed sub-stream paths, so one integer reproduces the whole run, and a
-checkpoint written at any task boundary resumes it bit for bit.
+(per batch, each circuit learns from its layer's raw trace rows and returns
+them projected for the layer's update), evaluates on all tasks seen so far,
+and freezes the new subspace rows. All randomness derives from the master
+seed through fixed sub-stream paths, so one integer reproduces the whole
+run, and a checkpoint written at any task boundary resumes it bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -96,30 +97,18 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
     return build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
 
 
-def projected_layer_indices(cfg: ExperimentConfig, net: SpikingNet) -> list[int]:
-    """Which trainable layers carry a lateral circuit.
-
-    Single-head runs project every connection including the shared
-    classifier; multi-head runs project the blocks only, since per-task
-    heads are never revisited.
-    """
-    if cfg.head_mode == "multi":
-        return list(range(len(net.blocks)))
-    return list(range(len(net.blocks) + 1))
-
-
 def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralSubspace]:
+    """One lateral circuit per entry of the validated ``subspace_schedule``:
+    layer i of the trainable layers hosts the circuit of entry i."""
     if cfg.hlop == "off":
         return {}
     layers = net.trainable_layers(0)
     quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
-    subs = {}
-    for i in projected_layer_indices(cfg, net):
-        subs[i] = LateralSubspace(
-            n=layers[i].in_dim, mode=mode, quant=quant, stabilize=True
-        )
-    return subs
+    return {
+        i: LateralSubspace(n=layers[i].in_dim, mode=mode, quant=quant, stabilize=True)
+        for i in range(len(cfg.subspace_schedule))
+    }
 
 
 def make_task_sequence(
@@ -193,11 +182,6 @@ def _train_one_task(
 ) -> None:
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
-    # Linear circuits are projected in sgd_update, on whichever factor has
-    # fewer rows (exact by linearity); burst-quantized ones project each
-    # trace row inside the trainer.
-    row_projected = {i: s for i, s in subspaces.items() if s.mode == "spiking"}
-    update_projected = {i: s for i, s in subspaces.items() if s.mode == "linear"}
     n = task.train_x.shape[0]
     for epoch in range(cfg.epochs):
         order = make_rng(cfg.seed, SEED_SHUFFLE, task_idx, epoch).permutation(n)
@@ -205,13 +189,12 @@ def _train_one_task(
             sl = order[start : start + cfg.batch]
             x = _net_input(cfg, task.train_x[sl], hw)
             y1h = _onehot(task.train_y[sl], n_classes)
-            packet, feeds, _ = trainer(net, x, y1h, epcfg, row_projected, head)
-            for i, layer in enumerate(layers):
-                sgd_update(
-                    layer, packet.layers[i], cfg.lr, packet.batch, update_projected.get(i)
-                )
-            for i, sub in subspaces.items():
-                sub.hebbian_update(feeds[i])
+            packet, _ = trainer(net, x, y1h, epcfg, head)
+            for i, (layer, grad) in enumerate(zip(layers, packet.layers)):
+                # The circuit learns from the raw rows and returns them projected.
+                if i in subspaces:
+                    grad = replace(grad, trace=subspaces[i].hebbian_update(grad.trace))
+                sgd_update(layer, grad, cfg.lr, packet.batch)
 
 
 def run_continual(
@@ -280,9 +263,7 @@ def run_continual(
         task = seq.tasks[t]
         head = t if seq.head_mode == "multi" else 0
         for i, sub in subspaces.items():
-            first, expand = cfg.subspace_schedule[
-                projected_layer_indices(cfg, net).index(i)
-            ]
+            first, expand = cfg.subspace_schedule[i]
             sub.expand(first if t == 0 else expand, make_rng(cfg.seed, SEED_SUBSPACE, t, i))
         t0 = time.perf_counter()
         _train_one_task(cfg, net, epcfg, subspaces, task, t, hw, seq.n_classes, head)
@@ -346,15 +327,18 @@ def _check_resume_fits(
     subspaces: dict[int, LateralSubspace],
 ) -> None:
     """Refuse a checkpoint whose seed, task cursor, layer shapes or lateral
-    circuit widths differ from the run built from ``cfg``."""
+    circuits (width, mode, quantizer scale and steps) differ from the run
+    built from ``cfg``."""
     if ckpt.master_seed != cfg.seed:
         raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
     if ckpt.task_cursor > cfg.n_tasks or len(ckpt.acc_matrix) != ckpt.task_cursor:
         raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
     saved = {name: (w.shape, b.shape) for name, w, b in ckpt.layers}
-    saved.update((f"subspace {i}", sub.n) for i, sub in ckpt.subspaces.items())
     built = {l.meta["name"]: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
-    built.update((f"subspace {i}", sub.n) for i, sub in subspaces.items())
+    circuit = ("n", "mode", "quant.scale", "quant.T_l")
+    for table, subs in ((saved, ckpt.subspaces), (built, subspaces)):
+        for i, sub in subs.items():
+            table.update((f"subspace {i} {k}", attrgetter(k)(sub)) for k in circuit)
     for key in sorted(saved.keys() | built.keys()):
         if saved.get(key) != built.get(key):
             raise CheckpointError(

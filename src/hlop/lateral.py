@@ -124,8 +124,6 @@ class LateralSubspace:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.n:
             raise ShapeError(f"trace width {x.shape[-1]} != presynaptic width {self.n}")
-        if self.k == 0:
-            return x.copy()
         y = self._out(x @ self.H.T)
         return x - y @ self.H
 
@@ -139,18 +137,16 @@ class LateralSubspace:
         integrated postsynaptic return signal driving Hebbian learning.
         """
         x = np.asarray(x, dtype=np.float64)
-        y = self._out(x @ self.H.T) if self.k else np.zeros(x.shape[:-1] + (0,))
-        x_minus = -(y @ self.H) if self.k else np.zeros_like(x)
-        if self.k_new:
-            y_new = self._out(x @ self.H_new.T)
-            x_minus_new = -(y_new @ self.H_new)
-        else:
-            y_new = np.zeros(x.shape[:-1] + (0,))
-            x_minus_new = np.zeros_like(x)
+        y = self._out(x @ self.H.T)
+        x_minus = -(y @ self.H)
+        y_new = self._out(x @ self.H_new.T)
+        x_minus_new = -(y_new @ self.H_new)
         return y, x_minus, y_new, x_minus_new, x_minus + x_minus_new
 
-    def hebbian_update(self, x_batch: np.ndarray) -> None:
-        """Run K two-stage Hebbian updates of ``H_new`` on one batch.
+    def hebbian_update(self, x_batch: np.ndarray) -> np.ndarray:
+        """Run K two-stage Hebbian updates of ``H_new`` on one batch and return
+        its projected trace x_hat = ``project_trace(x_batch)`` (2-D), which is
+        also the trace of the host layer's weight update.
 
         The two-stage rule dH' = y' x^T + y' x_tilde^T is evaluated in its
         Oja form. The consolidated bank's part of the return, x + x_minus,
@@ -171,11 +167,10 @@ class LateralSubspace:
         as conv patch spaces inside the stable region without touching the
         signal scale the burst quantizer sees.
         """
-        if self.k_new == 0:
-            return
         x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
         if x.shape[1] != self.n:
             raise ShapeError(f"batch width {x.shape[1]} != presynaptic width {self.n}")
+        x_hat = self.project_trace(x)
         rows = x.shape[0]
         gain = 1.0
         if self.stabilize:
@@ -183,12 +178,12 @@ class LateralSubspace:
             cap = 4.0 * (1.0 - self.momentum) / self.eta
             if energy > cap:
                 gain = cap / energy
-        x_hat = self.project_trace(x)
         for _ in range(self.K):
             y_new = self._out(x @ self.H_new.T)
             delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
             self.velocity = self.momentum * self.velocity + delta
             self.H_new = self.H_new + self.eta * self.velocity
+        return x_hat
 
     def expand(self, k_add: int, rng: np.random.Generator) -> None:
         """Grow the in-training bank by ``k_add`` small random rows.
@@ -207,7 +202,6 @@ class LateralSubspace:
 
     def consolidate(self) -> None:
         """Freeze the in-training rows into the consolidated bank."""
-        if self.k_new:
-            self.H = np.vstack([self.H, self.H_new])
+        self.H = np.vstack([self.H, self.H_new])
         self.H_new = np.zeros((0, self.n))
         self.velocity = np.zeros((0, self.n))

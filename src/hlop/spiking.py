@@ -194,8 +194,7 @@ def unfold_patches(feature_map: np.ndarray, kernel: int, stride: int) -> np.ndar
         raise ShapeError(
             f"kernel {kernel} / stride {stride} incompatible with {h}x{w} map"
         )
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
+    oh, ow = conv_output_hw(h, w, kernel, stride)
     sb, sc, sh, sw = fm.strides
     windows = np.lib.stride_tricks.as_strided(
         fm,

@@ -13,23 +13,23 @@ Three trainers are provided:
 
 The spiking trainers and the inference readout all read one T-step LIF layer
 walk, ``_run_steps``, on a static input; ``ottt_backward`` hands each step of
-it to ``ottt_step``, which advances the eligibility traces and forms the
-instantaneous error.
+it to ``ottt_step``, which forms the step's instantaneous errors.
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
-trainable layer, and every weight update is formed as delta^T @ trace — the
-single pathway through which lateral circuits modify learning. The static
-input is the same at every step, so the spiking trainers fold the first
-layer's T step factors into one block of batch rows: (sum_t c_t, x_hat) for
-BPTT and (sum_t a_t c_t, x_hat) for OTTT, whose eligibility trace at step t
-is a_t x_hat. The bias gradient, sum_t c_t, is carried on the factor. Where
-the projection x_hat = x - H^T H x happens depends on the circuit's mode:
+trainable layer, and every weight update is formed as delta^T @ x_hat — the
+single pathway through which lateral circuits modify learning. The trace
+factor is always the raw presynaptic rows, the same rows the layer's lateral
+circuit learns from, so no trainer sees a circuit: the training loop hands
+the rows to ``LateralSubspace.hebbian_update``, which projects them once,
+x_hat = x - H^T H x, for its own Hebbian step and returns x_hat for the
+layer's update. The projection acts row by row, so this holds for
+burst-quantized circuits too.
 
-* linear circuits are linear in the trace, so ``sgd_update`` projects
-  whichever factor has fewer rows: the formed update, dW (I - H^T H), or the
-  trace rows; both equal delta^T x_hat;
-* burst-quantized (spiking-mode) circuits are nonlinear per row, so the
-  trainers project each trace row when the circuit is passed to them.
+The static input is the same at every step, so the spiking trainers emit its
+rows once, in one block: (sum_t c_t, x) for BPTT, (sum_t a_t c_t, x) for OTTT.
+OTTT's other layers regroup their eligibility-trace sums by the step each row
+entered, (e, x) with e_t = c_t + lam * e_{t+1} (see ``ottt_backward``), so no
+eligibility trace is formed.
 
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
@@ -37,7 +37,7 @@ matrices), or sign symmetry.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +77,11 @@ class SpikingNet:
         return [*self.blocks, self.heads[head]]
 
 
+def _named(layer: Layer, name: str) -> Layer:
+    layer.meta["name"] = name
+    return layer
+
+
 def build_mlp(
     in_dim: int,
     hidden: list[int],
@@ -90,15 +95,9 @@ def build_mlp(
     blocks = []
     prev = in_dim
     for i, h in enumerate(hidden):
-        layer = dense_layer(h, prev, rng)
-        layer.meta["name"] = f"block{i}"
-        blocks.append(layer)
+        blocks.append(_named(dense_layer(h, prev, rng), f"block{i}"))
         prev = h
-    heads = []
-    for i in range(n_heads):
-        head = dense_layer(n_classes, prev, rng)
-        head.meta["name"] = f"head{i}"
-        heads.append(head)
+    heads = [_named(dense_layer(n_classes, prev, rng), f"head{i}") for i in range(n_heads)]
     return SpikingNet(blocks=blocks, heads=heads, cfg=cfg)
 
 
@@ -116,15 +115,10 @@ def build_conv_net(
 ) -> SpikingNet:
     from .spiking import conv_layer, dense_layer, pooled_flat_width
 
-    conv = conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool)
-    conv.meta["name"] = "block0"
-    dense = dense_layer(hidden, pooled_flat_width(channels, in_hw, kernel, pool), rng)
-    dense.meta["name"] = "block1"
-    heads = []
-    for i in range(n_heads):
-        head = dense_layer(n_classes, hidden, rng)
-        head.meta["name"] = f"head{i}"
-        heads.append(head)
+    conv = _named(conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool), "block0")
+    flat = pooled_flat_width(channels, in_hw, kernel, pool)
+    dense = _named(dense_layer(hidden, flat, rng), "block1")
+    heads = [_named(dense_layer(n_classes, hidden, rng), f"head{i}") for i in range(n_heads)]
     return SpikingNet(blocks=[conv, dense], heads=heads, cfg=cfg)
 
 
@@ -203,9 +197,9 @@ class LayerGrad:
     """Row-matrix factors of one layer's update: dW = delta^T @ trace / batch,
     db = bias / batch.
 
-    ``bias`` defaults to the column sums of ``delta``. A folded first-layer
-    factor, whose delta is the a_t-weighted step sum sum_t a_t c_t, carries
-    the unweighted sum_t c_t explicitly.
+    ``bias`` defaults to the column sums of ``delta``. Factors whose delta is
+    not the plain step errors (a folded first layer, sum_t a_t c_t, and
+    OTTT's regrouped errors e_t) carry the unweighted sum_t c_t explicitly.
     """
 
     delta: np.ndarray  # (rows, out)
@@ -251,20 +245,13 @@ def sgd_update(
 ) -> None:
     """Apply W <- W - lr * delta^T @ trace / batch and b <- b - lr * bias / batch.
 
-    When ``subspace`` is given the update is projected off the consolidated
-    subspace, so it cannot disturb directions old tasks relied on. A linear
-    circuit projects whichever factor has fewer rows: the formed update,
-    delta^T trace (I - H^T H), with one row per output, or the trace rows; by
-    linearity both equal delta^T x_hat. A burst-quantized circuit is
-    nonlinear per row, so it always projects each trace row first. Biases are
-    excluded from projection.
+    The training loop passes a trace its lateral circuit has already
+    projected (``LateralSubspace.hebbian_update`` returns it). Given a
+    ``subspace``, the trace rows are projected here instead, so the update
+    cannot disturb directions old tasks relied on. Biases are excluded from
+    projection.
     """
-    if subspace is None:
-        dw = grad.delta.T @ grad.trace
-    elif subspace.mode == "linear" and grad.delta.shape[1] < grad.trace.shape[0]:
-        dw = subspace.project_trace(grad.delta.T @ grad.trace)
-    else:
-        dw = grad.delta.T @ subspace.project_trace(grad.trace)
+    dw = grad.delta.T @ (grad.trace if subspace is None else subspace.project_trace(grad.trace))
     layer.weight -= lr * dw / batch
     layer.bias -= lr * grad.bias / batch
 
@@ -293,10 +280,6 @@ def _layer_current(layer: Layer, rows: np.ndarray, batch: int) -> np.ndarray:
     return cur
 
 
-def _project(sub: LateralSubspace | None, rows: np.ndarray) -> np.ndarray:
-    return rows if sub is None else sub.project_trace(rows)
-
-
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
     """Spike output of a block as the carry for the next one (pooling included)."""
     if layer.kind == "conv" and layer.pool > 1:
@@ -323,6 +306,15 @@ def _route_error_to_block(
             g = avg_pool_backward(g, p)
         return g
     return delta_flat
+
+
+def _error_below(
+    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig, batch: int
+) -> np.ndarray:
+    """Carry layer i's error rows ``c`` down to the spikes of layer i - 1."""
+    if layers[i].kind == "conv":
+        raise ShapeError("error propagation below a conv layer is not supported")
+    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], batch)
 
 
 def _state_shape(layer: Layer, batch: int) -> tuple[int, ...]:
@@ -378,8 +370,8 @@ def _run_steps(
         yield rows, states
 
 
-def _stack_feeds(pres: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Hebbian feed rows: per-step rows stacked; the constant input fed once."""
+def _stack_feeds(pres: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """Trace rows of a T-step pass: per-step rows stacked; the constant input once."""
     return [rows[0] if i == 0 else np.concatenate(rows) for i, rows in enumerate(pres)]
 
 
@@ -415,63 +407,45 @@ def bptt_sg_backward(
     x: np.ndarray,
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
-    subspaces: dict[int, LateralSubspace] | None = None,
     head: int = 0,
     smooth_forward: bool = False,
-) -> tuple[GradPacket, list[np.ndarray], np.ndarray]:
+) -> tuple[GradPacket, np.ndarray]:
     """Backpropagation through time with the sigmoid surrogate.
 
     Cross-entropy on the output firing rate; credit for step t flows into
     earlier steps through both the leaky membrane path and the subtraction
-    reset path. Traces are the per-step presynaptic spikes, projected when a
-    lateral subspace is attached to the layer. The static input's rows are
-    the same at every step, so the first layer's factor is one block,
-    (sum_t c_t, x_hat), projected once.
+    reset path. Traces are the per-step presynaptic spikes. The static
+    input's rows are the same at every step, so the first layer's factor is
+    one block, (sum_t c_t, x).
 
-    Returns the grad packet, the raw per-layer Hebbian feed rows, and the
-    output firing rate.
+    Returns the grad packet and the output firing rate.
     """
     cfg = net.cfg
-    subspaces = subspaces or {}
     layers = net.trainable_layers(head)
     batch = x.shape[0]
     us, ss, pres = _spiking_forward_pass(net, x, head, smooth=smooth_forward)
+    traces = _stack_feeds(pres)
 
     rate = np.mean(ss[-1], axis=0)
-    e_out = (softmax(rate) - y_onehot) / cfg.T
-
-    # Per-layer external errors at each step, filled top-down.
-    ext: list[list[np.ndarray] | None] = [None for _ in layers]
-    ext[-1] = [e_out for _ in range(cfg.T)]
+    # External error at the current layer's spikes at each step, top-down.
+    ext = [(softmax(rate) - y_onehot) / cfg.T] * cfg.T
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
-    feeds: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         cs: list[np.ndarray] = [None] * cfg.T  # type: ignore[list-item]
         c_next = np.zeros_like(us[i][0])
         for t in range(cfg.T - 1, -1, -1):
-            ds = ext[i][t] - cfg.lam * cfg.v_th * c_next
-            c = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
-            cs[t] = c
-            c_next = c
+            ds = ext[t] - cfg.lam * cfg.v_th * c_next
+            cs[t] = c_next = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
         if i == 0:
-            feeds[i] = pres[i][0]
             delta_rows = _delta_rows(layer, sum(cs))
         else:
-            feeds[i] = np.concatenate(pres[i])
             delta_rows = np.concatenate([_delta_rows(layer, c) for c in cs])
-        grads[i] = LayerGrad(delta=delta_rows, trace=_project(subspaces.get(i), feeds[i]))
+        grads[i] = LayerGrad(delta=delta_rows, trace=traces[i])
         if i > 0:
-            if layer.kind == "conv":
-                raise ShapeError("error propagation below a conv layer is not supported")
-            below = layers[i - 1]
-            errs = []
-            for t in range(cfg.T):
-                d = backprop_error(cs[t], layer, epcfg)
-                errs.append(_route_error_to_block(d, below, batch))
-            ext[i - 1] = errs
-    return GradPacket(layers=grads, batch=batch), feeds, rate
+            ext = [_error_below(layers, i, c, epcfg, batch) for c in cs]
+    return GradPacket(layers=grads, batch=batch), rate
 
 
 # ---------------------------------------------------------------------------
@@ -481,39 +455,29 @@ def bptt_sg_backward(
 def ottt_step(
     net: SpikingNet,
     states: list[LayerState],
-    traces: list,
-    trace_inputs: list,
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
 ) -> list[np.ndarray]:
     """The learning half of one forward-in-time step, on the layer states the
-    walk has just advanced.
+    walk has just advanced: the step's instantaneous per-layer errors.
 
-    Each layer's eligibility trace advances in place as
-    trace = lam * trace + input, where ``trace_inputs`` are the step's
-    presynaptic rows after any per-row projection. The static input's rows
-    x_hat are the same at every step, so its trace is a_t x_hat and is
-    carried as the scalar a_t: its input is 1. The instantaneous error uses
-    the per-step loss L[t] = CE(s_out[t], y)/T and never looks at past steps.
+    The error uses the per-step loss L[t] = CE(s_out[t], y)/T and never looks
+    at past steps. No eligibility trace is advanced here: ``ottt_backward``
+    regroups the trace sum by the step each presynaptic row entered.
 
-    Returns the step's per-layer errors c_t, in the row layout of the traces.
+    Returns the step's per-layer errors c_t, in the row layout of the
+    presynaptic rows.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
     batch = y_onehot.shape[0]
-    for i, rows in enumerate(trace_inputs):
-        traces[i] = cfg.lam * traces[i] + rows
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
     cs: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        cs[i] = _delta_rows(layer, err * surrogate_derivative(states[i].u, cfg))
+        cs[i] = _delta_rows(layers[i], err * surrogate_derivative(states[i].u, cfg))
         if i > 0:
-            if layer.kind == "conv":
-                raise ShapeError("error propagation below a conv layer is not supported")
-            d = backprop_error(cs[i], layer, epcfg)
-            err = _route_error_to_block(d, layers[i - 1], batch)
+            err = _error_below(layers, i, cs[i], epcfg, batch)
     return cs
 
 
@@ -522,57 +486,43 @@ def ottt_backward(
     x: np.ndarray,
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
-    subspaces: dict[int, LateralSubspace] | None = None,
     head: int = 0,
-) -> tuple[GradPacket, list[np.ndarray], np.ndarray]:
+) -> tuple[GradPacket, np.ndarray]:
     """Run all T steps of online learning on one batch of static inputs.
 
-    Each step's presynaptic rows are first projected by the lateral circuit
-    attached in ``subspaces``, then fed to ``ottt_step``. Only
-    burst-quantized circuits need this per-row projection, since the
-    quantizer acts on each step's signal. Linear circuits are instead handed
-    to ``sgd_update``; by linearity its projection equals the update from
-    projected traces. The T step factors are concatenated once per layer at
-    the end, except the first layer's: its eligibility trace is a_t x_hat
-    with a_1 = 1 and a_{t+1} = lam * a_t + 1, so its factor is one block,
-    (sum_t a_t c_t, x_hat), with x_hat projected once, and its bias gradient
-    sum_t c_t is carried explicitly.
+    A layer's update is sum_t c_t^T trace_t with the eligibility trace
+    trace_t = lam * trace_{t-1} + x_t. Regrouped by the step each row x_tau
+    entered, it is sum_tau e_tau^T x_tau with e_tau = c_tau + lam * e_{tau+1}
+    (e_{T+1} = 0), so every layer above the first gets the factor (e, x) over
+    its T step rows and its bias gradient sum_t c_t explicitly; no trace is
+    formed. The first layer's rows are the static input at every step, so
+    its trace is a_t x with a_1 = 1 and a_{t+1} = lam * a_t + 1, and its
+    factor is one block, (sum_t a_t c_t, x), folded forward in time so that
+    no T error blocks of the (conv-sized) first layer are held.
 
-    Returns the accumulated grad packet, the raw Hebbian feed rows per layer
-    (per-step presynaptic spikes; the constant input is fed once), and the
-    output firing rate.
+    Returns the grad packet, whose trace factors are the raw presynaptic rows
+    (per-step spikes; the constant input once), and the output firing rate.
     """
     cfg = net.cfg
-    subspaces = subspaces or {}
-    n_layers = len(net.trainable_layers(head))
-    traces: list = [0.0] * n_layers  # eligibility traces, zero before step 1
-    deltas: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    trace_steps: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    first_delta = first_bias = rate_sum = 0.0
+    step_rows, step_errs = [], []  # per step: every layer's rows; errors above the first
+    a = first_delta = first_bias = rate_sum = 0.0
     for rows, states in _run_steps(net, x, head):
-        trace_inputs = [1.0] + [_project(subspaces.get(i), rows[i]) for i in range(1, n_layers)]
-        cs = ottt_step(net, states, traces, trace_inputs, y_onehot, epcfg, head)
-        first_delta = first_delta + traces[0] * cs[0]
+        cs = ottt_step(net, states, y_onehot, epcfg, head)
+        a = cfg.lam * a + 1.0
+        first_delta = first_delta + a * cs[0]
         first_bias = first_bias + cs[0].sum(axis=0)
-        for i in range(1, n_layers):
-            deltas[i].append(cs[i])
-            trace_steps[i].append(traces[i])
-        for i in range(n_layers):
-            pres[i].append(rows[i])
+        step_rows.append(rows)
+        step_errs.append(cs[1:])
         rate_sum = rate_sum + states[-1].s
-    first = LayerGrad(
-        delta=first_delta, trace=_project(subspaces.get(0), pres[0][0]), bias=first_bias
-    )
-    packet = GradPacket(
-        layers=[first]
-        + [
-            LayerGrad(delta=np.concatenate(deltas[i]), trace=np.concatenate(trace_steps[i]))
-            for i in range(1, n_layers)
-        ],
-        batch=x.shape[0],
-    )
-    return packet, _stack_feeds(pres), rate_sum / cfg.T
+    traces = _stack_feeds(list(zip(*step_rows)))
+    grads = [LayerGrad(delta=first_delta, trace=traces[0], bias=first_bias)]
+    for trace, errs in zip(traces[1:], zip(*step_errs)):
+        c = np.concatenate(errs)
+        e = c.reshape(cfg.T, -1, c.shape[1]).copy()
+        for t in range(cfg.T - 2, -1, -1):
+            e[t] += cfg.lam * e[t + 1]
+        grads.append(LayerGrad(delta=e.reshape(c.shape), trace=trace, bias=c.sum(axis=0)))
+    return GradPacket(layers=grads, batch=x.shape[0]), rate_sum / cfg.T
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +562,17 @@ def rate_backward(
     x: np.ndarray,
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
-    subspaces: dict[int, LateralSubspace] | None = None,
     head: int = 0,
-) -> tuple[GradPacket, list[np.ndarray], np.ndarray]:
+) -> tuple[GradPacket, np.ndarray]:
     """Gradients through the rate-transform chain.
 
     Cross-entropy on the output encoding; errors pass the clamp gate (zero
     where a unit saturated at either bound) and scale by 1/tau. Traces are
-    the presynaptic rates, projected when a subspace is attached.
+    the presynaptic rates.
+
+    Returns the grad packet and the output encoding (the logits).
     """
     cfg = net.cfg
-    subspaces = subspaces or {}
     layers = net.trainable_layers(head)
     batch = x.shape[0]
     pres, outs = rate_chain_forward(net, x, head)
@@ -630,21 +580,15 @@ def rate_backward(
     err = softmax(logits) - y_onehot
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
-    feeds: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         z = outs[i]
         gate = ((z > 0.0) & (z < cfg.rate_bound)).astype(np.float64)
         c = _delta_rows(layer, err * gate) / cfg.tau
-        sub = subspaces.get(i)
-        grads[i] = LayerGrad(delta=c, trace=_project(sub, pres[i]))
-        feeds[i] = pres[i]
+        grads[i] = LayerGrad(delta=c, trace=pres[i])
         if i > 0:
-            if layer.kind == "conv":
-                raise ShapeError("error propagation below a conv layer is not supported")
-            d = backprop_error(c, layer, epcfg)
-            err = _route_error_to_block(d, layers[i - 1], batch)
-    return GradPacket(layers=grads, batch=batch), feeds, logits
+            err = _error_below(layers, i, c, epcfg, batch)
+    return GradPacket(layers=grads, batch=batch), logits
 
 
 # ---------------------------------------------------------------------------

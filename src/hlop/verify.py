@@ -17,9 +17,11 @@ from .linalg import make_rng, subspace_alignment_error, topk_principal
 from .spiking import NeuronConfig
 from .training import (
     ErrorPropConfig,
+    _run_steps,
     bptt_sg_backward,
     build_mlp,
     ottt_backward,
+    ottt_step,
     rate_backward,
     rate_chain_forward,
 )
@@ -179,7 +181,7 @@ def verify_gradients(seed: int = 77) -> list[CheckResult]:
 
     # Rate trainer against central differences of the clamp chain.
     net, x, y = _toy_net(seed, "rate")
-    packet, _, _ = rate_backward(net, x, y, ep)
+    packet, _ = rate_backward(net, x, y, ep)
     worst = 0.0
     for i, layer in enumerate(net.trainable_layers(0)):
         analytic = packet.layers[i].delta.T @ packet.layers[i].trace
@@ -191,7 +193,7 @@ def verify_gradients(seed: int = 77) -> list[CheckResult]:
 
     # BPTT-SG against central differences of the sigmoid-relaxed net.
     net, x, y = _toy_net(seed + 1, "bptt")
-    packet, _, _ = bptt_sg_backward(net, x, y, ep, smooth_forward=True)
+    packet, _ = bptt_sg_backward(net, x, y, ep, smooth_forward=True)
     worst = 0.0
     for i, layer in enumerate(net.trainable_layers(0)):
         analytic = packet.layers[i].delta.T @ packet.layers[i].trace
@@ -204,13 +206,41 @@ def verify_gradients(seed: int = 77) -> list[CheckResult]:
     # At T=1 the online trainer and the unrolled trainer coincide exactly.
     net, x, y = _toy_net(seed + 2, "bptt")
     net.cfg.T = 1
-    p_b, _, _ = bptt_sg_backward(net, x, y, ep)
-    p_o, _, _ = ottt_backward(net, x, y, ep)
+    p_b, _ = bptt_sg_backward(net, x, y, ep)
+    p_o, _ = ottt_backward(net, x, y, ep)
     dev = 0.0
     for a, b in zip(p_b.dense_grads(), p_o.dense_grads()):
         dev = max(dev, float(np.max(np.abs(a[0] - b[0]))), float(np.max(np.abs(a[1] - b[1]))))
     _check(results, "online trainer equals unrolled trainer at T=1", dev == 0.0,
            f"max dev {dev:.3e}")
+
+    # The online trainer's regrouped factors give the explicit eligibility-trace
+    # sum over steps of c_t^T trace_t, trace_t = lam * trace_{t-1} + x_hat_t, on
+    # a random 3-layer net at T=6; x_hat = x, or every layer's rows projected
+    # by a burst-quantized circuit.
+    cfg = NeuronConfig(lam=0.5, v_th=0.4, T=6, a2=0.25)
+    x = make_rng(seed + 3, 1).uniform(0.0, 1.5, size=(5, 8))
+    y = np.eye(4)[make_rng(seed + 3, 2).integers(0, 4, size=5)]
+    for label, k in (("raw traces", 0), ("spiking circuit", 2)):
+        net = build_mlp(8, [7, 6], 4, 1, cfg, make_rng(seed + 3, 0))
+        subs = []
+        for i, layer in enumerate(net.trainable_layers(0)):
+            q, _ = np.linalg.qr(make_rng(seed + 3, 3, i).normal(size=(layer.in_dim, k)))
+            subs.append(LateralSubspace(n=layer.in_dim, H=q.T.copy(), mode="spiking"))
+        traces = [0.0] * len(subs)
+        want = [[0.0, 0.0] for _ in subs]
+        for rows, states in _run_steps(net, x):
+            for i, c in enumerate(ottt_step(net, states, y, ep)):
+                traces[i] = cfg.lam * traces[i] + subs[i].project_trace(rows[i])
+                want[i] = [want[i][0] + c.T @ traces[i], want[i][1] + c.sum(axis=0)]
+        packet, _ = ottt_backward(net, x, y, ep)
+        dev = max(
+            float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+            for lg, sub, (dw, db) in zip(packet.layers, subs, want)
+            for got, ref in ((lg.delta.T @ sub.project_trace(lg.trace), dw), (lg.bias, db))
+        )
+        _check(results, f"online update equals eligibility-trace sum ({label})",
+               dev <= 1e-12, f"max rel dev {dev:.3e} (bound 1e-12)")
     return results
 
 

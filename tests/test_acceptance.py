@@ -173,7 +173,7 @@ def test_criterion_4_gradient_correctness():
     x = make_rng(42, 0).uniform(0.1, 1.2, size=(3, 2))
     y = np.zeros((3, 2))
     y[np.arange(3), [0, 1, 0]] = 1.0
-    packet, _, _ = bptt_sg_backward(net, x, y, ep, smooth_forward=True)
+    packet, _ = bptt_sg_backward(net, x, y, ep, smooth_forward=True)
     for i, layer in enumerate(net.trainable_layers(0)):
         analytic = packet.layers[i].delta.T @ packet.layers[i].trace
         g = fd(lambda: smooth_loss(net, x, y), layer)
@@ -181,7 +181,7 @@ def test_criterion_4_gradient_correctness():
 
     net = build_mlp(2, [2], 2, 1, NeuronConfig.dsr_defaults(T=4), make_rng(43, 0))
     x = make_rng(44, 0).uniform(0.2, 0.9, size=(3, 2))
-    packet, _, _ = rate_backward(net, x, y, ep)
+    packet, _ = rate_backward(net, x, y, ep)
     for i, layer in enumerate(net.trainable_layers(0)):
         analytic = packet.layers[i].delta.T @ packet.layers[i].trace
         g = fd(lambda: chain_loss(net, x, y), layer)
@@ -192,8 +192,8 @@ def test_criterion_4_gradient_correctness():
     x = make_rng(46, 0).uniform(0.0, 1.2, size=(5, 3))
     y = np.zeros((5, 2))
     y[np.arange(5), make_rng(47, 0).integers(0, 2, 5)] = 1.0
-    pb, _, _ = bptt_sg_backward(net, x, y, ep)
-    po, _, _ = ottt_backward(net, x, y, ep)
+    pb, _ = bptt_sg_backward(net, x, y, ep)
+    po, _ = ottt_backward(net, x, y, ep)
     exact = all(
         np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         for a, b in zip(pb.dense_grads(), po.dense_grads())

@@ -92,6 +92,13 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: ") and "negative count -1" in line
 
+    def test_pool_too_small_exit_3(self, run_env, capsys):
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), train_per_task=7000)
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: ") and "need 14000 train samples" in line
+
     def test_missing_resume_file_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"))
@@ -134,6 +141,16 @@ class TestRunCommand:
             run_env, capsys, {"hidden_sizes": "[20, 20]"}, {"hidden_sizes": "[10, 20]"}
         )
         assert "block0" in line and "(20, 784)" in line and "(10, 784)" in line
+
+    def test_resume_with_other_lateral_mode_exit_3(self, run_env, capsys):
+        line = self._refused_resume(run_env, capsys, {"hlop": "spiking"}, {"hlop": "linear"})
+        assert "subspace 0 mode" in line and "spiking" in line and "linear" in line
+
+    def test_resume_with_other_quantizer_exit_3(self, run_env, capsys):
+        line = self._refused_resume(
+            run_env, capsys, {"hlop": "spiking"}, {"hlop": "spiking", "quant_t_l": 7}
+        )
+        assert "subspace 0 quant.T_l" in line and "has 40" in line and "has 7" in line
 
 
 class TestVerifyCommand:
@@ -213,3 +230,11 @@ class TestSynthDataCommand:
                      "--test", "80", "--seed", "5"]) == 0
         train, test = load_data_dir(str(out))
         assert len(train) == 200 and len(test) == 80
+
+    @pytest.mark.parametrize("counts", [["--train", "-1"], ["--test", "0"]])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, counts):
+        out = tmp_path / "ds"
+        assert main(["synth-data", "--out", str(out), *counts]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --train and --test must be >= 1")
+        assert not out.exists()

@@ -209,14 +209,22 @@ def _reference_bptt(net, x, y, epcfg, subspaces, head):
     return GradPacket(layers=grads[::-1], batch=batch), feeds, rate
 
 
-def _assert_folded_first_layer(packet, ref_packet, T):
-    """The first layer's folded factor is one block of static-input rows and
-    gives the unfolded (dW, db) to 1e-12 relative."""
-    (dw, db), (ref_dw, ref_db) = packet.dense_grads()[0], ref_packet.dense_grads()[0]
-    assert packet.layers[0].trace.shape[0] * T == ref_packet.layers[0].trace.shape[0]
-    assert np.max(np.abs(dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
-    assert np.max(np.abs(db - ref_db)) <= 1e-12 * np.max(np.abs(ref_db))
-    assert np.abs(ref_dw).max() > 0.0 and np.abs(ref_db).max() > 0.0
+def _assert_matches_reference(packet, rate, ref, subspaces):
+    """Every layer's (dW, db), with its trace rows projected by the layer's
+    circuit, matches the reference's to 1e-12 relative; the trace rows are
+    the reference's raw feeds and the rate is the same, bit for bit."""
+    ref_packet, ref_feeds, ref_rate = ref
+    assert packet.batch == ref_packet.batch
+    for i, (lg, ref_lg) in enumerate(zip(packet.layers, ref_packet.layers, strict=True)):
+        sub = (subspaces or {}).get(i)
+        trace = lg.trace if sub is None else sub.project_trace(lg.trace)
+        dw, db = lg.delta.T @ trace / packet.batch, lg.bias / packet.batch
+        (ref_dw, ref_db) = GradPacket([ref_lg], ref_packet.batch).dense_grads()[0]
+        assert np.max(np.abs(dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
+        assert np.max(np.abs(db - ref_db)) <= 1e-12 * np.max(np.abs(ref_db))
+        assert np.abs(ref_dw).max() > 0.0 and np.abs(ref_db).max() > 0.0
+        assert np.array_equal(lg.trace, ref_feeds[i])
+    assert np.array_equal(rate, ref_rate)
 
 
 def _reference_readout(net, x, head):
@@ -263,36 +271,18 @@ class TestStaticInputHoisting:
     def test_ottt_backward_matches_step_loop(self, case, projected):
         net, x, y, head = case()
         subs = _spiking_subspaces(net, head) if projected else None
-        packet, feeds, rate = ottt_backward(net, x, y, ErrorPropConfig(), subs, head)
-        ref_packet, ref_feeds, ref_rate = _reference_ottt(
-            net, x, y, ErrorPropConfig(), subs, head
-        )
-        assert packet.batch == ref_packet.batch
-        _assert_folded_first_layer(packet, ref_packet, net.cfg.T)
-        for a, b in zip(packet.layers[1:], ref_packet.layers[1:], strict=True):
-            assert np.array_equal(a.delta, b.delta)
-            assert np.array_equal(a.trace, b.trace)
-        for a, b in zip(feeds, ref_feeds, strict=True):
-            assert np.array_equal(a, b)
-        assert np.array_equal(rate, ref_rate)
+        packet, rate = ottt_backward(net, x, y, ErrorPropConfig(), head)
+        ref = _reference_ottt(net, x, y, ErrorPropConfig(), subs, head)
+        _assert_matches_reference(packet, rate, ref, subs)
         assert rate.any()  # the case exercises spiking output
 
     @pytest.mark.parametrize("projected", [False, True], ids=["raw", "spiking-projected"])
     def test_bptt_matches_unfolded_step_loop(self, case, projected):
         net, x, y, head = case()
         subs = _spiking_subspaces(net, head) if projected else None
-        packet, feeds, rate = bptt_sg_backward(net, x, y, ErrorPropConfig(), subs, head)
-        ref_packet, ref_feeds, ref_rate = _reference_bptt(
-            net, x, y, ErrorPropConfig(), subs, head
-        )
-        assert packet.batch == ref_packet.batch
-        _assert_folded_first_layer(packet, ref_packet, net.cfg.T)
-        for a, b in zip(packet.layers[1:], ref_packet.layers[1:], strict=True):
-            assert np.array_equal(a.delta, b.delta)
-            assert np.array_equal(a.trace, b.trace)
-        for a, b in zip(feeds, ref_feeds, strict=True):
-            assert np.array_equal(a, b)
-        assert np.array_equal(rate, ref_rate)
+        packet, rate = bptt_sg_backward(net, x, y, ErrorPropConfig(), head)
+        ref = _reference_bptt(net, x, y, ErrorPropConfig(), subs, head)
+        _assert_matches_reference(packet, rate, ref, subs)
 
     def test_readout_matches_step_loop(self, case):
         net, x, _, head = case()

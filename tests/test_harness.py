@@ -6,11 +6,15 @@ import pytest
 
 from hlop.config import ConfigError, config_from_dict
 from hlop.harness.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from hlop.harness import loop
 from hlop.harness.data import (
+    DatasetError,
     IdxCountMismatchError,
     IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
+    PoolTooSmallError,
+    Task,
     load_idx_labels,
     load_mnist_idx,
     make_pmnist_tasks,
@@ -19,7 +23,7 @@ from hlop.harness.data import (
     write_idx_images,
     write_idx_labels,
 )
-from hlop.harness.loop import run_continual
+from hlop.harness.loop import _train_one_task, run_continual
 from hlop.harness.metrics import (
     compute_acc_bwt,
     read_summary_csv,
@@ -27,6 +31,9 @@ from hlop.harness.metrics import (
     write_summary_csv,
 )
 from hlop.lateral import LateralSubspace, QuantConfig
+from hlop.linalg import make_rng
+from hlop.spiking import NeuronConfig
+from hlop.training import ErrorPropConfig, build_mlp, ottt_backward
 
 
 def _small_cfg(**kw):
@@ -99,8 +106,8 @@ class TestIdxFormat:
 
     def test_error_codes_distinct(self):
         codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
-                 IdxHeaderError.code}
-        assert len(codes) == 4
+                 IdxHeaderError.code, PoolTooSmallError.code}
+        assert len(codes) == 5
 
 
 class TestSyntheticCorpus:
@@ -150,6 +157,17 @@ class TestTaskSequences:
         # different tasks draw different pool rows (overwhelmingly likely to
         # differ in labels too if truly disjoint slices of a shuffled pool)
         assert not np.array_equal(label_sets[0], label_sets[1])
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [((3, 5000, 50), "need 15000 train samples"), ((2, 100, 5000), "test_per_task 5000")],
+    )
+    def test_pool_too_small_is_a_dataset_error(self, data_pools, plan, match):
+        n_tasks, train_per_task, test_per_task = plan
+        with pytest.raises(PoolTooSmallError, match=match) as info:
+            make_pmnist_tasks(*data_pools, n_tasks=n_tasks, seed=3,
+                              train_per_task=train_per_task, test_per_task=test_per_task)
+        assert isinstance(info.value, DatasetError)
 
     def test_split_tasks_classes_and_remap(self, data_pools):
         seq = make_split_tasks(*data_pools, seed=8, train_per_task=100,
@@ -347,6 +365,63 @@ class TestRunContinual:
     def test_hlop_off_no_subspaces(self, data_pools):
         res = run_continual(_small_cfg(), data=data_pools)
         assert res.subspaces == {} and res.audit is None
+
+
+class TestTrainOneTask:
+    """One batch of the training loop on a 3-4-2 net, with calls recorded."""
+
+    def _batch(self, monkeypatch, subspaces):
+        cfg = _small_cfg(batch=4, lr=0.5)
+        net = build_mlp(3, [4], 2, 1, NeuronConfig(lam=0.5, v_th=0.4, T=3, a2=0.25),
+                        make_rng(60, 0))
+        x = make_rng(61, 0).uniform(0.2, 1.0, size=(4, 3))
+        task = Task("toy", x, np.array([0, 1, 0, 1]), x, np.array([0, 1, 0, 1]))
+        seen = {"packets": [], "hebbian": [], "project": 0}
+        hebbian_update, project_trace = LateralSubspace.hebbian_update, LateralSubspace.project_trace
+
+        def trainer(*args):
+            packet, rate = ottt_backward(*args)
+            seen["packets"].append((packet, [lg.trace.copy() for lg in packet.layers]))
+            return packet, rate
+
+        def hebbian(sub, rows):
+            seen["hebbian"].append(rows.copy())
+            return hebbian_update(sub, rows)
+
+        def project(sub, rows):
+            seen["project"] += 1
+            return project_trace(sub, rows)
+
+        monkeypatch.setitem(loop._TRAINERS, "ottt", trainer)
+        monkeypatch.setattr(LateralSubspace, "hebbian_update", hebbian)
+        monkeypatch.setattr(LateralSubspace, "project_trace", project)
+        before = [l.weight.copy() for l in net.trainable_layers(0)]
+        _train_one_task(cfg, net, ErrorPropConfig(), subspaces, task, 0, (1, 3), 2, 0)
+        after = [l.weight for l in net.trainable_layers(0)]
+        return seen, before, after
+
+    @pytest.mark.parametrize("mode", ["linear", "spiking"])
+    def test_each_circuit_projects_once_per_batch(self, monkeypatch, mode):
+        subs = {}
+        for i, n in enumerate((3, 4)):
+            subs[i] = LateralSubspace(n=n, H=np.eye(n)[:1], mode=mode)
+            subs[i].expand(1, make_rng(62, i))
+        seen, _, _ = self._batch(monkeypatch, subs)
+        assert len(seen["packets"]) == 1
+        assert seen["project"] == len(subs)
+
+    def test_spanning_circuit_freezes_weights_and_traces_stay_raw(self, monkeypatch):
+        # A circuit spanning the whole input space annihilates the input
+        # layer's projected trace, so its weights stay put; the packet's
+        # trace factors and the Hebbian feed are the raw rows.
+        seen, before, after = self._batch(monkeypatch, {0: LateralSubspace(n=3, H=np.eye(3))})
+        (packet, traces), = seen["packets"]
+        assert np.max(np.abs(after[0] - before[0])) < 1e-12
+        assert not np.array_equal(after[1], before[1])
+        for lg, trace in zip(packet.layers, traces):
+            assert np.array_equal(lg.trace, trace)
+        (feed,) = seen["hebbian"]
+        assert np.array_equal(feed, traces[0]) and feed.any()
 
 
 class TestConfigValidation:

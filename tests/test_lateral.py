@@ -111,6 +111,19 @@ class TestHebbianUpdate:
             worst = max(worst, float(np.max(np.abs(two_stage - oja))))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("mode", ["linear", "spiking"])
+    @pytest.mark.parametrize("k_new", [0, 2])
+    def test_returns_the_projected_trace(self, mode, k_new):
+        # The update hands back exactly project_trace(x), which the host
+        # layer's weight update uses; in-training rows do not enter it.
+        sub = LateralSubspace(n=6, H=_orthonormal_rows(6, 3, seed=17), mode=mode)
+        sub.expand(k_new, make_rng(18, 0))
+        x = make_rng(19, 0).uniform(0.0, 2.0, size=(10, 6))
+        expect = sub.project_trace(x)
+        assert not np.allclose(expect, x)
+        assert np.array_equal(sub.hebbian_update(x), expect)
+        assert sub.k_new == k_new
+
     def test_never_touches_consolidated_rows(self):
         h = _orthonormal_rows(5, 2, seed=12)
         sub = LateralSubspace(n=5, H=h.copy())

@@ -129,7 +129,7 @@ class TestBpttSg:
         net = _mlp(4, [2, 2, 2], cfg)
         x = np.array([[0.4, 0.8]])
         y = _onehot([1], 2)
-        packet, _, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
+        packet, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
         assert packet.layers[0].delta.shape[0] == 1  # one step, one sample
         assert np.array_equal(packet.layers[0].trace, x)
 
@@ -142,7 +142,7 @@ class TestBpttSg:
         net.blocks[0].weight = np.abs(net.blocks[0].weight) + 0.3
         x = np.full((2, 3), -3.0)
         y = _onehot([0, 1], 2)
-        packet, _, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
+        packet, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
         dw0, _ = packet.dense_grads()[0]
         assert np.max(np.abs(dw0)) < 1e-6
         assert np.max(np.abs(dw0)) > 0.0  # leakage, not an exact zero
@@ -152,7 +152,7 @@ class TestBpttSg:
         net = _mlp(6, [2, 2, 2], cfg)
         x = make_rng(7, 0).uniform(0.1, 1.2, size=(3, 2))
         y = _onehot([0, 1, 0], 2)
-        packet, _, _ = bptt_sg_backward(
+        packet, _ = bptt_sg_backward(
             net, x, y, ErrorPropConfig(), smooth_forward=True
         )
         for i, layer in enumerate(net.trainable_layers(0)):
@@ -169,7 +169,7 @@ class TestBpttSg:
         net = _mlp(8, [2, 3, 2], cfg)
         x = make_rng(9, 0).uniform(0.2, 1.0, size=(2, 2))
         y = _onehot([1, 0], 2)
-        packet, _, _ = bptt_sg_backward(
+        packet, _ = bptt_sg_backward(
             net, x, y, ErrorPropConfig(), smooth_forward=True
         )
         for i, layer in enumerate(net.trainable_layers(0)):
@@ -183,7 +183,9 @@ class TestOttt:
     def test_trace_recurrence_hand_sequence(self):
         # A constant drive of 0.8 makes the hidden neuron's potential run
         # 0.8, 1.2, 0.9, 1.25, so it spikes [0, 1, 0, 1]; with lam = 0.5 the
-        # head's presynaptic traces are 0, 1, 0.5, 1.25.
+        # head's eligibility traces are 0, 1, 0.5, 1.25, and its update is
+        # sum_t c_t^T trace_t. The head's potentials follow its unit weights:
+        # 0, 1, 0, 1 for both outputs, which spike with the hidden neuron.
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=4, a2=0.25)
         net = SpikingNet(
             blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1),
@@ -192,8 +194,18 @@ class TestOttt:
                          meta={"name": "head0"})],
             cfg=cfg,
         )
-        packet, _, _ = ottt_backward(net, np.array([[0.8]]), _onehot([0], 2), ErrorPropConfig())
-        assert np.allclose(packet.layers[1].trace[:, 0], [0.0, 1.0, 0.5, 1.25], atol=1e-12)
+        y = _onehot([0], 2)
+        packet, _ = ottt_backward(net, np.array([[0.8]]), y, ErrorPropConfig())
+        u_out = np.repeat(np.array([[0.0], [1.0], [0.0], [1.0]]), 2, axis=1)
+        s_out = u_out.copy()
+        c_out = (softmax(s_out) - y) / cfg.T * surrogate_derivative(u_out, cfg)
+        traces = np.array([0.0, 1.0, 0.5, 1.25])
+        dw_head, db_head = packet.dense_grads()[1]
+        assert np.abs(c_out.T @ traces).max() > 0.0
+        assert np.allclose(dw_head[:, 0], c_out.T @ traces, rtol=0, atol=1e-12)
+        assert np.allclose(db_head, c_out.sum(axis=0), rtol=0, atol=1e-12)
+        # The packet's trace factor is the raw per-step spikes.
+        assert np.array_equal(packet.layers[1].trace[:, 0], [0.0, 1.0, 0.0, 1.0])
 
     def test_folded_first_layer_hand_sequence(self):
         # Same drive as above, head weights 1 and 0.5: the hidden potential
@@ -211,7 +223,7 @@ class TestOttt:
             cfg=cfg,
         )
         x, y = np.array([[0.8]]), _onehot([0], 2)
-        packet, _, _ = ottt_backward(net, x, y, ErrorPropConfig())
+        packet, _ = ottt_backward(net, x, y, ErrorPropConfig())
         u_hidden = np.array([0.8, 1.2, 0.9, 1.25])
         u_out = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.25], [1.0, 0.625]])
         s_out = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
@@ -231,9 +243,9 @@ class TestOttt:
         x = make_rng(11, 0).uniform(0.0, 1.5, size=(2, 3))
         # First pass to observe the output spikes (at T = 1 the rate is the
         # spike vector), then feed y = softmax(s).
-        _, _, s_out = ottt_backward(net, x, np.zeros((2, 2)), ErrorPropConfig())
+        _, s_out = ottt_backward(net, x, np.zeros((2, 2)), ErrorPropConfig())
         y = softmax(s_out)
-        packet, _, _ = ottt_backward(net, x, y, ErrorPropConfig())
+        packet, _ = ottt_backward(net, x, y, ErrorPropConfig())
         for lg in packet.layers:
             assert np.max(np.abs(lg.delta)) == 0.0
 
@@ -242,31 +254,18 @@ class TestOttt:
         net = _mlp(12, [4, 5, 3], cfg)
         x = make_rng(13, 0).uniform(0.0, 1.2, size=(6, 4))
         y = _onehot(make_rng(14, 0).integers(0, 3, size=6), 3)
-        p_bptt, _, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
-        p_ottt, _, _ = ottt_backward(net, x, y, ErrorPropConfig())
+        p_bptt, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
+        p_ottt, _ = ottt_backward(net, x, y, ErrorPropConfig())
         for a, b in zip(p_bptt.dense_grads(), p_ottt.dense_grads()):
             assert np.array_equal(a[0], b[0])
             assert np.array_equal(a[1], b[1])
-
-    def test_projection_enters_traces(self):
-        # A lateral circuit spanning the whole input space zeroes the
-        # input-layer traces, freezing that layer's weight update.
-        cfg = NeuronConfig(lam=0.5, v_th=1.0, T=3, a2=0.25)
-        net = _mlp(15, [3, 4, 2], cfg)
-        x = make_rng(16, 0).uniform(0.2, 1.0, size=(2, 3))
-        y = _onehot([0, 1], 2)
-        subs = {0: LateralSubspace(n=3, H=np.eye(3))}
-        packet, feeds, _ = ottt_backward(net, x, y, ErrorPropConfig(), subs)
-        assert np.max(np.abs(packet.layers[0].trace)) < 1e-12
-        # Hebbian feeds stay raw.
-        assert np.array_equal(feeds[0], x)
 
 
 class TestRateTrainer:
     def test_zero_presynaptic_rates_zero_update(self):
         cfg = NeuronConfig.dsr_defaults(T=4)
         net = _mlp(17, [3, 4, 2], cfg)
-        packet, _, _ = rate_backward(net, np.zeros((2, 3)), _onehot([0, 1], 2),
+        packet, _ = rate_backward(net, np.zeros((2, 3)), _onehot([0, 1], 2),
                                      ErrorPropConfig())
         dw0, _ = packet.dense_grads()[0]
         assert not dw0.any()
@@ -280,7 +279,7 @@ class TestRateTrainer:
             cfg=cfg,
         )
         x = np.array([[1.0]])
-        packet, _, logits = rate_backward(net, x, _onehot([1], 2), ErrorPropConfig())
+        packet, logits = rate_backward(net, x, _onehot([1], 2), ErrorPropConfig())
         assert logits[0, 0] == cfg.rate_bound  # saturated above
         dw, _ = packet.dense_grads()[0]
         assert dw[0, 0] == 0.0  # clamped unit receives no gradient
@@ -291,7 +290,7 @@ class TestRateTrainer:
         net = _mlp(18, [2, 2, 2], cfg)
         x = make_rng(19, 0).uniform(0.2, 0.9, size=(3, 2))
         y = _onehot([1, 0, 1], 2)
-        packet, _, _ = rate_backward(net, x, y, ErrorPropConfig())
+        packet, _ = rate_backward(net, x, y, ErrorPropConfig())
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
             fd = _fd_grad(lambda: _oracle_rate_chain_loss(net, x, y), layer)

@@ -9,6 +9,7 @@ from .data import (
     IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
+    ImageSizeError,
     PoolTooSmallError,
     Task,
     TaskSequence,
@@ -29,6 +30,7 @@ __all__ = [
     "IdxHeaderError",
     "IdxMagicError",
     "IdxTruncatedError",
+    "ImageSizeError",
     "PoolTooSmallError",
     "RunResult",
     "Task",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,8 @@ class PoolTooSmallError(DatasetError):
     code = "pool-too-small"
 
 
-def _check_dims(path: str, **dims: int) -> None:
-    """Reject negative header dimensions before they size a read."""
-    bad = [f"{name} {v}" for name, v in dims.items() if v < 0]
-    if bad:
-        raise IdxHeaderError(f"{path}: negative {', '.join(bad)} in header")
+class ImageSizeError(DatasetError):
+    code = "image-size"
 
 
 def _read_exact(f, n: int, path: str) -> bytes:
@@ -87,9 +84,12 @@ def _load_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.nda
                 f"{path}: {kind} magic 0x{found & 0xffffffff:08x}, expected 0x{magic:08x}"
             )
         shape = struct.unpack(f">{len(dims)}i", _read_exact(f, 4 * len(dims), path))
-        _check_dims(path, **dict(zip(dims, shape)))
+        bad = [f"{name} {v}" for name, v in zip(dims, shape) if v < 0]
+        if bad:  # before a negative dimension can size a read
+            raise IdxHeaderError(f"{path}: negative {', '.join(bad)} in header")
         payload = _read_exact(f, math.prod(shape), path)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    # Copy, so the read buffer is freed here: glibc then raises its mmap threshold (fewer faults).
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
 
 
 def load_idx_images(path: str) -> np.ndarray:
@@ -99,14 +99,14 @@ def load_idx_images(path: str) -> np.ndarray:
 
 def load_idx_labels(path: str) -> np.ndarray:
     """Read an IDX label file as a (count,) uint8 array."""
-    return _load_idx(path, LABEL_MAGIC, "label", ("count",)).copy()
+    return _load_idx(path, LABEL_MAGIC, "label", ("count",))
 
 
 @dataclass
 class Dataset:
-    """Flat real-valued images in [0, 1] with integer labels."""
+    """Flat byte images (pixel value 0-255) with integer labels."""
 
-    images: np.ndarray  # (n, rows*cols) float64
+    images: np.ndarray  # (n, rows*cols) uint8
     labels: np.ndarray  # (n,) int64
     image_hw: tuple[int, int]
 
@@ -117,8 +117,8 @@ class Dataset:
 def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     """Load a paired IDX image/label file set.
 
-    Pixels are scaled byte/255 into [0, 1]; counts of the two files must
-    agree.
+    Pixels stay the file's bytes (scaling to [0, 1] happens per batch in the
+    training loop); counts of the two files must agree.
     """
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
@@ -128,7 +128,7 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
             f"{labels_path} has {labels.shape[0]} labels"
         )
     n, rows, cols = images.shape
-    flat = images.reshape(n, rows * cols).astype(np.float64) / 255.0
+    flat = images.reshape(n, rows * cols)
     return Dataset(images=flat, labels=labels.astype(np.int64), image_hw=(rows, cols))
 
 
@@ -247,6 +247,8 @@ SEED_SYNTH = 6
 
 @dataclass
 class Task:
+    """One task's uint8 pixel rows (permuted on pmnist) and integer labels."""
+
     name: str
     train_x: np.ndarray
     train_y: np.ndarray
@@ -262,7 +264,6 @@ class TaskSequence:
     head_mode: str  # "single" | "multi"
     n_classes: int
     image_hw: tuple[int, int] = (28, 28)
-    meta: dict = field(default_factory=dict)
 
 
 def make_pmnist_tasks(
@@ -296,10 +297,7 @@ def make_pmnist_tasks(
     pool_order = make_rng(seed, SEED_DATA, 0).permutation(len(train))
     tasks = []
     for t in range(n_tasks):
-        if t == 0:
-            perm = np.arange(n_pix)
-        else:
-            perm = make_rng(seed, SEED_PERM, t).permutation(n_pix)
+        perm = np.arange(n_pix) if t == 0 else make_rng(seed, SEED_PERM, t).permutation(n_pix)
         tr_idx = pool_order[t * train_per_task : (t + 1) * train_per_task]
         te_idx = make_rng(seed, SEED_DATA, 1 + t).choice(
             len(test), size=test_per_task, replace=False
@@ -308,9 +306,9 @@ def make_pmnist_tasks(
             Task(
                 name=f"perm{t}",
                 train_x=train.images[tr_idx][:, perm],
-                train_y=train.labels[tr_idx].copy(),
+                train_y=train.labels[tr_idx],
                 test_x=test.images[te_idx][:, perm],
-                test_y=test.labels[te_idx].copy(),
+                test_y=test.labels[te_idx],
                 permutation=perm,
             )
         )
@@ -329,26 +327,30 @@ def make_split_tasks(
 ) -> TaskSequence:
     """Class-pair split tasks with per-task heads (multi-head).
 
-    Task t covers classes (2t, 2t+1) with labels remapped to {0, 1}.
+    Task t covers classes (2t, 2t+1) with labels remapped to {0, 1}; a class
+    pair short of the plan raises ``PoolTooSmallError``.
     """
     if n_tasks < 1 or n_tasks > 5:
         raise ValueError(f"split tasks support 1..5 class pairs, got {n_tasks}")
     tasks = []
     for t in range(n_tasks):
         classes = (2 * t, 2 * t + 1)
-        tr_mask = np.isin(train.labels, classes)
-        te_mask = np.isin(test.labels, classes)
-        tr_idx = np.flatnonzero(tr_mask)
-        te_idx = np.flatnonzero(te_mask)
+        tr_idx = np.flatnonzero(np.isin(train.labels, classes))
+        te_idx = np.flatnonzero(np.isin(test.labels, classes))
+        if train_per_task > tr_idx.size or test_per_task > te_idx.size:
+            raise PoolTooSmallError(
+                f"classes {classes}: need {train_per_task} train and {test_per_task} test "
+                f"samples, pools have {tr_idx.size} and {te_idx.size}"
+            )
         rng = make_rng(seed, SEED_DATA, t)
-        tr_pick = rng.choice(tr_idx, size=min(train_per_task, tr_idx.size), replace=False)
-        te_pick = rng.choice(te_idx, size=min(test_per_task, te_idx.size), replace=False)
+        tr_pick = rng.choice(tr_idx, size=train_per_task, replace=False)
+        te_pick = rng.choice(te_idx, size=test_per_task, replace=False)
         tasks.append(
             Task(
                 name=f"split{classes[0]}{classes[1]}",
-                train_x=train.images[tr_pick].copy(),
+                train_x=train.images[tr_pick],
                 train_y=(train.labels[tr_pick] == classes[1]).astype(np.int64),
-                test_x=test.images[te_pick].copy(),
+                test_x=test.images[te_pick],
                 test_y=(test.labels[te_pick] == classes[1]).astype(np.int64),
                 classes=classes,
             )

@@ -12,7 +12,7 @@ run, and a checkpoint written at any task boundary resumes it bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -39,6 +39,7 @@ from ..training import (
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
+    ImageSizeError,
     SEED_AUDIT,
     SEED_FEEDBACK,
     SEED_SUBSPACE,
@@ -63,23 +64,13 @@ class RunResult:
     subspaces: dict[int, LateralSubspace]
     seq: TaskSequence
     audit: dict | None = None
-    extras: dict = field(default_factory=dict)
-
-
-def neuron_config(cfg: ExperimentConfig) -> NeuronConfig:
-    return NeuronConfig(
-        lam=cfg.lam,
-        v_th=cfg.v_th,
-        T=cfg.T,
-        a2=cfg.a2,
-        delta_t=cfg.delta_t,
-        tau=cfg.tau,
-    )
 
 
 def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
     rng = make_rng(cfg.seed, SEED_WEIGHTS)
-    ncfg = neuron_config(cfg)
+    ncfg = NeuronConfig(
+        lam=cfg.lam, v_th=cfg.v_th, T=cfg.T, a2=cfg.a2, delta_t=cfg.delta_t, tau=cfg.tau
+    )
     if cfg.task == "split_mnist":
         return build_conv_net(
             in_channels=1,
@@ -124,15 +115,15 @@ def make_task_sequence(
 
 
 def _net_input(cfg: ExperimentConfig, x: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
+    """Scale a uint8 pixel batch to the net's float64 input in [0, 1]: the only pixel scaling."""
+    x = x.astype(np.float64) / 255.0
     if cfg.task == "split_mnist":
         return x.reshape(x.shape[0], 1, *hw)
     return x
 
 
 def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], n_classes))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
+    return np.eye(n_classes)[y]
 
 
 def evaluate_task(
@@ -236,6 +227,13 @@ def run_continual(
         ss_scale=None if cfg.ss_scale == 0.0 else cfg.ss_scale,
     )
     subspaces = make_subspaces(cfg, net)
+    for i, sub in subspaces.items():
+        first, expand = cfg.subspace_schedule[i]
+        if (rows := first + expand * (cfg.n_tasks - 1)) > sub.n:
+            raise ImageSizeError(
+                f"subspace {i}: schedule needs {rows} rows, "
+                f"but {seq.image_hw} images give presynaptic width {sub.n}"
+            )
     layers_all = [*net.blocks, *net.heads]
 
     matrix: list[list[float]] = []

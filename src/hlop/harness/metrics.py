@@ -6,8 +6,6 @@ import csv
 import os
 import tempfile
 
-from ..linalg import subspace_alignment_error  # noqa: F401  (re-export for oracles)
-
 AccuracyMatrix = list  # list of rows; row k holds accuracies on tasks 0..k
 
 

@@ -6,7 +6,16 @@ import pytest
 
 from hlop.cli import main
 from hlop.config import load_config
-from hlop.harness.data import load_data_dir
+from hlop.harness.data import (
+    TEST_IMAGES,
+    TEST_LABELS,
+    TRAIN_IMAGES,
+    TRAIN_LABELS,
+    load_data_dir,
+    synth_digit_pools,
+    write_idx_images,
+    write_idx_labels,
+)
 from hlop.harness.metrics import read_summary_csv
 from hlop.linalg import make_rng
 
@@ -98,6 +107,35 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: ") and "need 14000 train samples" in line
+
+    def test_split_pool_too_small_exit_3(self, run_env, capsys):
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", head_mode="multi",
+                   train_per_task=5000)
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: classes (0, 1): need 5000 train")
+
+    def test_image_size_too_small_for_circuits_exit_3(self, run_env, monkeypatch, capsys):
+        # The config checks the conv circuits against 28x28 input (dense
+        # width 1352); 20x20 images give 648, too narrow for 338 + 4*112 rows.
+        data = run_env / "data20"
+        data.mkdir()
+        tr_x, tr_y, te_x, te_y = synth_digit_pools(1500, 400, seed=1, hw=(20, 20))
+        write_idx_images(str(data / TRAIN_IMAGES), tr_x)
+        write_idx_labels(str(data / TRAIN_LABELS), tr_y)
+        write_idx_images(str(data / TEST_IMAGES), te_x)
+        write_idx_labels(str(data / TEST_LABELS), te_y)
+        monkeypatch.setenv("HLOP_DATA_DIR", str(data))
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", head_mode="multi",
+                   n_tasks=5, train_per_task=200, test_per_task=50, conv_channels=8,
+                   conv_kernel=3, conv_pool=2, conv_hidden=100)
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("dataset error: subspace 1: ")
+        assert "786 rows" in line and "(20, 20)" in line and "width 648" in line
+        assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_missing_resume_file_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"

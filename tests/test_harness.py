@@ -13,6 +13,7 @@ from hlop.harness.data import (
     IdxHeaderError,
     IdxMagicError,
     IdxTruncatedError,
+    ImageSizeError,
     PoolTooSmallError,
     Task,
     load_idx_labels,
@@ -58,7 +59,7 @@ class TestIdxFormat:
         write_idx_labels(lp, labels)
         ds = load_mnist_idx(ip, lp)
         assert len(ds) == 2 and ds.image_hw == (4, 3)
-        assert np.allclose(ds.images * 255.0, images.reshape(2, -1))
+        assert ds.images.dtype == np.uint8 and np.array_equal(ds.images, images.reshape(2, -1))
         assert np.array_equal(ds.labels, [3, 7])
 
     def test_all_zero_image(self, tmp_path):
@@ -106,8 +107,8 @@ class TestIdxFormat:
 
     def test_error_codes_distinct(self):
         codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
-                 IdxHeaderError.code, PoolTooSmallError.code}
-        assert len(codes) == 5
+                 IdxHeaderError.code, PoolTooSmallError.code, ImageSizeError.code}
+        assert len(codes) == 6
 
 
 class TestSyntheticCorpus:
@@ -168,6 +169,42 @@ class TestTaskSequences:
             make_pmnist_tasks(*data_pools, n_tasks=n_tasks, seed=3,
                               train_per_task=train_per_task, test_per_task=test_per_task)
         assert isinstance(info.value, DatasetError)
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [((5000, 60), "need 5000 train and 60 test"),
+         ((100, 2000), "need 100 train and 2000 test")],
+    )
+    def test_split_pool_too_small_is_refused(self, data_pools, plan, match):
+        # A class pair that cannot supply the plan must not shrink the task.
+        train_per_task, test_per_task = plan
+        with pytest.raises(PoolTooSmallError, match=match):
+            make_split_tasks(*data_pools, seed=8, train_per_task=train_per_task,
+                             test_per_task=test_per_task)
+
+    def test_pixels_stay_bytes(self, data_pools):
+        # The pools and every task hold uint8 pixels; only a batch is float64.
+        assert all(ds.images.dtype == np.uint8 for ds in data_pools)
+        pmnist = make_pmnist_tasks(*data_pools, n_tasks=3, seed=4,
+                                   train_per_task=100, test_per_task=50)
+        split = make_split_tasks(*data_pools, seed=8, train_per_task=100, test_per_task=60)
+        for t in [*pmnist.tasks, *split.tasks]:
+            assert t.train_x.dtype == np.uint8 and t.test_x.dtype == np.uint8
+
+    @pytest.mark.parametrize("task", ["pmnist", "split_mnist"])
+    def test_net_input_matches_a_float_pool_gather(self, data_pools, task):
+        # Scaling each uint8 batch gives the bytes that gathering from a
+        # pool scaled once at load gave.
+        train, _ = data_pools
+        rng = make_rng(9, 0)
+        idx = rng.choice(len(train), size=64, replace=False)
+        perm = rng.permutation(784) if task == "pmnist" else np.arange(784)
+        old = (train.images.astype(np.float64) / 255.0)[idx][:, perm]
+        head_mode = "single" if task == "pmnist" else "multi"
+        cfg = _small_cfg(task=task, head_mode=head_mode)
+        x = loop._net_input(cfg, train.images[idx][:, perm], train.image_hw)
+        want = old if task == "pmnist" else old.reshape(64, 1, 28, 28)
+        assert x.dtype == np.float64 and np.array_equal(x, want)
 
     def test_split_tasks_classes_and_remap(self, data_pools):
         seq = make_split_tasks(*data_pools, seed=8, train_per_task=100,
@@ -374,7 +411,7 @@ class TestTrainOneTask:
         cfg = _small_cfg(batch=4, lr=0.5)
         net = build_mlp(3, [4], 2, 1, NeuronConfig(lam=0.5, v_th=0.4, T=3, a2=0.25),
                         make_rng(60, 0))
-        x = make_rng(61, 0).uniform(0.2, 1.0, size=(4, 3))
+        x = np.round(make_rng(61, 0).uniform(0.2, 1.0, size=(4, 3)) * 255).astype(np.uint8)
         task = Task("toy", x, np.array([0, 1, 0, 1]), x, np.array([0, 1, 0, 1]))
         seen = {"packets": [], "hebbian": [], "project": 0}
         hebbian_update, project_trace = LateralSubspace.hebbian_update, LateralSubspace.project_trace

@@ -1,9 +1,9 @@
 """Single-file binary checkpoints.
 
-Layout (version 1, all multi-byte fields little-endian):
+Layout (version 2, all multi-byte fields little-endian):
 
     magic     8 bytes  b"HLOPCKP1"
-    version   u32      1
+    version   u32      2
     seed      i64      master seed of the run
     cursor    u32      number of tasks completed
     n_layers  u32
@@ -14,14 +14,14 @@ Layout (version 1, all multi-byte fields little-endian):
       per subspace: layer index u32, n u32,
                     H (u32 rows + data), H_new (u32 rows + data),
                     velocity (u32 rows + data),
-                    eta f64, momentum f64, K u32,
                     mode u8 (0 linear / 1 spiking), scale f64, T_l u32
-    n_rng     u32     named generator states (PCG64: state/inc as 4x u64 + u32
-                      has_uint32 + u64 uinteger); empty when the run derives
-                      all streams per task from the master seed
-      per entry: name (u16 + utf-8), 4x u64, u32, u64
     n_acc_rows u32    accuracy-matrix rows recorded so far
       per row: u32 length + f64 accuracies
+
+A circuit is stored as its state only: the Hebbian step size, momentum and
+repeats are constants of ``LateralSubspace``, and every random stream derives
+per task from the master seed, so neither is stored. Version 1 files, which
+stored both, are refused.
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
 always complete. A file that cannot be opened or does not parse as this
@@ -41,7 +41,7 @@ import numpy as np
 from ..lateral import LateralSubspace, QuantConfig
 
 MAGIC = b"HLOPCKP1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -54,7 +54,6 @@ class Checkpoint:
     task_cursor: int
     layers: list[tuple[str, np.ndarray, np.ndarray]]  # (name, weight, bias)
     subspaces: dict[int, LateralSubspace] = field(default_factory=dict)
-    rng_states: dict[str, dict] = field(default_factory=dict)
     acc_matrix: list[list[float]] = field(default_factory=list)
 
 
@@ -122,16 +121,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             _w_mat(f, sub.H)
             _w_mat(f, sub.H_new)
             _w_mat(f, sub.velocity)
-            f.write(struct.pack("<ddI", sub.eta, sub.momentum, sub.K))
             f.write(struct.pack("<B", 1 if sub.mode == "spiking" else 0))
             f.write(struct.pack("<dI", sub.quant.scale, sub.quant.T_l))
-        f.write(struct.pack("<I", len(ckpt.rng_states)))
-        for name in sorted(ckpt.rng_states):
-            st = ckpt.rng_states[name]
-            _w_str(f, name)
-            s = st["state"]
-            f.write(struct.pack("<4Q", *_split128(s["state"]), *_split128(s["inc"])))
-            f.write(struct.pack("<IQ", int(st["has_uint32"]), int(st["uinteger"])))
         f.write(struct.pack("<I", len(ckpt.acc_matrix)))
         for row in ckpt.acc_matrix:
             _w_vec(f, np.asarray(row, dtype=np.float64))
@@ -164,7 +155,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             h = _r_mat(f)
             h_new = _r_mat(f)
             vel = _r_mat(f)
-            eta, momentum, k_updates = struct.unpack("<ddI", _read(f, 20))
             (mode_b,) = struct.unpack("<B", _read(f, 1))
             scale, t_l = struct.unpack("<dI", _read(f, 12))
             try:
@@ -173,29 +163,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                     H=h,
                     H_new=h_new,
                     velocity=vel,
-                    eta=eta,
-                    momentum=momentum,
-                    K=k_updates,
                     mode="spiking" if mode_b else "linear",
                     quant=QuantConfig(scale=scale, T_l=t_l),
                 )
             except ValueError as e:
                 raise CheckpointError(f"{path}: subspace {idx}: {e}") from e
-        (n_rng,) = struct.unpack("<I", _read(f, 4))
-        rng_states = {}
-        for _ in range(n_rng):
-            name = _r_str(f)
-            vals = struct.unpack("<4Q", _read(f, 32))
-            has_u32, uint = struct.unpack("<IQ", _read(f, 12))
-            rng_states[name] = {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": _join128(vals[0], vals[1]),
-                    "inc": _join128(vals[2], vals[3]),
-                },
-                "has_uint32": int(has_u32),
-                "uinteger": int(uint),
-            }
         (n_rows,) = struct.unpack("<I", _read(f, 4))
         acc = [list(_r_vec(f)) for _ in range(n_rows)]
     return Checkpoint(
@@ -203,14 +175,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         task_cursor=cursor,
         layers=layers,
         subspaces=subspaces,
-        rng_states=rng_states,
         acc_matrix=acc,
     )
-
-
-def _split128(v: int) -> tuple[int, int]:
-    return v & ((1 << 64) - 1), v >> 64
-
-
-def _join128(lo: int, hi: int) -> int:
-    return lo | (hi << 64)

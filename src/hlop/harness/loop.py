@@ -97,7 +97,7 @@ def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralS
     quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
     return {
-        i: LateralSubspace(n=layers[i].in_dim, mode=mode, quant=quant, stabilize=True)
+        i: LateralSubspace(n=layers[i].in_dim, mode=mode, quant=quant)
         for i in range(len(cfg.subspace_schedule))
     }
 
@@ -246,11 +246,7 @@ def run_continual(
             w, b = by_name[layer.meta["name"]]
             layer.weight[...] = w
             layer.bias[...] = b
-        for i, loaded in ckpt.subspaces.items():
-            sub = subspaces[i]
-            sub.H = loaded.H
-            sub.H_new = loaded.H_new
-            sub.velocity = loaded.velocity
+        subspaces.update(ckpt.subspaces)
         matrix = [list(row) for row in ckpt.acc_matrix]
         start_task = ckpt.task_cursor
 

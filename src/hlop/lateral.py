@@ -23,6 +23,7 @@ high-frequency bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,19 +72,20 @@ class LateralSubspace:
 
     ``H`` has shape (k, n), ``H_new`` (k', n), where n is the presynaptic
     width of the host layer. Hebbian learning only ever touches ``H_new``;
-    projection only ever reads ``H``.
+    projection only ever reads ``H``. The Hebbian step size, momentum and
+    repeats per batch are fixed constants of the rule, not per-circuit state.
     """
+
+    eta: ClassVar[float] = 0.01
+    momentum: ClassVar[float] = 0.9
+    K: ClassVar[int] = 5
 
     n: int
     H: np.ndarray = None  # type: ignore[assignment]
     H_new: np.ndarray = None  # type: ignore[assignment]
-    eta: float = 0.01
-    momentum: float = 0.9
-    K: int = 5
     velocity: np.ndarray = None  # type: ignore[assignment]
     mode: str = "linear"  # "linear" | "spiking"
     quant: QuantConfig = field(default_factory=QuantConfig)
-    stabilize: bool = False
 
     def __post_init__(self) -> None:
         if self.H is None:
@@ -161,23 +163,21 @@ class LateralSubspace:
         step eta/(1-momentum) * lambda_max(input second moment) stays below
         roughly 6 (it diverges beyond that; the fixed point itself, an
         orthonormal basis of the dominant subspace, is scale invariant).
-        With ``stabilize`` the update is damped whenever the batch's mean
-        squared row norm (an upper bound on lambda_max) exceeds the budget
-        4 * (1-momentum) / eta, which keeps wide, high-activity layers such
-        as conv patch spaces inside the stable region without touching the
-        signal scale the burst quantizer sees.
+        So the update is always damped by cap / energy whenever the batch's
+        mean squared row norm ``energy`` (an upper bound on lambda_max)
+        exceeds the budget cap = 4 * (1-momentum) / eta, which keeps wide,
+        high-activity layers such as conv patch spaces inside the stable
+        region without touching the signal scale the burst quantizer sees.
+        Below the cap the rule runs undamped.
         """
         x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
         if x.shape[1] != self.n:
             raise ShapeError(f"batch width {x.shape[1]} != presynaptic width {self.n}")
         x_hat = self.project_trace(x)
         rows = x.shape[0]
-        gain = 1.0
-        if self.stabilize:
-            energy = float(np.mean(np.sum(x * x, axis=1)))
-            cap = 4.0 * (1.0 - self.momentum) / self.eta
-            if energy > cap:
-                gain = cap / energy
+        energy = float(np.mean(np.sum(x * x, axis=1)))
+        cap = 4.0 * (1.0 - self.momentum) / self.eta
+        gain = cap / energy if energy > cap else 1.0
         for _ in range(self.K):
             y_new = self._out(x @ self.H_new.T)
             delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
@@ -190,10 +190,16 @@ class LateralSubspace:
 
         New rows are Kaiming-uniform scaled by ``INIT_SCALE``; the momentum
         buffer is reset to match the new shape. Projection is unaffected since
-        it only reads consolidated rows.
+        it only reads consolidated rows. Both banks together hold at most n
+        rows, so a larger ``k_add`` raises ``ValueError``.
         """
         if k_add < 0:
             raise ValueError(f"k_add must be >= 0, got {k_add}")
+        if self.k + self.k_new + k_add > self.n:
+            raise ValueError(
+                f"cannot add {k_add} rows to {self.k} consolidated and {self.k_new} "
+                f"in-training rows in a {self.n}-wide space"
+            )
         if k_add == 0:
             return
         fresh = INIT_SCALE * kaiming_uniform_init(k_add, self.n, fan_in=self.n, rng=rng)

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lateral import LateralSubspace
 from .linalg import ShapeError, kaiming_uniform_init
 from .spiking import (
     Layer,
@@ -236,22 +235,15 @@ class GradPacket:
         return [(lg.delta.T @ lg.trace / self.batch, lg.bias / self.batch) for lg in self.layers]
 
 
-def sgd_update(
-    layer: Layer,
-    grad: LayerGrad,
-    lr: float,
-    batch: int,
-    subspace: LateralSubspace | None = None,
-) -> None:
+def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
     """Apply W <- W - lr * delta^T @ trace / batch and b <- b - lr * bias / batch.
 
-    The training loop passes a trace its lateral circuit has already
-    projected (``LateralSubspace.hebbian_update`` returns it). Given a
-    ``subspace``, the trace rows are projected here instead, so the update
-    cannot disturb directions old tasks relied on. Biases are excluded from
-    projection.
+    The trace is used as given. On a layer with a lateral circuit the training
+    loop first replaces it with the projected trace that
+    ``LateralSubspace.hebbian_update`` returns, so the update cannot disturb
+    directions old tasks relied on; biases are never projected.
     """
-    dw = grad.delta.T @ (grad.trace if subspace is None else subspace.project_trace(grad.trace))
+    dw = grad.delta.T @ grad.trace
     layer.weight -= lr * dw / batch
     layer.bias -= lr * grad.bias / batch
 

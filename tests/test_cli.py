@@ -174,6 +174,12 @@ class TestRunCommand:
         line = self._refused_resume(run_env, capsys, {}, {}, corrupt=lambda b: b[:-8])
         assert "truncated" in line
 
+    def test_version_1_resume_exit_3(self, run_env, capsys):
+        line = self._refused_resume(
+            run_env, capsys, {}, {}, corrupt=lambda b: b[:8] + struct.pack("<I", 1) + b[12:]
+        )
+        assert "unsupported checkpoint version 1" in line
+
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):
         line = self._refused_resume(
             run_env, capsys, {"hidden_sizes": "[20, 20]"}, {"hidden_sizes": "[10, 20]"}

@@ -8,6 +8,8 @@ layer's rows and current included) without the shared layer walk
 where the arithmetic is unchanged, to 1e-12 where it is reassociated).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,23 +56,22 @@ def _orthonormal_rows(rng, k, n):
     return q.T.copy()
 
 
-def _subspace(rng, n, k, k_new, mode, stabilize=False):
-    sub = LateralSubspace(
-        n=n, H=_orthonormal_rows(rng, k, n) if k else None, mode=mode, stabilize=stabilize
-    )
+def _subspace(rng, n, k, k_new, mode):
+    sub = LateralSubspace(n=n, H=_orthonormal_rows(rng, k, n) if k else None, mode=mode)
     sub.expand(k_new, rng)
     return sub
 
 
+def _damping_cap(sub):
+    return 4.0 * (1.0 - sub.momentum) / sub.eta
+
+
 def _reference_hebbian(sub, x):
-    """K repeats of dH' = y' x^T + y' x_tilde^T from the full circuit response."""
+    """K repeats of dH' = y' x^T + y' x_tilde^T from the full circuit response,
+    scaled down by cap / energy when the batch's mean row energy exceeds the cap."""
     rows = x.shape[0]
-    gain = 1.0
-    if sub.stabilize:
-        energy = float(np.mean(np.sum(x * x, axis=1)))
-        cap = 4.0 * (1.0 - sub.momentum) / sub.eta
-        if energy > cap:
-            gain = cap / energy
+    energy, cap = float(np.mean(np.sum(x * x, axis=1))), _damping_cap(sub)
+    gain = cap / energy if energy > cap else 1.0
     for _ in range(sub.K):
         _, _, y_new, _, x_tilde = sub.lateral_response(x)
         delta = gain * (y_new.T @ x + y_new.T @ x_tilde) / rows
@@ -81,17 +82,17 @@ def _reference_hebbian(sub, x):
 class TestHebbianOjaForm:
     @pytest.mark.parametrize("mode", ["linear", "spiking"])
     @pytest.mark.parametrize("k", [0, 4])
-    @pytest.mark.parametrize("stabilize", [False, True])
-    def test_matches_two_stage_loop(self, mode, k, stabilize):
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_matches_two_stage_loop(self, mode, k, damped):
         n, k_new, rows = 16, 3, 24
-        fast = _subspace(make_rng(40, k), n, k, k_new, mode, stabilize)
-        ref = _subspace(make_rng(40, k), n, k, k_new, mode, stabilize)
-        # Large inputs drive the stabilizer's damping branch; small ones
-        # keep the undamped rule inside its stable region.
-        scale = 3.0 if stabilize else 0.5
+        fast = _subspace(make_rng(40, k), n, k, k_new, mode)
+        ref = _subspace(make_rng(40, k), n, k, k_new, mode)
+        # Large inputs drive the damping branch; small ones keep the
+        # undamped rule inside its stable region.
+        scale = 3.0 if damped else 0.5
         feeds = make_rng(41, k).uniform(0.0, scale, size=(3, rows, n))
-        if stabilize:
-            assert np.mean(np.sum(feeds[0] ** 2, axis=1)) > 4.0 * 0.1 / fast.eta
+        energies = np.mean(np.sum(feeds**2, axis=2), axis=1)
+        assert np.all((energies > _damping_cap(fast)) == damped)
         for x in feeds:
             fast.hebbian_update(x)
             _reference_hebbian(ref, x)
@@ -111,13 +112,13 @@ class TestUpdateSpaceProjection:
     def test_linear_matches_row_space_projection(self):
         sub, layer, grad = self._case("linear")
         expect = layer.weight - 0.3 * (grad.delta.T @ sub.project_trace(grad.trace)) / 30
-        sgd_update(layer, grad, 0.3, 30, sub)
+        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), 0.3, 30)
         assert np.max(np.abs(layer.weight - expect)) <= 1e-12
 
     def test_spiking_projects_trace_rows(self):
         sub, layer, grad = self._case("spiking")
         expect = layer.weight - 0.3 * (grad.delta.T @ sub.project_trace(grad.trace)) / 30
-        sgd_update(layer, grad, 0.3, 30, sub)
+        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), 0.3, 30)
         assert np.array_equal(layer.weight, expect)
 
 

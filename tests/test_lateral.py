@@ -168,7 +168,7 @@ class TestHebbianUpdate:
     def test_step_damping_keeps_wide_layers_finite(self):
         rng = make_rng(17, 0)
         x = (rng.random(size=(384, 1352)) < 0.3).astype(float)
-        sub = LateralSubspace(n=1352, stabilize=True)
+        sub = LateralSubspace(n=1352)
         sub.expand(40, make_rng(18, 0))
         for _ in range(40):
             sub.hebbian_update(x)
@@ -187,6 +187,17 @@ class TestExpandConsolidate:
         sub.expand(3, make_rng(1, 0))
         assert sub.H_new.shape == (3, 10)
         assert sub.velocity.shape == (3, 10)
+
+    def test_expand_fills_the_space_and_no_further(self):
+        sub = LateralSubspace(n=5, H=_orthonormal_rows(5, 2, seed=27))
+        sub.expand(1, make_rng(28, 0))
+        with pytest.raises(ValueError, match="add 3 rows to 2 consolidated and 1 in-training rows in a 5-wide"):
+            sub.expand(3, make_rng(29, 0))
+        assert sub.k_new == 1
+        sub.expand(2, make_rng(29, 0))
+        assert sub.k + sub.k_new == sub.n == 5
+        with pytest.raises(ValueError, match="add 5 rows to 0 consolidated and 0 in-training rows in a 3-wide"):
+            LateralSubspace(n=3).expand(5, make_rng(30, 0))
 
     def test_expand_leaves_projection_unchanged(self):
         h = _orthonormal_rows(6, 2, seed=19)

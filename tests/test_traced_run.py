@@ -1,0 +1,47 @@
+"""The benchmark's traced run still finds every site it wraps in hlop.
+
+``perfbench/tracing.py`` wraps hlop functions and methods by name and reads
+circuit fields (``sub.K``, ``sub.n``, ``sub.k``) in its work counts. A renamed
+function or a removed field would otherwise only show when the traced
+benchmark runs; this test runs a short continual sequence under the same
+wrappers.
+"""
+
+import os
+import sys
+
+import numpy as np
+
+from hlop.config import config_from_dict
+from hlop.harness.loop import run_continual
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import tracing  # noqa: E402
+
+
+def test_two_task_linear_run_hits_every_traced_site(data_pools, tmp_path):
+    cfg = config_from_dict(dict(
+        seed=99, hlop="linear", n_tasks=2, train_per_task=128, test_per_task=64,
+        audit_samples=16,
+    ))
+    sites = tracing.trace_sites()
+    ran = set()
+
+    def recorded(count):
+        def hook(*args, **kwargs):
+            ran.add(count.__name__)
+            return count(*args, **kwargs)
+
+        return hook
+
+    tr = tracing.Tracer()
+    watched = [(owner, attr, name, count and recorded(count)) for owner, attr, name, count in sites]
+    with tracing.installed(tr, watched) as missing:
+        res = run_continual(cfg, data=data_pools, checkpoint_dir=str(tmp_path))
+    assert missing == []
+    # No trainer merges packets any more, so the merge hook alone stays idle.
+    assert ran == {count.__name__ for *_, count in sites if count is not None} - {"_count_merge"}
+    assert tr.counts["lateral.hebbian_flop"] > 0
+    assert tr.counts["lateral.project_flop"] > 0
+    assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))

@@ -45,7 +45,6 @@ class ExperimentConfig:
     n_tasks: int = 5
     train_per_task: int = 2000
     test_per_task: int = 1000
-    head_mode: str = "single"  # "single" | "multi"
     output_dir: str = "runs/out"
     data_dir: str = ""  # empty -> $HLOP_DATA_DIR
     audit_samples: int = 200
@@ -69,7 +68,6 @@ _ENUMS = {
     "errorprop": ("bp", "fa", "ss"),
     "hlop": ("off", "linear", "spiking"),
     "task": ("pmnist", "split_mnist"),
-    "head_mode": ("single", "multi"),
 }
 
 
@@ -144,7 +142,14 @@ def parse_flat_config(text: str) -> dict:
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
+    """Field-named problems of ``cfg``; fills in the default subspace schedule."""
     p: list[str] = []
+    if cfg.seed < 0:
+        p.append(f"seed: must be >= 0, got {cfg.seed}")
+    for name in ("T", "batch", "epochs", "n_tasks", "quant_t_l",
+                 "train_per_task", "test_per_task"):
+        if getattr(cfg, name) < 1:
+            p.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
     for name, allowed in _ENUMS.items():
         v = getattr(cfg, name)
         if v not in allowed:
@@ -153,31 +158,27 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append(f"lambda: must lie in (0, 1), got {cfg.lam}")
     if cfg.v_th <= 0:
         p.append(f"v_th: must be positive, got {cfg.v_th}")
-    if cfg.T < 1:
-        p.append(f"T: must be >= 1, got {cfg.T}")
     if cfg.a2 <= 0:
         p.append(f"a2: must be positive, got {cfg.a2}")
     if cfg.lr < 0:
         p.append(f"lr: must be >= 0, got {cfg.lr}")
-    if cfg.batch < 1:
-        p.append(f"batch: must be >= 1, got {cfg.batch}")
-    if cfg.epochs < 1:
-        p.append(f"epochs: must be >= 1, got {cfg.epochs}")
-    if cfg.n_tasks < 1:
-        p.append(f"n_tasks: must be >= 1, got {cfg.n_tasks}")
     if cfg.quant_scale <= 0:
         p.append(f"quant_scale: must be positive, got {cfg.quant_scale}")
-    if cfg.quant_t_l < 1:
-        p.append(f"quant_t_l: must be >= 1, got {cfg.quant_t_l}")
-    if not cfg.hidden_sizes or not all(
-        isinstance(h, int) and h > 0 for h in cfg.hidden_sizes
-    ):
-        p.append(f"hidden_sizes: need positive integers, got {cfg.hidden_sizes}")
-    if cfg.task == "pmnist" and cfg.head_mode != "single":
-        p.append("head_mode: pmnist runs use the shared single-head classifier")
-    if cfg.task == "split_mnist" and cfg.head_mode != "multi":
-        p.append("head_mode: split_mnist runs use per-task heads")
-    if cfg.hlop != "off":
+    split = cfg.task == "split_mnist"
+    if split and cfg.n_tasks > 5:
+        p.append(f"n_tasks: split_mnist has 5 class pairs, got {cfg.n_tasks}")
+    # The layer widths, which the subspace schedule is checked against;
+    # ``type(h) is int`` refuses booleans, which are ints to isinstance.
+    bad_widths = []
+    if not cfg.hidden_sizes or not all(type(h) is int and h > 0 for h in cfg.hidden_sizes):
+        bad_widths.append(f"hidden_sizes: need positive integers, got {cfg.hidden_sizes}")
+    for name in ("conv_channels", "conv_kernel", "conv_pool", "conv_hidden") if split else ():
+        if getattr(cfg, name) < 1:
+            bad_widths.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+    p += bad_widths
+    if cfg.hlop != "off" and not bad_widths:
+        if not cfg.subspace_schedule:
+            cfg.subspace_schedule = default_subspace_schedule(cfg)
         sched = cfg.subspace_schedule
         widths = _projected_widths(cfg)
         if len(sched) != len(widths):
@@ -190,7 +191,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
-                    or not all(isinstance(v, int) and v >= 0 for v in entry)
+                    or not all(type(v) is int and v >= 0 for v in entry)
                 ):
                     p.append(f"subspace_schedule[{i}]: expected [first, expand] ints")
                     continue
@@ -254,8 +255,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         setattr(cfg, name, value)
     if problems:
         raise ConfigError(problems)
-    if cfg.hlop != "off" and not cfg.subspace_schedule:
-        cfg.subspace_schedule = default_subspace_schedule(cfg)
     problems = _validate(cfg)
     if problems:
         raise ConfigError(problems)

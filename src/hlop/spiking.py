@@ -70,20 +70,17 @@ class NeuronConfig:
 class LayerState:
     """Per-layer dynamic state: membrane potentials and spikes.
 
-    Arrays are (batch, neurons).
+    Arrays are (rows, neurons), in the row layout of the layer's presynaptic
+    rows: one row per sample for a dense layer, one per sample and output
+    position for a conv layer, whose neurons are its channels.
     """
 
     u: np.ndarray
     s: np.ndarray
 
     @classmethod
-    def zeros(cls, batch: int, n: int) -> "LayerState":
-        return cls(u=np.zeros((batch, n)), s=np.zeros((batch, n)))
-
-    @classmethod
-    def zeros_shape(cls, shape: tuple[int, ...]) -> "LayerState":
-        """Zero state of an arbitrary population shape (conv maps are 4-D)."""
-        return cls(u=np.zeros(shape), s=np.zeros(shape))
+    def zeros(cls, rows: int, n: int) -> "LayerState":
+        return cls(u=np.zeros((rows, n)), s=np.zeros((rows, n)))
 
 
 def lif_step(
@@ -241,7 +238,8 @@ class Layer:
     """One trainable connection: dense, or conv expressed over patch rows.
 
     Dense: ``weight`` is (out, in). Conv: ``weight`` is
-    (out_channels, kernel*kernel*in_channels) applied to unfolded patches;
+    (out_channels, kernel*kernel*in_channels) applied to unfolded patches,
+    so its current and state have one row per patch (output position);
     geometry fields describe the hosted feature map.
     """
 

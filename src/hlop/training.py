@@ -31,6 +31,11 @@ OTTT's other layers regroup their eligibility-trace sums by the step each row
 entered, (e, x) with e_t = c_t + lam * e_{t+1} (see ``ottt_backward``), so no
 eligibility trace is formed.
 
+Every layer's currents, states and errors share the row layout of its
+presynaptic rows: a conv layer's neurons live in patch rows, one per output
+position. Only ``_presyn_rows`` (unfold), ``_post_block`` (pool) and
+``_route_error_to_block`` (unpool) know the conv geometry.
+
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
 """
@@ -263,57 +268,41 @@ def _presyn_rows(layer: Layer, carry: np.ndarray) -> np.ndarray:
     return carry
 
 
-def _layer_current(layer: Layer, rows: np.ndarray, batch: int) -> np.ndarray:
-    """Synaptic current from presynaptic rows; conv currents come back as maps."""
-    cur = rows @ layer.weight.T + layer.bias
-    if layer.kind == "conv":
-        oh, ow = layer.out_hw
-        return cur.reshape(batch, oh, ow, layer.out_dim).transpose(0, 3, 1, 2)
-    return cur
+def _layer_current(layer: Layer, rows: np.ndarray) -> np.ndarray:
+    """Synaptic current from presynaptic rows, in the same row layout."""
+    return rows @ layer.weight.T + layer.bias
 
 
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
-    """Spike output of a block as the carry for the next one (pooling included)."""
-    if layer.kind == "conv" and layer.pool > 1:
-        return avg_pool(s, layer.pool)
-    return s
+    """Spike rows of a block as the carry for the next one: conv rows (one per
+    output position) are viewed as (B, C, oh, ow) maps and pooled."""
+    if layer.kind != "conv":
+        return s
+    oh, ow = layer.out_hw
+    maps = s.reshape(-1, oh, ow, layer.out_dim).transpose(0, 3, 1, 2)
+    return avg_pool(maps, layer.pool) if layer.pool > 1 else maps
 
 
-def _delta_rows(layer: Layer, delta: np.ndarray) -> np.ndarray:
-    """Match a (batch, out...) delta to the row layout of ``_presyn_rows``."""
-    if layer.kind == "conv":
-        return delta.transpose(0, 2, 3, 1).reshape(-1, layer.out_dim)
-    return delta
-
-
-def _route_error_to_block(
-    delta_flat: np.ndarray, below: Layer, batch: int
-) -> np.ndarray:
-    """Reshape an error on a block's (flattened, pooled) output back to spikes."""
-    if below.kind == "conv":
-        oh, ow = below.out_hw
-        p = below.pool
-        g = delta_flat.reshape(batch, below.out_dim, oh // p, ow // p)
-        if p > 1:
-            g = avg_pool_backward(g, p)
-        return g
-    return delta_flat
+def _route_error_to_block(delta_flat: np.ndarray, below: Layer) -> np.ndarray:
+    """An error on a block's (flattened, pooled) output, as error rows at its
+    spikes: conv errors are unpooled and returned one row per output position."""
+    if below.kind != "conv":
+        return delta_flat
+    oh, ow = below.out_hw
+    p = below.pool
+    g = delta_flat.reshape(-1, below.out_dim, oh // p, ow // p)
+    if p > 1:
+        g = avg_pool_backward(g, p)
+    return g.transpose(0, 2, 3, 1).reshape(-1, below.out_dim)
 
 
 def _error_below(
-    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig, batch: int
+    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig
 ) -> np.ndarray:
     """Carry layer i's error rows ``c`` down to the spikes of layer i - 1."""
     if layers[i].kind == "conv":
         raise ShapeError("error propagation below a conv layer is not supported")
-    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], batch)
-
-
-def _state_shape(layer: Layer, batch: int) -> tuple[int, ...]:
-    if layer.kind == "conv":
-        oh, ow = layer.out_hw
-        return (batch, layer.out_dim, oh, ow)
-    return (batch, layer.out_dim)
+    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1])
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -337,10 +326,12 @@ def _run_steps(
 ) -> Iterator[tuple[list[np.ndarray], list[LayerState]]]:
     """Walk the layers for T steps on a static input, yielding after each step.
 
-    Each step yields the per-layer presynaptic rows and per-layer states.
-    Layers propagate within a step; the input is injected as a constant
-    current at every step. The input and the weights are fixed for the batch,
-    so the first layer's rows and current are computed once. The states are
+    Each step yields the per-layer presynaptic rows and per-layer states, a
+    state in the row layout of its rows: (batch * oh * ow, channels) on a
+    conv layer, allocated once its layer's first rows are known. Layers
+    propagate within a step; the input is injected as a constant current at
+    every step. The input and the weights are fixed for the batch, so the
+    first layer's rows and current are computed once. The states are
     advanced in place by the next step, but their arrays are rebound, never
     mutated, so a caller may keep the ``u`` and ``s`` it reads. With
     ``smooth`` the spike step is replaced by its sigmoid relaxation (used only
@@ -348,17 +339,18 @@ def _run_steps(
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    batch = x.shape[0]
     step = _smooth_step if smooth else lif_step
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
     first_rows = _presyn_rows(layers[0], x)
-    first_current = _layer_current(layers[0], first_rows, batch)
+    first_current = _layer_current(layers[0], first_rows)
+    states = [LayerState.zeros(len(first_rows), layers[0].out_dim)]
     for _ in range(cfg.T):
         rows = [first_rows]
         step(states[0], first_current, cfg)
         for i in range(1, len(layers)):
             rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
-            step(states[i], _layer_current(layers[i], rows[i], batch), cfg)
+            if len(states) == i:
+                states.append(LayerState.zeros(len(rows[i]), layers[i].out_dim))
+            step(states[i], _layer_current(layers[i], rows[i]), cfg)
         yield rows, states
 
 
@@ -424,19 +416,14 @@ def bptt_sg_backward(
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
         cs: list[np.ndarray] = [None] * cfg.T  # type: ignore[list-item]
         c_next = np.zeros_like(us[i][0])
         for t in range(cfg.T - 1, -1, -1):
             ds = ext[t] - cfg.lam * cfg.v_th * c_next
             cs[t] = c_next = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
-        if i == 0:
-            delta_rows = _delta_rows(layer, sum(cs))
-        else:
-            delta_rows = np.concatenate([_delta_rows(layer, c) for c in cs])
-        grads[i] = LayerGrad(delta=delta_rows, trace=traces[i])
+        grads[i] = LayerGrad(delta=sum(cs) if i == 0 else np.concatenate(cs), trace=traces[i])
         if i > 0:
-            ext = [_error_below(layers, i, c, epcfg, batch) for c in cs]
+            ext = [_error_below(layers, i, c, epcfg) for c in cs]
     return GradPacket(layers=grads, batch=batch), rate
 
 
@@ -459,17 +446,16 @@ def ottt_step(
     regroups the trace sum by the step each presynaptic row entered.
 
     Returns the step's per-layer errors c_t, in the row layout of the
-    presynaptic rows.
+    states and of the presynaptic rows.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    batch = y_onehot.shape[0]
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
     cs: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        cs[i] = _delta_rows(layers[i], err * surrogate_derivative(states[i].u, cfg))
+        cs[i] = err * surrogate_derivative(states[i].u, cfg)
         if i > 0:
-            err = _error_below(layers, i, cs[i], epcfg, batch)
+            err = _error_below(layers, i, cs[i], epcfg)
     return cs
 
 
@@ -529,21 +515,13 @@ def rate_chain_forward(
     Returns per-layer presynaptic rate rows and per-layer outputs (the final
     entry is the classifier's rate encoding, used as logits).
     """
-    cfg = net.cfg
-    layers = net.trainable_layers(head)
-    batch = x.shape[0]
     pres: list[np.ndarray] = []
     outs: list[np.ndarray] = []
     carry = x
-    for layer in layers:
+    for layer in net.trainable_layers(head):
         rows = _presyn_rows(layer, carry)
         pres.append(rows)
-        if layer.kind == "conv":
-            z_rows = rate_forward_transform(rows, layer.weight, layer.bias, cfg)
-            oh, ow = layer.out_hw
-            z = z_rows.reshape(batch, oh, ow, layer.out_dim).transpose(0, 3, 1, 2)
-        else:
-            z = rate_forward_transform(rows, layer.weight, layer.bias, cfg)
+        z = rate_forward_transform(rows, layer.weight, layer.bias, net.cfg)
         outs.append(z)
         carry = _post_block(layer, z)
     return pres, outs
@@ -573,13 +551,12 @@ def rate_backward(
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
         z = outs[i]
         gate = ((z > 0.0) & (z < cfg.rate_bound)).astype(np.float64)
-        c = _delta_rows(layer, err * gate) / cfg.tau
+        c = err * gate / cfg.tau
         grads[i] = LayerGrad(delta=c, trace=pres[i])
         if i > 0:
-            err = _error_below(layers, i, c, epcfg, batch)
+            err = _error_below(layers, i, c, epcfg)
     return GradPacket(layers=grads, batch=batch), logits
 
 

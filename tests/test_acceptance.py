@@ -51,7 +51,6 @@ def _protocol_config(**overrides):
         n_tasks=5,
         train_per_task=2000,
         test_per_task=1000,
-        head_mode="single",
         checkpoint_every_task=False,
         audit_samples=200,
     )

@@ -38,6 +38,19 @@ def _write_cfg(path, out_dir, **kw):
             f.write(f"{k} = {v}\n")
 
 
+# Values the parser accepts but a run cannot use, keyed by the field the
+# refusal must name.
+_OUT_OF_RANGE = {
+    "seed": dict(seed=-1),
+    "test_per_task": dict(test_per_task=0),
+    "train_per_task": dict(train_per_task=0),
+    "conv_pool": dict(task="split_mnist", conv_pool=0),
+    "n_tasks": dict(task="split_mnist", n_tasks=6),
+    "hidden_sizes": dict(hidden_sizes="[True, 200]"),
+    "subspace_schedule[0]": dict(subspace_schedule="[[True, 1], [5, 2], [3, 1]]"),
+}
+
+
 @pytest.fixture()
 def run_env(data_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("HLOP_DATA_DIR", data_dir)
@@ -81,6 +94,17 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 2
         assert "trainer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", list(_OUT_OF_RANGE))
+    def test_out_of_range_value_exit_2(self, run_env, capsys, field):
+        # Each value used to crash mid-run, or to run on silently.
+        cfg = run_env / "bad.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), **_OUT_OF_RANGE[field])
+        assert main(["run", str(cfg)]) == 2
+        head, *problems = capsys.readouterr().err.splitlines()
+        assert head == "invalid configuration:"
+        assert len(problems) == 1 and problems[0].startswith(f"  - {field}: ")
+        assert not (run_env / "out").exists()
+
     def test_missing_dataset_exit_3(self, run_env, monkeypatch, capsys):
         monkeypatch.setenv("HLOP_DATA_DIR", str(run_env / "nowhere"))
         cfg = run_env / "exp.cfg"
@@ -110,8 +134,7 @@ class TestRunCommand:
 
     def test_split_pool_too_small_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"
-        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", head_mode="multi",
-                   train_per_task=5000)
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", train_per_task=5000)
         assert main(["run", str(cfg)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: classes (0, 1): need 5000 train")
@@ -128,7 +151,7 @@ class TestRunCommand:
         write_idx_labels(str(data / TEST_LABELS), te_y)
         monkeypatch.setenv("HLOP_DATA_DIR", str(data))
         cfg = run_env / "exp.cfg"
-        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", head_mode="multi",
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist",
                    n_tasks=5, train_per_task=200, test_per_task=50, conv_channels=8,
                    conv_kernel=3, conv_pool=2, conv_hidden=100)
         assert main(["run", str(cfg)]) == 3

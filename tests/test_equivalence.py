@@ -22,18 +22,17 @@ from hlop.spiking import (
     dense_layer,
     lif_step,
     surrogate_derivative,
+    unfold_patches,
 )
 from hlop.training import (
     ErrorPropConfig,
     GradPacket,
     LayerGrad,
-    _delta_rows,
     _layer_current,
     _post_block,
     _presyn_rows,
     _route_error_to_block,
     _spiking_forward_pass,
-    _state_shape,
     backprop_error,
     build_conv_net,
     bptt_sg_backward,
@@ -122,6 +121,13 @@ class TestUpdateSpaceProjection:
         assert np.array_equal(layer.weight, expect)
 
 
+def _zero_state(layer, batch):
+    """A zero state in the row layout: one row per sample, and per output
+    position on a conv layer."""
+    rows = batch * int(np.prod(layer.out_hw)) if layer.kind == "conv" else batch
+    return LayerState.zeros(rows, layer.out_dim)
+
+
 def _reference_ottt(net, x, y, epcfg, subspaces, head):
     """Step-by-step OTTT: every layer's rows, current and projected trace
     input recomputed at every step, per-step factors concatenated."""
@@ -129,7 +135,7 @@ def _reference_ottt(net, x, y, epcfg, subspaces, head):
     subspaces = subspaces or {}
     layers = net.trainable_layers(head)
     batch = x.shape[0]
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    states = [_zero_state(l, batch) for l in layers]
     traces = [None] * len(layers)
     deltas = [[] for _ in layers]
     trace_steps = [[] for _ in layers]
@@ -145,17 +151,17 @@ def _reference_ottt(net, x, y, epcfg, subspaces, head):
             if traces[i] is None:
                 traces[i] = np.zeros_like(trace_in)
             traces[i] = cfg.lam * traces[i] + trace_in
-            lif_step(states[i], _layer_current(layer, rows, batch), cfg)
+            lif_step(states[i], _layer_current(layer, rows), cfg)
             carry = _post_block(layer, states[i].s)
         rate_sum += states[-1].s
         err = (softmax(states[-1].s) - y) / cfg.T
         for i in range(len(layers) - 1, -1, -1):
-            c = _delta_rows(layers[i], err * surrogate_derivative(states[i].u, cfg))
+            c = err * surrogate_derivative(states[i].u, cfg)
             deltas[i].append(c)
             trace_steps[i].append(traces[i])
             if i > 0:
                 d = backprop_error(c, layers[i], epcfg)
-                err = _route_error_to_block(d, layers[i - 1], batch)
+                err = _route_error_to_block(d, layers[i - 1])
     packet = GradPacket(
         layers=[
             LayerGrad(delta=np.concatenate(d), trace=np.concatenate(t))
@@ -175,13 +181,13 @@ def _reference_bptt(net, x, y, epcfg, subspaces, head):
     subspaces = subspaces or {}
     layers = net.trainable_layers(head)
     batch = x.shape[0]
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    states = [_zero_state(l, batch) for l in layers]
     us, ss, pres = ([[] for _ in layers] for _ in range(3))
     for _ in range(cfg.T):
         carry = x
         for i, layer in enumerate(layers):
             rows = _presyn_rows(layer, carry)
-            lif_step(states[i], _layer_current(layer, rows, batch), cfg)
+            lif_step(states[i], _layer_current(layer, rows), cfg)
             us[i].append(states[i].u)
             ss[i].append(states[i].s)
             pres[i].append(rows)
@@ -198,12 +204,12 @@ def _reference_bptt(net, x, y, epcfg, subspaces, head):
         sub = subspaces.get(i)
         trace = np.concatenate(pres[i])
         grads.append(LayerGrad(
-            delta=np.concatenate([_delta_rows(layers[i], c) for c in cs]),
+            delta=np.concatenate(cs),
             trace=trace if sub is None else sub.project_trace(trace),
         ))
         if i > 0:
             ext.append([
-                _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], batch)
+                _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1])
                 for c in cs
             ])
     feeds = [fs[0] if i == 0 else np.concatenate(fs) for i, fs in enumerate(pres)]
@@ -232,12 +238,12 @@ def _reference_readout(net, x, head):
     cfg = net.cfg
     layers = net.trainable_layers(head)
     batch = x.shape[0]
-    states = [LayerState.zeros_shape(_state_shape(l, batch)) for l in layers]
+    states = [_zero_state(l, batch) for l in layers]
     acc = np.zeros((batch, layers[-1].out_dim))
     for _ in range(cfg.T):
         carry = x
         for i, layer in enumerate(layers):
-            current = _layer_current(layer, _presyn_rows(layer, carry), batch)
+            current = _layer_current(layer, _presyn_rows(layer, carry))
             lif_step(states[i], current, cfg)
             carry = _post_block(layer, states[i].s)
         acc += states[-1].s
@@ -293,16 +299,42 @@ class TestStaticInputHoisting:
         net, x, _, head = case()
         us, ss, pres = _spiking_forward_pass(net, x, head)
         layers = net.trainable_layers(head)
-        states = [LayerState.zeros_shape(_state_shape(l, x.shape[0])) for l in layers]
+        states = [_zero_state(l, x.shape[0]) for l in layers]
         for t in range(net.cfg.T):
             carry = x
             for i, layer in enumerate(layers):
                 rows = _presyn_rows(layer, carry)
                 assert np.array_equal(pres[i][t], rows)
-                lif_step(states[i], _layer_current(layer, rows, x.shape[0]), net.cfg)
+                lif_step(states[i], _layer_current(layer, rows), net.cfg)
                 assert np.array_equal(us[i][t], states[i].u)
                 assert np.array_equal(ss[i][t], states[i].s)
                 carry = _post_block(layer, states[i].s)
+
+
+def test_conv_state_is_the_map_state_in_patch_rows():
+    """A conv layer's u and s hold one row per output position: the
+    (B, C, oh, ow) state of a plain map-layout walk, channels last. The walk
+    forms its own currents, LIF steps and pooling."""
+    net, x, _, head = _conv_case()
+    us, ss, _ = _spiking_forward_pass(net, x, head)
+    cfg, (conv, *dense) = net.cfg, net.trainable_layers(head)
+    b, c, (oh, ow), p = len(x), conv.out_dim, conv.out_hw, conv.pool
+    rows = unfold_patches(x, conv.kernel, conv.stride)
+    current = (rows @ conv.weight.T + conv.bias).reshape(b, oh, ow, c).transpose(0, 3, 1, 2)
+    u = s = np.zeros((b, c, oh, ow))
+    du = [np.zeros((b, layer.out_dim)) for layer in dense]
+    ds = [np.zeros((b, layer.out_dim)) for layer in dense]
+    for t in range(cfg.T):
+        u = cfg.lam * (u - cfg.v_th * s) + current
+        s = (u >= cfg.v_th).astype(np.float64)
+        assert us[0][t].shape == ss[0][t].shape == (b * oh * ow, c)
+        assert np.array_equal(us[0][t], u.transpose(0, 2, 3, 1).reshape(-1, c))
+        assert np.array_equal(ss[0][t], s.transpose(0, 2, 3, 1).reshape(-1, c))
+        carry = s.reshape(b, c, oh // p, p, ow // p, p).mean(axis=(3, 5)).reshape(b, -1)
+        for j, layer in enumerate(dense):
+            du[j] = cfg.lam * (du[j] - cfg.v_th * ds[j]) + carry @ layer.weight.T + layer.bias
+            ds[j] = carry = (du[j] >= cfg.v_th).astype(np.float64)
+            assert np.array_equal(us[j + 1][t], du[j]) and np.array_equal(ss[j + 1][t], ds[j])
 
 
 def test_avg_pool_exact_on_spike_maps():

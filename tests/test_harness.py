@@ -200,8 +200,7 @@ class TestTaskSequences:
         idx = rng.choice(len(train), size=64, replace=False)
         perm = rng.permutation(784) if task == "pmnist" else np.arange(784)
         old = (train.images.astype(np.float64) / 255.0)[idx][:, perm]
-        head_mode = "single" if task == "pmnist" else "multi"
-        cfg = _small_cfg(task=task, head_mode=head_mode)
+        cfg = _small_cfg(task=task)
         x = loop._net_input(cfg, train.images[idx][:, perm], train.image_hw)
         want = old if task == "pmnist" else old.reshape(64, 1, 28, 28)
         assert x.dtype == np.float64 and np.array_equal(x, want)
@@ -389,7 +388,7 @@ class TestRunContinual:
 
     def test_split_conv_path(self, data_pools):
         cfg = config_from_dict(dict(
-            seed=99, task="split_mnist", head_mode="multi", hlop="linear",
+            seed=99, task="split_mnist", hlop="linear",
             n_tasks=2, train_per_task=400, test_per_task=150,
             checkpoint_every_task=False, audit_samples=40,
         ))
@@ -481,12 +480,6 @@ class TestConfigValidation:
                 "hlop": "linear", "n_tasks": 5,
                 "subspace_schedule": [[80, 70], [150, 30], [25, 18]],
             })
-
-    def test_head_mode_consistency(self):
-        with pytest.raises(ConfigError, match="head_mode"):
-            config_from_dict({"task": "pmnist", "head_mode": "multi"})
-        with pytest.raises(ConfigError, match="head_mode"):
-            config_from_dict({"task": "split_mnist", "head_mode": "single"})
 
     def test_type_mismatches_reported_together(self):
         with pytest.raises(ConfigError) as exc:

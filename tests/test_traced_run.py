@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` wraps hlop functions and methods by name and reads
 circuit fields (``sub.K``, ``sub.n``, ``sub.k``) in its work counts. A renamed
 function or a removed field would otherwise only show when the traced
-benchmark runs; this test runs a short continual sequence under the same
-wrappers.
+benchmark runs; these tests run short continual sequences, dense and conv,
+under the same wrappers.
 """
 
 import os
@@ -20,11 +20,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import tracing  # noqa: E402
 
 
-def test_two_task_linear_run_hits_every_traced_site(data_pools, tmp_path):
-    cfg = config_from_dict(dict(
-        seed=99, hlop="linear", n_tasks=2, train_per_task=128, test_per_task=64,
-        audit_samples=16,
-    ))
+def _traced_run(cfg_kw, data_pools, tmp_path):
+    """A continual run under every traced site; returns the sites, the names of
+    the count hooks that ran, the tracer, the missing sites and the result."""
     sites = tracing.trace_sites()
     ran = set()
 
@@ -38,10 +36,31 @@ def test_two_task_linear_run_hits_every_traced_site(data_pools, tmp_path):
     tr = tracing.Tracer()
     watched = [(owner, attr, name, count and recorded(count)) for owner, attr, name, count in sites]
     with tracing.installed(tr, watched) as missing:
-        res = run_continual(cfg, data=data_pools, checkpoint_dir=str(tmp_path))
+        res = run_continual(config_from_dict(cfg_kw), data=data_pools, checkpoint_dir=str(tmp_path))
+    return sites, ran, tr, missing, res
+
+
+def test_two_task_linear_run_hits_every_traced_site(data_pools, tmp_path):
+    sites, ran, tr, missing, res = _traced_run(dict(
+        seed=99, hlop="linear", n_tasks=2, train_per_task=128, test_per_task=64,
+        audit_samples=16,
+    ), data_pools, tmp_path)
     assert missing == []
     # No trainer merges packets any more, so the merge hook alone stays idle.
     assert ran == {count.__name__ for *_, count in sites if count is not None} - {"_count_merge"}
     assert tr.counts["lateral.hebbian_flop"] > 0
     assert tr.counts["lateral.project_flop"] > 0
+    assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))
+
+
+def test_two_task_split_run_records_the_conv_spans(data_pools, tmp_path):
+    # The conv path must call unfolding and pooling through the names the
+    # tracer wraps in hlop.training.
+    _, _, tr, missing, res = _traced_run(dict(
+        seed=99, task="split_mnist", hlop="linear", n_tasks=2, train_per_task=128,
+        test_per_task=64, audit_samples=16,
+    ), data_pools, tmp_path)
+    assert missing == []
+    spans = {name for name, *_ in tr.spans}
+    assert {"spiking.unfold", "spiking.pool", "spiking.pool_backward"} <= spans
     assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))

@@ -5,7 +5,7 @@ import pytest
 
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
-from hlop.spiking import Layer, NeuronConfig, dense_layer, surrogate_derivative
+from hlop.spiking import Layer, NeuronConfig, dense_layer, surrogate_derivative, unfold_patches
 from hlop.training import (
     ErrorPropConfig,
     GradPacket,
@@ -13,6 +13,7 @@ from hlop.training import (
     SpikingNet,
     backprop_error,
     bptt_sg_backward,
+    build_conv_net,
     build_mlp,
     init_feedback,
     ottt_backward,
@@ -109,6 +110,21 @@ def _oracle_rate_chain_loss(net, x, y_onehot):
         z = np.clip((z @ layer.weight.T + layer.bias) / cfg.tau, 0.0, cfg.rate_bound)
     p = softmax(z)
     return float(-np.sum(y_onehot * np.log(p)))
+
+
+def _oracle_conv_rate_chain_loss(net, x, y_onehot):
+    """Explicit clamp chain in map layout: conv over patches, average pool,
+    channel-major flatten, then the dense layers; summed cross-entropy."""
+    cfg = net.cfg
+    conv, *dense = net.trainable_layers(0)
+    b, (oh, ow), p = len(x), conv.out_hw, conv.pool
+    rows = unfold_patches(x, conv.kernel, conv.stride)
+    z = np.clip((rows @ conv.weight.T + conv.bias) / cfg.tau, 0.0, cfg.rate_bound)
+    z = z.reshape(b, oh, ow, -1).transpose(0, 3, 1, 2)
+    z = z.reshape(b, -1, oh // p, p, ow // p, p).mean(axis=(3, 5)).reshape(b, -1)
+    for layer in dense:
+        z = np.clip((z @ layer.weight.T + layer.bias) / cfg.tau, 0.0, cfg.rate_bound)
+    return float(-np.sum(y_onehot * np.log(softmax(z))))
 
 
 def _fd_grad(loss_fn, layer, h=1e-5):
@@ -296,6 +312,19 @@ class TestRateTrainer:
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
             fd = _fd_grad(lambda: _oracle_rate_chain_loss(net, x, y), layer)
+            rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
+            assert rel < 1e-6
+
+    def test_matches_finite_differences_on_conv_net(self):
+        cfg = NeuronConfig.dsr_defaults(T=4)
+        net = build_conv_net(1, (6, 6), 2, 3, 2, 4, 2, 1, cfg, make_rng(20, 0))
+        x = make_rng(21, 0).uniform(0.2, 0.9, size=(3, 1, 6, 6))
+        y = _onehot([1, 0, 1], 2)
+        packet, _ = rate_backward(net, x, y, ErrorPropConfig())
+        for i, layer in enumerate(net.trainable_layers(0)):
+            analytic = packet.layers[i].delta.T @ packet.layers[i].trace
+            fd = _fd_grad(lambda: _oracle_conv_rate_chain_loss(net, x, y), layer)
+            assert np.abs(fd).max() > 0.0
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-6
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, echo_config, load_config
 from .harness.checkpoint import CheckpointError, load_checkpoint
 from .harness.data import DatasetError, write_idx_dataset
-from .harness.loop import run_continual
+from .harness.loop import DivergenceError, run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
 from .linalg import subspace_alignment_error, topk_principal
 from .verify import SUITES, run_suite
@@ -57,6 +57,9 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except DivergenceError as e:
+        print(f"divergence: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
     for line in result.logs:
         print(line)

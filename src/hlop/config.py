@@ -10,6 +10,7 @@ reproduced from one file and one master seed.
 from __future__ import annotations
 
 import ast
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -164,6 +165,11 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append(f"lr: must be >= 0, got {cfg.lr}")
     if cfg.quant_scale <= 0:
         p.append(f"quant_scale: must be positive, got {cfg.quant_scale}")
+    if cfg.ss_scale < 0:
+        p.append(f"ss_scale: must be >= 0, got {cfg.ss_scale}")
+    for f in fields(cfg):
+        if isinstance(v := getattr(cfg, f.name), float) and not math.isfinite(v):
+            p.append(f"{_FIELD_TO_KEY.get(f.name, f.name)}: must be finite, got {v}")
     split = cfg.task == "split_mnist"
     if split and cfg.n_tasks > 5:
         p.append(f"n_tasks: split_mnist has 5 class pairs, got {cfg.n_tasks}")
@@ -175,6 +181,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     for name in ("conv_channels", "conv_kernel", "conv_pool", "conv_hidden") if split else ():
         if getattr(cfg, name) < 1:
             bad_widths.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+    side = 29 - cfg.conv_kernel  # the conv map on 28x28 input
+    if split and not bad_widths and (side < 1 or side % cfg.conv_pool):
+        bad_widths.append(f"conv_kernel: must be <= 28, got {cfg.conv_kernel}" if side < 1 else
+                          f"conv_pool: must divide the {side}x{side} map, got {cfg.conv_pool}")
     p += bad_widths
     if cfg.hlop != "off" and not bad_widths:
         if not cfg.subspace_schedule:

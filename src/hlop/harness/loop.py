@@ -7,11 +7,16 @@ them projected for the layer's update), evaluates on all tasks seen so far,
 and freezes the new subspace rows. All randomness derives from the master
 seed through fixed sub-stream paths, so one integer reproduces the whole
 run, and a checkpoint written at any task boundary resumes it bit for bit.
+With a CPU to spare, one FIFO worker thread runs the circuits' Hebbian repeats
+beside the next batch, in each circuit's order, so no result byte changes.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -160,6 +165,18 @@ def collect_feeds(
     return _stack_feeds(pres)
 
 
+class DivergenceError(ArithmeticError):
+    """A lateral circuit's in-training state became non-finite."""
+
+
+def _spare_cpu() -> bool:
+    """Whether a CPU is left for the Hebbian worker: more CPUs than BLAS threads,
+    which take every CPU unless the environment pins them."""
+    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    cpus = len(os.sched_getaffinity(0))
+    return cpus > (int(pin) if pin.isdigit() else cpus)
+
+
 def _train_one_task(
     cfg: ExperimentConfig,
     net: SpikingNet,
@@ -170,13 +187,30 @@ def _train_one_task(
     hw: tuple[int, int],
     n_classes: int,
     head: int,
+    pool: ThreadPoolExecutor | None = None,
 ) -> None:
+    """Train on one task, running each circuit's ``learn`` on ``pool`` or at once.
+    A circuit's job is joined, and its state checked finite, before its next batch
+    and before this returns; on an error the pool's owner joins what is left."""
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
     n = task.train_x.shape[0]
+    pending: dict[int, tuple[Future | None, int]] = {}
+
+    def join(i: int) -> None:
+        job, batch_no = pending.pop(i, (None, 0))
+        if job is not None:
+            job.result()
+        sub = subspaces[i]
+        if not (np.isfinite(sub.H_new).all() and np.isfinite(sub.velocity).all()):
+            raise DivergenceError(
+                f"task {task_idx + 1}, batch {batch_no}, circuit {i}: non-finite Hebbian state")
+
+    batch_no = 0
     for epoch in range(cfg.epochs):
         order = make_rng(cfg.seed, SEED_SHUFFLE, task_idx, epoch).permutation(n)
         for start in range(0, n, cfg.batch):
+            batch_no += 1
             sl = order[start : start + cfg.batch]
             x = _net_input(cfg, task.train_x[sl], hw)
             y1h = _onehot(task.train_y[sl], n_classes)
@@ -184,8 +218,13 @@ def _train_one_task(
             for i, (layer, grad) in enumerate(zip(layers, packet.layers)):
                 # The circuit learns from the raw rows and returns them projected.
                 if i in subspaces:
-                    grad = replace(grad, trace=subspaces[i].hebbian_update(grad.trace))
+                    join(i)
+                    x_hat, learn = subspaces[i].hebbian_update(grad.trace)
+                    pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
+                    grad = replace(grad, trace=x_hat)
                 sgd_update(layer, grad, cfg.lr, packet.batch)
+    for i in list(pending):
+        join(i)
 
 
 def run_continual(
@@ -253,58 +292,59 @@ def run_continual(
     logs: list[str] = []
     audit_store: dict | None = None
     hw = seq.image_hw
-    for t in range(start_task, len(seq.tasks)):
-        task = seq.tasks[t]
-        head = t if seq.head_mode == "multi" else 0
-        for i, sub in subspaces.items():
-            first, expand = cfg.subspace_schedule[i]
-            sub.expand(first if t == 0 else expand, make_rng(cfg.seed, SEED_SUBSPACE, t, i))
-        t0 = time.perf_counter()
-        _train_one_task(cfg, net, epcfg, subspaces, task, t, hw, seq.n_classes, head)
-        train_s = time.perf_counter() - t0
+    with ThreadPoolExecutor(max_workers=1) if _spare_cpu() else nullcontext() as pool:
+        for t in range(start_task, len(seq.tasks)):
+            task = seq.tasks[t]
+            head = t if seq.head_mode == "multi" else 0
+            for i, sub in subspaces.items():
+                first, expand = cfg.subspace_schedule[i]
+                sub.expand(expand if t else first, make_rng(cfg.seed, SEED_SUBSPACE, t, i))
+            t0 = time.perf_counter()
+            _train_one_task(cfg, net, epcfg, subspaces, task, t, hw, seq.n_classes, head, pool)
+            train_s = time.perf_counter() - t0
 
-        row = []
-        for i in range(t + 1):
-            eval_head = i if seq.head_mode == "multi" else 0
-            row.append(evaluate_task(cfg, net, seq.tasks[i], hw, eval_head))
-        matrix.append(row)
-        logs.append(
-            f"task {t + 1} ({task.name}): train {train_s:.1f}s, "
-            + " ".join(f"acc[{i + 1}]={a:.2f}" for i, a in enumerate(row))
-        )
-
-        for sub in subspaces.values():
-            sub.consolidate()
-
-        if t == 0 and start_task == 0 and cfg.hlop != "off" and cfg.audit_samples > 0:
-            n_pick = min(cfg.audit_samples, task.train_x.shape[0])
-            pick = make_rng(cfg.seed, SEED_AUDIT, 0).choice(
-                task.train_x.shape[0], size=n_pick, replace=False
+            row = []
+            for i in range(t + 1):
+                eval_head = i if seq.head_mode == "multi" else 0
+                row.append(evaluate_task(cfg, net, seq.tasks[i], hw, eval_head))
+            matrix.append(row)
+            logs.append(
+                f"task {t + 1} ({task.name}): train {train_s:.1f}s, "
+                + " ".join(f"acc[{i + 1}]={a:.2f}" for i, a in enumerate(row))
             )
-            feeds = collect_feeds(cfg, net, _net_input(cfg, task.train_x[pick], hw), head=0)
-            audit_store = {
-                i: {
-                    "x": feeds[i],
-                    "h": subspaces[i].H.copy(),
-                    "w": net.trainable_layers(0)[i].weight.copy(),
+
+            for sub in subspaces.values():
+                sub.consolidate()
+
+            if t == 0 and start_task == 0 and cfg.hlop != "off" and cfg.audit_samples > 0:
+                n_pick = min(cfg.audit_samples, task.train_x.shape[0])
+                pick = make_rng(cfg.seed, SEED_AUDIT, 0).choice(
+                    task.train_x.shape[0], size=n_pick, replace=False
+                )
+                feeds = collect_feeds(cfg, net, _net_input(cfg, task.train_x[pick], hw), head=0)
+                audit_store = {
+                    i: {
+                        "x": feeds[i],
+                        "h": subspaces[i].H.copy(),
+                        "w": net.trainable_layers(0)[i].weight.copy(),
+                    }
+                    for i in subspaces
                 }
-                for i in subspaces
-            }
 
-        if checkpoint_dir is not None:
-            save_checkpoint(
-                f"{checkpoint_dir}/task{t + 1}.ckpt",
-                Checkpoint(
-                    master_seed=cfg.seed,
-                    task_cursor=t + 1,
-                    layers=[
-                        (l.meta["name"], l.weight.copy(), l.bias.copy())
-                        for l in layers_all
-                    ],
-                    subspaces=subspaces,
-                    acc_matrix=[list(r) for r in matrix],
-                ),
-            )
+            if checkpoint_dir is not None:
+                save_checkpoint(
+                    f"{checkpoint_dir}/task{t + 1}.ckpt",
+                    Checkpoint(
+                        master_seed=cfg.seed,
+                        task_cursor=t + 1,
+                        layers=[
+                            (l.meta["name"], l.weight.copy(), l.bias.copy())
+                            for l in layers_all
+                        ],
+                        subspaces=subspaces,
+                        acc_matrix=[list(r) for r in matrix],
+                    ),
+                )
 
     audit = None
     if audit_store is not None:

@@ -10,6 +10,8 @@ subspace neurons over the layer's presynaptic space:
   rule  dH' = y' x^T + y' x_tilde^T  with the integrated return signal
   x_tilde from both banks, which drives ``H_new`` toward the principal
   subspace of the current input stream that is not already covered by ``H``.
+  ``hebbian_update`` hands a batch's repeats back as ``learn``, which may run
+  on another thread, as the paper's separate lateral population learns.
 
 With no consolidated rows the rule reduces exactly to the Oja subspace form
 dH = eta (y x^T - y y^T H); with them it is the same form with the projected
@@ -23,7 +25,7 @@ high-frequency bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -145,10 +147,12 @@ class LateralSubspace:
         x_minus_new = -(y_new @ self.H_new)
         return y, x_minus, y_new, x_minus_new, x_minus + x_minus_new
 
-    def hebbian_update(self, x_batch: np.ndarray) -> np.ndarray:
-        """Run K two-stage Hebbian updates of ``H_new`` on one batch and return
-        its projected trace x_hat = ``project_trace(x_batch)`` (2-D), which is
-        also the trace of the host layer's weight update.
+    def hebbian_update(self, x_batch: np.ndarray) -> tuple[np.ndarray, Callable[[], None]]:
+        """Return ``(x_hat, learn)`` for one batch: the host layer's update
+        trace x_hat = ``project_trace(x_batch)`` (2-D), which reads only ``H``,
+        and ``learn()``, which runs K two-stage Hebbian updates and writes only
+        ``H_new`` and ``velocity``. A caller may run ``learn`` later, on another
+        thread, if it ends before the next ``hebbian_update`` or ``consolidate``.
 
         The two-stage rule dH' = y' x^T + y' x_tilde^T is evaluated in its
         Oja form. The consolidated bank's part of the return, x + x_minus,
@@ -178,12 +182,13 @@ class LateralSubspace:
         energy = float(np.mean(np.sum(x * x, axis=1)))
         cap = 4.0 * (1.0 - self.momentum) / self.eta
         gain = cap / energy if energy > cap else 1.0
-        for _ in range(self.K):
-            y_new = self._out(x @ self.H_new.T)
-            delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
-            self.velocity = self.momentum * self.velocity + delta
-            self.H_new = self.H_new + self.eta * self.velocity
-        return x_hat
+        def learn() -> None:
+            for _ in range(self.K):
+                y_new = self._out(x @ self.H_new.T)
+                delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
+                self.velocity = self.momentum * self.velocity + delta
+                self.H_new = self.H_new + self.eta * self.velocity
+        return x_hat, learn
 
     def expand(self, k_add: int, rng: np.random.Generator) -> None:
         """Grow the in-training bank by ``k_add`` small random rows.

@@ -99,7 +99,8 @@ def streaming_subspace_demo(
     recover the 3-dimensional dominant subspace. The constant learning rate
     and momentum leave a stochastic fluctuation floor that shrinks with the
     minibatch size; 1000-sample minibatches over 10 passes sit well under
-    the 0.1 alignment bound. Returns the alignment error against
+    the 0.1 alignment bound. With no trainer to overlap, each batch's
+    ``learn`` runs at once. Returns the alignment error against
     ``topk_principal`` on the same samples, plus both subspaces.
     """
     rng = make_rng(seed, 0)
@@ -110,7 +111,8 @@ def streaming_subspace_demo(
     sub.expand(k, make_rng(seed, 1))
     for _ in range(passes):
         for start in range(0, samples, batch):
-            sub.hebbian_update(data[start : start + batch])
+            _, learn = sub.hebbian_update(data[start : start + batch])
+            learn()
     sub.consolidate()
     m = topk_principal(data, k)
     return subspace_alignment_error(sub.H, m), sub, m

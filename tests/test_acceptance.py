@@ -126,7 +126,9 @@ def test_criterion_3_projection_contract():
         worst_null = max(worst_null, float(ratio))
 
     grad = LayerGrad(delta=rng.normal(size=(64, 8)), trace=rng.normal(size=(64, 40)))
-    sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), lr=0.5, batch=64)
+    x_hat, learn = sub.hebbian_update(grad.trace)
+    learn()
+    sgd_update(layer, replace(grad, trace=x_hat), lr=0.5, batch=64)
     worst_resp = 0.0
     for x in xs:
         dev = np.max(np.abs((layer.weight - w0) @ x))

@@ -39,7 +39,7 @@ def _write_cfg(path, out_dir, **kw):
 
 
 # Values the parser accepts but a run cannot use, keyed by the field the
-# refusal must name.
+# refusal must name (a second case of a field adds "=<value>" to its key).
 _OUT_OF_RANGE = {
     "seed": dict(seed=-1),
     "test_per_task": dict(test_per_task=0),
@@ -48,6 +48,11 @@ _OUT_OF_RANGE = {
     "n_tasks": dict(task="split_mnist", n_tasks=6),
     "hidden_sizes": dict(hidden_sizes="[True, 200]"),
     "subspace_schedule[0]": dict(subspace_schedule="[[True, 1], [5, 2], [3, 1]]"),
+    "lr": dict(lr="1e999"),
+    "lr=nan": dict(lr="nan"),
+    "ss_scale": dict(errorprop="ss", ss_scale=-1.0),
+    "conv_pool=3": dict(task="split_mnist", conv_pool=3),
+    "conv_kernel": dict(task="split_mnist", conv_kernel=29),
 }
 
 
@@ -102,7 +107,8 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 2
         head, *problems = capsys.readouterr().err.splitlines()
         assert head == "invalid configuration:"
-        assert len(problems) == 1 and problems[0].startswith(f"  - {field}: ")
+        name = field.partition("=")[0]
+        assert len(problems) == 1 and problems[0].startswith(f"  - {name}: ")
         assert not (run_env / "out").exists()
 
     def test_missing_dataset_exit_3(self, run_env, monkeypatch, capsys):

@@ -93,7 +93,8 @@ class TestHebbianOjaForm:
         energies = np.mean(np.sum(feeds**2, axis=2), axis=1)
         assert np.all((energies > _damping_cap(fast)) == damped)
         for x in feeds:
-            fast.hebbian_update(x)
+            _, learn = fast.hebbian_update(x)
+            learn()
             _reference_hebbian(ref, x)
         assert np.max(np.abs(fast.H_new - ref.H_new)) <= 1e-12
         assert np.max(np.abs(fast.velocity - ref.velocity)) <= 1e-12
@@ -111,13 +112,17 @@ class TestUpdateSpaceProjection:
     def test_linear_matches_row_space_projection(self):
         sub, layer, grad = self._case("linear")
         expect = layer.weight - 0.3 * (grad.delta.T @ sub.project_trace(grad.trace)) / 30
-        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), 0.3, 30)
+        x_hat, learn = sub.hebbian_update(grad.trace)
+        learn()
+        sgd_update(layer, replace(grad, trace=x_hat), 0.3, 30)
         assert np.max(np.abs(layer.weight - expect)) <= 1e-12
 
     def test_spiking_projects_trace_rows(self):
         sub, layer, grad = self._case("spiking")
         expect = layer.weight - 0.3 * (grad.delta.T @ sub.project_trace(grad.trace)) / 30
-        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), 0.3, 30)
+        x_hat, learn = sub.hebbian_update(grad.trace)
+        learn()
+        sgd_update(layer, replace(grad, trace=x_hat), 0.3, 30)
         assert np.array_equal(layer.weight, expect)
 
 

@@ -1,10 +1,11 @@
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hlop.config import ConfigError, config_from_dict
+from hlop.config import ConfigError, ExperimentConfig, config_from_dict
 from hlop.harness.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from hlop.harness import loop
 from hlop.harness.data import (
@@ -282,12 +283,17 @@ class TestCheckpoint:
         sub = loop.make_subspaces(_small_cfg(hlop="linear", hidden_sizes=[20]), net)[0]
         x = (make_rng(17, 0).random(size=(384, 1352)) < 0.3).astype(float)
         sub.expand(40, make_rng(18, 0))
-        sub.hebbian_update(x)
+        _, learn = sub.hebbian_update(x)
+        learn()
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[],
                                          subspaces={0: sub}))
         back = load_checkpoint(path).subspaces[0]
-        assert np.array_equal(back.hebbian_update(x), sub.hebbian_update(x))
+        back_hat, back_learn = back.hebbian_update(x)
+        sub_hat, sub_learn = sub.hebbian_update(x)
+        back_learn()
+        sub_learn()
+        assert np.array_equal(back_hat, sub_hat)
         assert np.array_equal(back.H_new, sub.H_new)
         assert np.array_equal(back.velocity, sub.velocity)
 
@@ -480,6 +486,16 @@ class TestConfigValidation:
                 "hlop": "linear", "n_tasks": 5,
                 "subspace_schedule": [[80, 70], [150, 30], [25, 18]],
             })
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_are_refused(self, value):
+        floats = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+        assert "lr" in floats and "ss_scale" in floats
+        for name in floats:
+            key = "lambda" if name == "lam" else name
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict({key: value})
+            assert any(p.startswith(f"{key}: must be finite") for p in exc.value.problems)
 
     def test_type_mismatches_reported_together(self):
         with pytest.raises(ConfigError) as exc:

@@ -75,7 +75,8 @@ class TestHebbianUpdate:
         h = _orthonormal_rows(4, 4, seed=7)
         sub = LateralSubspace(n=4, H_new=h.copy())
         x = make_rng(8, 0).normal(size=(16, 4))
-        sub.hebbian_update(x)
+        _, learn = sub.hebbian_update(x)
+        learn()
         assert np.max(np.abs(sub.H_new - h)) < 1e-12
         assert np.max(np.abs(sub.velocity)) < 1e-12
 
@@ -91,7 +92,8 @@ class TestHebbianUpdate:
         sub = LateralSubspace(n=2)
         sub.expand(1, make_rng(10, 0))
         for start in range(0, n_samples, 4):  # 500 batches * K=5 = 2500 updates
-            sub.hebbian_update(data[start : start + 4])
+            _, learn = sub.hebbian_update(data[start : start + 4])
+            learn()
         m = topk_principal(data, 1)
         assert subspace_alignment_error(sub.H_new, m) < 0.05
 
@@ -121,8 +123,24 @@ class TestHebbianUpdate:
         x = make_rng(19, 0).uniform(0.0, 2.0, size=(10, 6))
         expect = sub.project_trace(x)
         assert not np.allclose(expect, x)
-        assert np.array_equal(sub.hebbian_update(x), expect)
+        x_hat, learn = sub.hebbian_update(x)
+        learn()
+        assert np.array_equal(x_hat, expect)
         assert sub.k_new == k_new
+
+    def test_only_learn_writes_the_in_training_bank(self):
+        # hebbian_update projects and returns; the repeats wait for learn(),
+        # which touches neither H nor the trace already handed out.
+        sub = LateralSubspace(n=6, H=_orthonormal_rows(6, 2, seed=20))
+        sub.expand(2, make_rng(21, 0))
+        x = make_rng(22, 0).uniform(0.0, 2.0, size=(10, 6))
+        h, h_new, v = sub.H.copy(), sub.H_new.copy(), sub.velocity.copy()
+        x_hat, learn = sub.hebbian_update(x)
+        assert np.array_equal(sub.H_new, h_new) and np.array_equal(sub.velocity, v)
+        held = x_hat.copy()
+        learn()
+        assert not np.array_equal(sub.H_new, h_new) and not np.array_equal(sub.velocity, v)
+        assert np.array_equal(sub.H, h) and np.array_equal(x_hat, held)
 
     def test_never_touches_consolidated_rows(self):
         h = _orthonormal_rows(5, 2, seed=12)
@@ -130,7 +148,8 @@ class TestHebbianUpdate:
         sub.expand(2, make_rng(13, 0))
         before = sub.H.tobytes()
         for _ in range(10):
-            sub.hebbian_update(make_rng(14, 0).normal(size=(8, 5)))
+            _, learn = sub.hebbian_update(make_rng(14, 0).normal(size=(8, 5)))
+            learn()
         assert sub.H.tobytes() == before
 
     def test_objective_gradient_on_toy(self):
@@ -171,7 +190,8 @@ class TestHebbianUpdate:
         sub = LateralSubspace(n=1352)
         sub.expand(40, make_rng(18, 0))
         for _ in range(40):
-            sub.hebbian_update(x)
+            _, learn = sub.hebbian_update(x)
+            learn()
         assert np.all(np.isfinite(sub.H_new))
         assert np.linalg.norm(sub.H_new, axis=1).max() < 2.0
 
@@ -230,7 +250,8 @@ class TestExpandConsolidate:
         sub.expand(2, make_rng(26, 0))
         before = np.linalg.norm(sub.project_trace(held))
         for start in range(0, 3000, 100):
-            sub.hebbian_update(data[start : start + 100])
+            _, learn = sub.hebbian_update(data[start : start + 100])
+            learn()
         sub.consolidate()
         after = np.linalg.norm(sub.project_trace(held))
         assert after < 0.2 * before

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from hlop.config import config_from_dict
+from hlop.harness import loop
 from hlop.harness.loop import run_continual
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -63,4 +64,19 @@ def test_two_task_split_run_records_the_conv_spans(data_pools, tmp_path):
     assert missing == []
     spans = {name for name, *_ in tr.spans}
     assert {"spiking.unfold", "spiking.pool", "spiking.pool_backward"} <= spans
+    assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))
+
+
+def test_two_task_spiking_run_with_the_worker_on(data_pools, tmp_path, monkeypatch):
+    # The repeats run on the worker thread, so the benchmark's traced
+    # quantize_subspace_output is entered from there; the count hooks keep
+    # their fixed signatures on the training thread.
+    monkeypatch.setattr(loop, "_spare_cpu", lambda: True)
+    _, ran, tr, missing, res = _traced_run(dict(
+        seed=99, hlop="spiking", n_tasks=2, train_per_task=128, test_per_task=64,
+        audit_samples=16,
+    ), data_pools, tmp_path)
+    assert missing == []
+    assert {"_count_hebbian", "_count_project"} <= ran
+    assert "lateral.quantize" in {name for name, *_ in tr.spans}
     assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))

@@ -351,7 +351,9 @@ class TestSgdUpdate:
         before = layer.weight.copy()
         sub = LateralSubspace(n=3, H=np.eye(3))  # annihilates everything
         grad = LayerGrad(delta=np.ones((4, 2)), trace=make_rng(22, 0).normal(size=(4, 3)))
-        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), lr=0.5, batch=4)
+        x_hat, learn = sub.hebbian_update(grad.trace)
+        learn()
+        sgd_update(layer, replace(grad, trace=x_hat), lr=0.5, batch=4)
         assert np.allclose(layer.weight, before, atol=1e-15)
 
     def test_single_entry_hand_product(self):
@@ -381,14 +383,18 @@ class TestSgdUpdate:
         x_old = q @ rng.normal(size=3)  # inside the protected rowspace
         before = layer.weight @ x_old
         grad = LayerGrad(delta=rng.normal(size=(6, 4)), trace=rng.normal(size=(6, 8)))
-        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), lr=0.3, batch=6)
+        x_hat, learn = sub.hebbian_update(grad.trace)
+        learn()
+        sgd_update(layer, replace(grad, trace=x_hat), lr=0.3, batch=6)
         assert np.max(np.abs(layer.weight @ x_old - before)) < 1e-10
 
     def test_bias_excluded_from_projection(self):
         sub = LateralSubspace(n=3, H=np.eye(3))
         layer = Layer(weight=np.zeros((2, 3)), bias=np.zeros(2))
         grad = LayerGrad(delta=np.ones((4, 2)), trace=np.ones((4, 3)))
-        sgd_update(layer, replace(grad, trace=sub.hebbian_update(grad.trace)), lr=0.5, batch=4)
+        x_hat, learn = sub.hebbian_update(grad.trace)
+        learn()
+        sgd_update(layer, replace(grad, trace=x_hat), lr=0.5, batch=4)
         assert not layer.weight.any()
         assert np.allclose(layer.bias, -0.5)
 

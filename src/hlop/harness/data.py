@@ -261,7 +261,6 @@ class Task:
 @dataclass
 class TaskSequence:
     tasks: list[Task]
-    head_mode: str  # "single" | "multi"
     n_classes: int
     image_hw: tuple[int, int] = (28, 28)
 
@@ -312,9 +311,7 @@ def make_pmnist_tasks(
                 permutation=perm,
             )
         )
-    return TaskSequence(
-        tasks=tasks, head_mode="single", n_classes=10, image_hw=train.image_hw
-    )
+    return TaskSequence(tasks=tasks, n_classes=10, image_hw=train.image_hw)
 
 
 def make_split_tasks(
@@ -355,6 +352,4 @@ def make_split_tasks(
                 classes=classes,
             )
         )
-    return TaskSequence(
-        tasks=tasks, head_mode="multi", n_classes=2, image_hw=train.image_hw
-    )
+    return TaskSequence(tasks=tasks, n_classes=2, image_hw=train.image_hw)

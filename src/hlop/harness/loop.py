@@ -7,6 +7,8 @@ them projected for the layer's update), evaluates on all tasks seen so far,
 and freezes the new subspace rows. All randomness derives from the master
 seed through fixed sub-stream paths, so one integer reproduces the whole
 run, and a checkpoint written at any task boundary resumes it bit for bit.
+Batches enter the net as flat float rows, one per sample, whatever the task:
+only the conv layer views them as images.
 With a CPU to spare, one FIFO worker thread runs the circuits' Hebbian repeats
 beside the next batch, in each circuit's order, so no result byte changes.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from ..config import ExperimentConfig
 from ..lateral import LateralSubspace, QuantConfig
 from ..linalg import make_rng, rowspace_projector
-from ..spiking import NeuronConfig
+from ..spiking import NeuronConfig, conv_output_hw
 from ..training import (
     ErrorPropConfig,
     SpikingNet,
@@ -119,12 +121,10 @@ def make_task_sequence(
     )
 
 
-def _net_input(cfg: ExperimentConfig, x: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
-    """Scale a uint8 pixel batch to the net's float64 input in [0, 1]: the only pixel scaling."""
-    x = x.astype(np.float64) / 255.0
-    if cfg.task == "split_mnist":
-        return x.reshape(x.shape[0], 1, *hw)
-    return x
+def _net_input(x: np.ndarray) -> np.ndarray:
+    """Scale a uint8 pixel batch to the net's float64 input rows in [0, 1]:
+    the only pixel scaling."""
+    return x.astype(np.float64) / 255.0
 
 
 def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -135,7 +135,6 @@ def evaluate_task(
     cfg: ExperimentConfig,
     net: SpikingNet,
     task: Task,
-    hw: tuple[int, int],
     head: int,
     eval_batch: int = 256,
 ) -> float:
@@ -143,7 +142,7 @@ def evaluate_task(
     correct = 0
     n = task.test_x.shape[0]
     for start in range(0, n, eval_batch):
-        x = _net_input(cfg, task.test_x[start : start + eval_batch], hw)
+        x = _net_input(task.test_x[start : start + eval_batch])
         pred = predict(net, x, cfg.trainer, head)
         correct += int(np.sum(pred == task.test_y[start : start + eval_batch]))
     return 100.0 * correct / n
@@ -184,8 +183,6 @@ def _train_one_task(
     subspaces: dict[int, LateralSubspace],
     task: Task,
     task_idx: int,
-    hw: tuple[int, int],
-    n_classes: int,
     head: int,
     pool: ThreadPoolExecutor | None = None,
 ) -> None:
@@ -212,8 +209,8 @@ def _train_one_task(
         for start in range(0, n, cfg.batch):
             batch_no += 1
             sl = order[start : start + cfg.batch]
-            x = _net_input(cfg, task.train_x[sl], hw)
-            y1h = _onehot(task.train_y[sl], n_classes)
+            x = _net_input(task.train_x[sl])
+            y1h = _onehot(task.train_y[sl], layers[-1].out_dim)
             packet, _ = trainer(net, x, y1h, epcfg, head)
             for i, (layer, grad) in enumerate(zip(layers, packet.layers)):
                 # The circuit learns from the raw rows and returns them projected.
@@ -255,6 +252,12 @@ def run_continual(
         data = load_data_dir(data_dir)
     train, test = data
     seq = make_task_sequence(cfg, train, test)
+    if cfg.task == "split_mnist":
+        (h, w), k, p = seq.image_hw, cfg.conv_kernel, cfg.conv_pool
+        oh, ow = conv_output_hw(h, w, k)
+        if min(oh, ow) < 1 or oh % p or ow % p:
+            raise ImageSizeError(f"conv_kernel {k} and conv_pool {p} do not tile "
+                                 f"{h}x{w} images (conv map {oh}x{ow})")
     net = build_net(cfg, seq)
     epcfg = ErrorPropConfig(
         mode=cfg.errorprop,
@@ -263,7 +266,7 @@ def run_continual(
             if cfg.errorprop == "fa"
             else {}
         ),
-        ss_scale=None if cfg.ss_scale == 0.0 else cfg.ss_scale,
+        ss_scale=cfg.ss_scale,
     )
     subspaces = make_subspaces(cfg, net)
     for i, sub in subspaces.items():
@@ -282,7 +285,7 @@ def run_continual(
         _check_resume_fits(ckpt, cfg, net, subspaces)
         by_name = {name: (w, b) for name, w, b in ckpt.layers}
         for layer in layers_all:
-            w, b = by_name[layer.meta["name"]]
+            w, b = by_name[layer.name]
             layer.weight[...] = w
             layer.bias[...] = b
         subspaces.update(ckpt.subspaces)
@@ -291,22 +294,21 @@ def run_continual(
 
     logs: list[str] = []
     audit_store: dict | None = None
-    hw = seq.image_hw
     with ThreadPoolExecutor(max_workers=1) if _spare_cpu() else nullcontext() as pool:
         for t in range(start_task, len(seq.tasks)):
             task = seq.tasks[t]
-            head = t if seq.head_mode == "multi" else 0
+            head = t if len(net.heads) > 1 else 0
             for i, sub in subspaces.items():
                 first, expand = cfg.subspace_schedule[i]
                 sub.expand(expand if t else first, make_rng(cfg.seed, SEED_SUBSPACE, t, i))
             t0 = time.perf_counter()
-            _train_one_task(cfg, net, epcfg, subspaces, task, t, hw, seq.n_classes, head, pool)
+            _train_one_task(cfg, net, epcfg, subspaces, task, t, head, pool)
             train_s = time.perf_counter() - t0
 
-            row = []
-            for i in range(t + 1):
-                eval_head = i if seq.head_mode == "multi" else 0
-                row.append(evaluate_task(cfg, net, seq.tasks[i], hw, eval_head))
+            row = [
+                evaluate_task(cfg, net, seq.tasks[i], i if len(net.heads) > 1 else 0)
+                for i in range(t + 1)
+            ]
             matrix.append(row)
             logs.append(
                 f"task {t + 1} ({task.name}): train {train_s:.1f}s, "
@@ -321,7 +323,7 @@ def run_continual(
                 pick = make_rng(cfg.seed, SEED_AUDIT, 0).choice(
                     task.train_x.shape[0], size=n_pick, replace=False
                 )
-                feeds = collect_feeds(cfg, net, _net_input(cfg, task.train_x[pick], hw), head=0)
+                feeds = collect_feeds(cfg, net, _net_input(task.train_x[pick]), head=0)
                 audit_store = {
                     i: {
                         "x": feeds[i],
@@ -338,7 +340,7 @@ def run_continual(
                         master_seed=cfg.seed,
                         task_cursor=t + 1,
                         layers=[
-                            (l.meta["name"], l.weight.copy(), l.bias.copy())
+                            (l.name, l.weight.copy(), l.bias.copy())
                             for l in layers_all
                         ],
                         subspaces=subspaces,
@@ -368,7 +370,7 @@ def _check_resume_fits(
     if ckpt.task_cursor > cfg.n_tasks or len(ckpt.acc_matrix) != ckpt.task_cursor:
         raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
     saved = {name: (w.shape, b.shape) for name, w, b in ckpt.layers}
-    built = {l.meta["name"]: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
+    built = {l.name: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
     circuit = ("n", "mode", "quant.scale", "quant.T_l")
     for table, subs in ((saved, ckpt.subspaces), (built, subspaces)):
         for i, sub in subs.items():

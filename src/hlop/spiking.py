@@ -12,7 +12,7 @@ as constant real-valued input currents at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class LayerState:
 
     Arrays are (rows, neurons), in the row layout of the layer's presynaptic
     rows: one row per sample for a dense layer, one per sample and output
-    position for a conv layer, whose neurons are its channels.
+    position for a conv layer, whose neurons are its channels. Between
+    layers every carry is flat rows, one per sample.
     """
 
     u: np.ndarray
@@ -161,56 +162,42 @@ def rate_forward_transform(
     return np.clip(pre, 0.0, cfg.rate_bound)
 
 
-def unfold_patches(feature_map: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Extract conv receptive-field patches as rows.
+def unfold_patches(feature_map: np.ndarray, kernel: int) -> np.ndarray:
+    """Extract the stride-1 receptive-field patches of (B, C, H, W) maps as rows.
 
-    Args:
-        feature_map: (C, H, W) or (batch, C, H, W).
-        kernel: square kernel size.
-        stride: step between patches.
-
-    Returns:
-        (patches, kernel*kernel*C) for a single map, or
-        (batch * patches, kernel*kernel*C) with the batch axis outermost.
-        Each row is one receptive field; lateral circuits treat rows as
-        independent samples.
+    Returns (B * oh * ow, kernel*kernel*C) with the batch axis outermost.
+    Each row is one receptive field; lateral circuits treat rows as
+    independent samples.
 
     Raises:
-        ShapeError: if the geometry does not tile the map.
+        ShapeError: if the maps are not 4-D or the kernel does not fit them.
     """
     fm = np.asarray(feature_map, dtype=np.float64)
-    single = fm.ndim == 3
-    if single:
-        fm = fm[None]
     if fm.ndim != 4:
-        raise ShapeError(f"expected (C,H,W) or (B,C,H,W), got shape {feature_map.shape}")
+        raise ShapeError(f"expected (B,C,H,W) maps, got shape {fm.shape}")
     b, c, h, w = fm.shape
-    if kernel < 1 or stride < 1:
-        raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
-    if kernel > h or kernel > w or (h - kernel) % stride or (w - kernel) % stride:
-        raise ShapeError(
-            f"kernel {kernel} / stride {stride} incompatible with {h}x{w} map"
-        )
-    oh, ow = conv_output_hw(h, w, kernel, stride)
+    if not 1 <= kernel <= min(h, w):
+        raise ShapeError(f"kernel {kernel} does not fit a {h}x{w} map")
+    oh, ow = conv_output_hw(h, w, kernel)
     sb, sc, sh, sw = fm.strides
     windows = np.lib.stride_tricks.as_strided(
         fm,
         shape=(b, oh, ow, c, kernel, kernel),
-        strides=(sb, sh * stride, sw * stride, sc, sh, sw),
+        strides=(sb, sh, sw, sc, sh, sw),
         writeable=False,
     )
     patches = windows.reshape(b * oh * ow, c * kernel * kernel)
     return np.ascontiguousarray(patches)
 
 
-def conv_output_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
-    return (h - kernel) // stride + 1, (w - kernel) // stride + 1
+def conv_output_hw(h: int, w: int, kernel: int) -> tuple[int, int]:
+    return h - kernel + 1, w - kernel + 1
 
 
 def pooled_flat_width(channels: int, in_hw: tuple[int, int], kernel: int, pool: int) -> int:
     """Width of a stride-1 conv block's flattened, pooled spike map: the
     fan-in of the dense layer above it."""
-    oh, ow = conv_output_hw(*in_hw, kernel, 1)
+    oh, ow = conv_output_hw(*in_hw, kernel)
     return channels * (oh // pool) * (ow // pool)
 
 
@@ -235,23 +222,25 @@ def avg_pool_backward(grad: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass
 class Layer:
-    """One trainable connection: dense, or conv expressed over patch rows.
+    """One trainable connection: dense, or a stride-1 conv over patch rows.
 
     Dense: ``weight`` is (out, in). Conv: ``weight`` is
     (out_channels, kernel*kernel*in_channels) applied to unfolded patches,
-    so its current and state have one row per patch (output position);
-    geometry fields describe the hosted feature map.
+    so its current and state have one row per patch (output position). A
+    conv layer is the only owner of image geometry: it takes flat
+    (B, in_channels*H*W) rows, views them as maps of ``in_hw`` to unfold,
+    and hands the layer above its pooled spikes flattened back to rows.
+    ``name`` keys the layer in checkpoints and feedback matrices.
     """
 
     weight: np.ndarray
     bias: np.ndarray
     kind: str = "dense"  # "dense" | "conv"
     kernel: int = 0
-    stride: int = 1
     in_channels: int = 0
     in_hw: tuple[int, int] = (0, 0)
     pool: int = 1  # average-pool window applied to this layer's spikes
-    meta: dict = field(default_factory=dict)
+    name: str = ""
 
     @property
     def out_dim(self) -> int:
@@ -266,7 +255,7 @@ class Layer:
     def out_hw(self) -> tuple[int, int]:
         if self.kind != "conv":
             raise ShapeError("out_hw only defined for conv layers")
-        return conv_output_hw(*self.in_hw, self.kernel, self.stride)
+        return conv_output_hw(*self.in_hw, self.kernel)
 
 
 def dense_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> Layer:
@@ -283,7 +272,6 @@ def conv_layer(
     kernel: int,
     in_hw: tuple[int, int],
     rng: np.random.Generator,
-    stride: int = 1,
     pool: int = 1,
 ) -> Layer:
     """Conv layer stored in patch form: weight (out_c, k*k*in_c), zero bias."""
@@ -296,7 +284,6 @@ def conv_layer(
         bias=np.zeros(out_channels),
         kind="conv",
         kernel=kernel,
-        stride=stride,
         in_channels=in_channels,
         in_hw=in_hw,
         pool=pool,

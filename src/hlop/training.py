@@ -31,10 +31,13 @@ OTTT's other layers regroup their eligibility-trace sums by the step each row
 entered, (e, x) with e_t = c_t + lam * e_{t+1} (see ``ottt_backward``), so no
 eligibility trace is formed.
 
-Every layer's currents, states and errors share the row layout of its
-presynaptic rows: a conv layer's neurons live in patch rows, one per output
-position. Only ``_presyn_rows`` (unfold), ``_post_block`` (pool) and
-``_route_error_to_block`` (unpool) know the conv geometry.
+Flat rows in, flat rows out: the net takes one (C*H*W) row per sample, and
+every carry between layers is one row per sample. Every layer's currents,
+states and errors share the row layout of its presynaptic rows: a conv
+layer's neurons live in patch rows, one per output position. Only the conv
+layer knows the image geometry, read by ``_presyn_rows`` (view the rows as
+maps, unfold), ``_post_block`` (pool, flatten) and ``_route_error_to_block``
+(unpool).
 
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
@@ -43,7 +46,7 @@ matrices), or sign symmetry.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,11 +84,6 @@ class SpikingNet:
         return [*self.blocks, self.heads[head]]
 
 
-def _named(layer: Layer, name: str) -> Layer:
-    layer.meta["name"] = name
-    return layer
-
-
 def build_mlp(
     in_dim: int,
     hidden: list[int],
@@ -99,9 +97,9 @@ def build_mlp(
     blocks = []
     prev = in_dim
     for i, h in enumerate(hidden):
-        blocks.append(_named(dense_layer(h, prev, rng), f"block{i}"))
+        blocks.append(replace(dense_layer(h, prev, rng), name=f"block{i}"))
         prev = h
-    heads = [_named(dense_layer(n_classes, prev, rng), f"head{i}") for i in range(n_heads)]
+    heads = [replace(dense_layer(n_classes, prev, rng), name=f"head{i}") for i in range(n_heads)]
     return SpikingNet(blocks=blocks, heads=heads, cfg=cfg)
 
 
@@ -119,10 +117,10 @@ def build_conv_net(
 ) -> SpikingNet:
     from .spiking import conv_layer, dense_layer, pooled_flat_width
 
-    conv = _named(conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool), "block0")
+    conv = replace(conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool), name="block0")
     flat = pooled_flat_width(channels, in_hw, kernel, pool)
-    dense = _named(dense_layer(hidden, flat, rng), "block1")
-    heads = [_named(dense_layer(n_classes, hidden, rng), f"head{i}") for i in range(n_heads)]
+    dense = replace(dense_layer(hidden, flat, rng), name="block1")
+    heads = [replace(dense_layer(n_classes, hidden, rng), name=f"head{i}") for i in range(n_heads)]
     return SpikingNet(blocks=[conv, dense], heads=heads, cfg=cfg)
 
 
@@ -136,13 +134,13 @@ class ErrorPropConfig:
 
     ``bp`` uses transposed forward weights, ``fa`` fixed random feedback
     matrices (one per layer, frozen after init), ``ss`` the sign pattern of
-    the forward weights scaled to prevent explosion. ``ss_scale`` overrides
-    the default per-layer scale (mean absolute forward weight).
+    the forward weights scaled to prevent explosion: by ``ss_scale``, or by
+    the layer's mean absolute forward weight when it is 0.
     """
 
     mode: str = "bp"  # "bp" | "fa" | "ss"
     feedback: dict[str, np.ndarray] = field(default_factory=dict)
-    ss_scale: float | None = None
+    ss_scale: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("bp", "fa", "ss"):
@@ -153,12 +151,14 @@ def init_feedback(net: SpikingNet, rng: np.random.Generator) -> dict[str, np.nda
     """Fixed feedback matrices for feedback alignment.
 
     Each layer gets F of shape (in, out) drawn from the same Kaiming-uniform
-    distribution as its forward weights.
+    distribution as its forward weights, keyed by the layer's name.
     """
     feedback = {}
     for layer in [*net.blocks, *net.heads]:
+        if layer.name in feedback:
+            raise ValueError(f"layer name {layer.name!r} repeats; each F needs its own name")
         out_dim, in_dim = layer.weight.shape
-        feedback[layer.meta["name"]] = kaiming_uniform_init(
+        feedback[layer.name] = kaiming_uniform_init(
             in_dim, out_dim, fan_in=in_dim, rng=rng
         )
     return feedback
@@ -180,15 +180,12 @@ def backprop_error(
     if epcfg.mode == "bp":
         return delta_out @ layer.weight
     if epcfg.mode == "fa":
-        name = layer.meta.get("name")
-        f = epcfg.feedback.get(name)
+        f = epcfg.feedback.get(layer.name)
         if f is None:
-            raise ValueError(f"feedback alignment requires an F matrix for layer {name!r}")
+            raise ValueError(f"feedback alignment requires an F matrix for layer {layer.name!r}")
         return delta_out @ f.T
     # sign symmetric
-    scale = epcfg.ss_scale
-    if scale is None:
-        scale = float(np.mean(np.abs(layer.weight)))
+    scale = epcfg.ss_scale or float(np.mean(np.abs(layer.weight)))
     return scale * (delta_out @ np.sign(layer.weight))
 
 
@@ -258,13 +255,12 @@ def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
 
 
 def _presyn_rows(layer: Layer, carry: np.ndarray) -> np.ndarray:
-    """Rows of presynaptic input feeding ``layer`` (unfolds conv patches)."""
+    """Presynaptic rows feeding ``layer``: a conv layer views its carry,
+    (B, C*H*W) rows or (B, C, H, W) maps, as maps and unfolds their patches;
+    a dense layer takes its (B, in) rows as they are."""
     if layer.kind == "conv":
-        if carry.ndim != 4:
-            raise ShapeError(f"conv layer expects a (B,C,H,W) carry, got {carry.shape}")
-        return unfold_patches(carry, layer.kernel, layer.stride)
-    if carry.ndim > 2:
-        return carry.reshape(carry.shape[0], -1)
+        maps = carry.reshape(len(carry), layer.in_channels, *layer.in_hw)
+        return unfold_patches(maps, layer.kernel)
     return carry
 
 
@@ -274,13 +270,15 @@ def _layer_current(layer: Layer, rows: np.ndarray) -> np.ndarray:
 
 
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
-    """Spike rows of a block as the carry for the next one: conv rows (one per
-    output position) are viewed as (B, C, oh, ow) maps and pooled."""
+    """Spike rows of a block as the carry for the next one, one row per
+    sample: conv rows (one per output position) are viewed as (B, C, oh, ow)
+    maps, pooled and flattened channel-major."""
     if layer.kind != "conv":
         return s
     oh, ow = layer.out_hw
     maps = s.reshape(-1, oh, ow, layer.out_dim).transpose(0, 3, 1, 2)
-    return avg_pool(maps, layer.pool) if layer.pool > 1 else maps
+    pooled = avg_pool(maps, layer.pool) if layer.pool > 1 else maps
+    return pooled.reshape(len(pooled), -1)
 
 
 def _route_error_to_block(delta_flat: np.ndarray, below: Layer) -> np.ndarray:

@@ -145,17 +145,21 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: classes (0, 1): need 5000 train")
 
-    def test_image_size_too_small_for_circuits_exit_3(self, run_env, monkeypatch, capsys):
-        # The config checks the conv circuits against 28x28 input (dense
-        # width 1352); 20x20 images give 648, too narrow for 338 + 4*112 rows.
-        data = run_env / "data20"
+    @staticmethod
+    def _use_images_of_size(run_env, monkeypatch, hw):
+        data = run_env / f"data{hw[0]}"
         data.mkdir()
-        tr_x, tr_y, te_x, te_y = synth_digit_pools(1500, 400, seed=1, hw=(20, 20))
+        tr_x, tr_y, te_x, te_y = synth_digit_pools(1500, 400, seed=1, hw=hw)
         write_idx_images(str(data / TRAIN_IMAGES), tr_x)
         write_idx_labels(str(data / TRAIN_LABELS), tr_y)
         write_idx_images(str(data / TEST_IMAGES), te_x)
         write_idx_labels(str(data / TEST_LABELS), te_y)
         monkeypatch.setenv("HLOP_DATA_DIR", str(data))
+
+    def test_image_size_too_small_for_circuits_exit_3(self, run_env, monkeypatch, capsys):
+        # The config checks the conv circuits against 28x28 input (dense
+        # width 1352); 20x20 images give 648, too narrow for 338 + 4*112 rows.
+        self._use_images_of_size(run_env, monkeypatch, (20, 20))
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist",
                    n_tasks=5, train_per_task=200, test_per_task=50, conv_channels=8,
@@ -164,6 +168,19 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: subspace 1: ")
         assert "786 rows" in line and "(20, 20)" in line and "width 648" in line
+        assert not (run_env / "out" / "metrics.csv").exists()
+
+    def test_image_size_the_conv_pool_does_not_tile_exit_3(self, run_env, monkeypatch, capsys):
+        # The config checks the conv map against 28x28 input (26x26, which
+        # pool 2 divides); 29x29 images give a 27x27 map.
+        self._use_images_of_size(run_env, monkeypatch, (29, 29))
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", n_tasks=2,
+                   train_per_task=100, test_per_task=50, conv_kernel=3, conv_pool=2)
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("dataset error: conv_kernel 3 and conv_pool 2 do not tile "
+                        "29x29 images (conv map 27x27)")
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_missing_resume_file_exit_3(self, run_env, capsys):

@@ -324,7 +324,7 @@ def test_conv_state_is_the_map_state_in_patch_rows():
     us, ss, _ = _spiking_forward_pass(net, x, head)
     cfg, (conv, *dense) = net.cfg, net.trainable_layers(head)
     b, c, (oh, ow), p = len(x), conv.out_dim, conv.out_hw, conv.pool
-    rows = unfold_patches(x, conv.kernel, conv.stride)
+    rows = unfold_patches(x, conv.kernel)
     current = (rows @ conv.weight.T + conv.bias).reshape(b, oh, ow, c).transpose(0, 3, 1, 2)
     u = s = np.zeros((b, c, oh, ow))
     du = [np.zeros((b, layer.out_dim)) for layer in dense]

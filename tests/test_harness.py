@@ -195,21 +195,19 @@ class TestTaskSequences:
     @pytest.mark.parametrize("task", ["pmnist", "split_mnist"])
     def test_net_input_matches_a_float_pool_gather(self, data_pools, task):
         # Scaling each uint8 batch gives the bytes that gathering from a
-        # pool scaled once at load gave.
+        # pool scaled once at load gave, as flat rows on either task.
         train, _ = data_pools
         rng = make_rng(9, 0)
         idx = rng.choice(len(train), size=64, replace=False)
         perm = rng.permutation(784) if task == "pmnist" else np.arange(784)
         old = (train.images.astype(np.float64) / 255.0)[idx][:, perm]
-        cfg = _small_cfg(task=task)
-        x = loop._net_input(cfg, train.images[idx][:, perm], train.image_hw)
-        want = old if task == "pmnist" else old.reshape(64, 1, 28, 28)
-        assert x.dtype == np.float64 and np.array_equal(x, want)
+        x = loop._net_input(train.images[idx][:, perm])
+        assert x.dtype == np.float64 and np.array_equal(x, old)
 
     def test_split_tasks_classes_and_remap(self, data_pools):
         seq = make_split_tasks(*data_pools, seed=8, train_per_task=100,
                                test_per_task=60, n_tasks=5)
-        assert seq.head_mode == "multi" and seq.n_classes == 2
+        assert seq.n_classes == 2
         assert [t.classes for t in seq.tasks] == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
         for t in seq.tasks:
             assert set(np.unique(t.train_y)) <= {0, 1}
@@ -439,7 +437,7 @@ class TestTrainOneTask:
         monkeypatch.setattr(LateralSubspace, "hebbian_update", hebbian)
         monkeypatch.setattr(LateralSubspace, "project_trace", project)
         before = [l.weight.copy() for l in net.trainable_layers(0)]
-        _train_one_task(cfg, net, ErrorPropConfig(), subspaces, task, 0, (1, 3), 2, 0)
+        _train_one_task(cfg, net, ErrorPropConfig(), subspaces, task, 0, 0)
         after = [l.weight for l in net.trainable_layers(0)]
         return seen, before, after
 

@@ -150,31 +150,34 @@ class TestRateForwardTransform:
 
 class TestUnfoldPatches:
     def test_single_patch(self):
-        fm = np.arange(4.0).reshape(1, 2, 2)
-        p = unfold_patches(fm, kernel=2, stride=1)
+        fm = np.arange(4.0).reshape(1, 1, 2, 2)
+        p = unfold_patches(fm, kernel=2)
         assert p.shape == (1, 4)
         assert np.array_equal(p[0], [0, 1, 2, 3])
 
     def test_patch_count(self):
-        fm = np.arange(9.0).reshape(1, 3, 3)
-        p = unfold_patches(fm, kernel=2, stride=1)
+        fm = np.arange(9.0).reshape(1, 1, 3, 3)
+        p = unfold_patches(fm, kernel=2)
         assert p.shape == (4, 4)
+        assert np.array_equal(p[3], [4, 5, 7, 8])
 
     def test_constant_map_identical_rows(self):
-        fm = np.full((1, 4, 4), 3.5)
-        p = unfold_patches(fm, kernel=2, stride=2)
-        assert np.all(p == p[0])
+        fm = np.full((1, 1, 4, 4), 3.5)
+        p = unfold_patches(fm, kernel=2)
+        assert p.shape == (9, 4) and np.all(p == p[0])
 
     def test_batch_axis_outermost(self):
         fm = make_rng(2, 0).normal(size=(3, 2, 4, 4))
-        p = unfold_patches(fm, kernel=2, stride=2)
-        single = unfold_patches(fm[1], kernel=2, stride=2)
-        assert p.shape == (3 * 4, 8)
-        assert np.array_equal(p[4:8], single)
+        p = unfold_patches(fm, kernel=2)
+        single = unfold_patches(fm[1:2], kernel=2)
+        assert p.shape == (3 * 9, 8)
+        assert np.array_equal(p[9:18], single)
 
     def test_incompatible_geometry(self):
         with pytest.raises(ShapeError):
-            unfold_patches(np.zeros((1, 5, 5)), kernel=2, stride=2)
+            unfold_patches(np.zeros((1, 1, 3, 3)), kernel=4)
+        with pytest.raises(ShapeError):
+            unfold_patches(np.zeros((1, 3, 3)), kernel=2)
 
 
 class TestPooling:

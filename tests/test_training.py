@@ -20,6 +20,7 @@ from hlop.training import (
     rate_backward,
     sgd_update,
     softmax,
+    _post_block,
 )
 
 
@@ -59,12 +60,12 @@ class TestBackpropError:
         f = rng.normal(size=(4, 2))
         ep = ErrorPropConfig(mode="fa", feedback={"L": f})
         delta = rng.normal(size=(5, 2))
-        a = Layer(weight=rng.normal(size=(2, 4)), bias=np.zeros(2), meta={"name": "L"})
-        b = Layer(weight=rng.normal(size=(2, 4)), bias=np.zeros(2), meta={"name": "L"})
+        a = Layer(weight=rng.normal(size=(2, 4)), bias=np.zeros(2), name="L")
+        b = Layer(weight=rng.normal(size=(2, 4)), bias=np.zeros(2), name="L")
         assert np.array_equal(backprop_error(delta, a, ep), backprop_error(delta, b, ep))
 
     def test_fa_requires_feedback(self):
-        layer = Layer(weight=np.eye(2), bias=np.zeros(2), meta={"name": "L"})
+        layer = Layer(weight=np.eye(2), bias=np.zeros(2), name="L")
         with pytest.raises(ValueError, match="feedback"):
             backprop_error(np.zeros((1, 2)), layer, ErrorPropConfig(mode="fa"))
 
@@ -73,6 +74,12 @@ class TestBackpropError:
         fb = init_feedback(net, make_rng(3, 0))
         assert fb["block0"].shape == (3, 4)
         assert fb["head0"].shape == (4, 2)
+
+    def test_feedback_refuses_repeated_layer_names(self):
+        net = _mlp(2, [3, 4, 2], NeuronConfig())
+        net.blocks[0] = replace(net.blocks[0], name="head0")
+        with pytest.raises(ValueError, match="'head0' repeats"):
+            init_feedback(net, make_rng(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +125,7 @@ def _oracle_conv_rate_chain_loss(net, x, y_onehot):
     cfg = net.cfg
     conv, *dense = net.trainable_layers(0)
     b, (oh, ow), p = len(x), conv.out_hw, conv.pool
-    rows = unfold_patches(x, conv.kernel, conv.stride)
+    rows = unfold_patches(x, conv.kernel)
     z = np.clip((rows @ conv.weight.T + conv.bias) / cfg.tau, 0.0, cfg.rate_bound)
     z = z.reshape(b, oh, ow, -1).transpose(0, 3, 1, 2)
     z = z.reshape(b, -1, oh // p, p, ow // p, p).mean(axis=(3, 5)).reshape(b, -1)
@@ -206,10 +213,8 @@ class TestOttt:
         # 0, 1, 0, 1 for both outputs, which spike with the hidden neuron.
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=4, a2=0.25)
         net = SpikingNet(
-            blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1),
-                          meta={"name": "block0"})],
-            heads=[Layer(weight=np.array([[1.0], [1.0]]), bias=np.zeros(2),
-                         meta={"name": "head0"})],
+            blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1), name="block0")],
+            heads=[Layer(weight=np.array([[1.0], [1.0]]), bias=np.zeros(2), name="head0")],
             cfg=cfg,
         )
         y = _onehot([0], 2)
@@ -235,9 +240,8 @@ class TestOttt:
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=4, a2=0.25)
         w_head = np.array([[1.0], [0.5]])
         net = SpikingNet(
-            blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1),
-                          meta={"name": "block0"})],
-            heads=[Layer(weight=w_head.copy(), bias=np.zeros(2), meta={"name": "head0"})],
+            blocks=[Layer(weight=np.array([[1.0]]), bias=np.zeros(1), name="block0")],
+            heads=[Layer(weight=w_head.copy(), bias=np.zeros(2), name="head0")],
             cfg=cfg,
         )
         x, y = np.array([[0.8]]), _onehot([0], 2)
@@ -292,8 +296,7 @@ class TestRateTrainer:
         cfg = NeuronConfig.dsr_defaults()
         net = SpikingNet(
             blocks=[],
-            heads=[Layer(weight=np.array([[100.0], [1.0]]), bias=np.zeros(2),
-                         meta={"name": "head0"})],
+            heads=[Layer(weight=np.array([[100.0], [1.0]]), bias=np.zeros(2), name="head0")],
             cfg=cfg,
         )
         x = np.array([[1.0]])
@@ -327,6 +330,37 @@ class TestRateTrainer:
             assert np.abs(fd).max() > 0.0
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-6
+
+
+class TestFlatRows:
+    """Between layers every carry is one flat row per sample; only the conv
+    layer views its rows as images."""
+
+    @pytest.mark.parametrize("trainer", [rate_backward, bptt_sg_backward, ottt_backward],
+                             ids=["rate", "bptt", "ottt"])
+    def test_conv_net_takes_rows_or_maps(self, trainer):
+        cfg = NeuronConfig(lam=0.5, v_th=0.4, T=3, a2=0.25)
+        net = build_conv_net(1, (28, 28), 2, 3, 2, 6, 2, 1, cfg, make_rng(22, 0))
+        rows = make_rng(23, 0).uniform(0.0, 1.0, size=(3, 784))
+        y = _onehot([0, 1, 1], 2)
+        flat, out_flat = trainer(net, rows, y, ErrorPropConfig())
+        maps, out_maps = trainer(net, rows.reshape(3, 1, 28, 28), y, ErrorPropConfig())
+        assert flat.batch == maps.batch == 3 and np.array_equal(out_flat, out_maps)
+        for a, b in zip(flat.layers, maps.layers, strict=True):
+            assert np.array_equal(a.delta, b.delta) and np.array_equal(a.trace, b.trace)
+            assert np.array_equal(a.bias, b.bias)
+        assert all(lg.delta.any() for lg in flat.layers)
+
+    def test_post_block_returns_rows(self):
+        net = build_conv_net(1, (6, 6), 3, 3, 2, 4, 2, 1, NeuronConfig(), make_rng(24, 0))
+        conv, dense = net.blocks
+        s = (make_rng(25, 0).uniform(size=(2 * 4 * 4, 3)) < 0.5).astype(np.float64)
+        carry = _post_block(conv, s)
+        # (b, y, x, c) spike rows, pooled over 2x2 windows, flattened channel-major.
+        want = s.reshape(2, 2, 2, 2, 2, 3).mean(axis=(2, 4)).transpose(0, 3, 1, 2)
+        assert carry.shape == (2, dense.in_dim)
+        assert np.array_equal(carry, want.reshape(2, -1))
+        assert _post_block(dense, carry) is carry
 
 
 class TestSgdUpdate:

@@ -4,7 +4,8 @@ The on-disk format is one ``key = value`` assignment per line (TOML-like):
 ``#`` comments, integers, floats, booleans (``true``/``false``), quoted or
 bare strings, and (nested) lists. Every knob of a run lives here; a resolved
 copy of the config is echoed next to the results so any run can be
-reproduced from one file and one master seed.
+reproduced from one file, its data and one master seed. Nothing here knows
+the image size: the training loop checks the geometry against the data.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ExperimentConfig:
     batch: int = 64
     epochs: int = 1
     hidden_sizes: list = field(default_factory=lambda: [200, 200])
-    subspace_schedule: list = field(default_factory=list)  # per layer [first, expand]
+    subspace_schedule: list = field(default_factory=list)  # per layer [first, expand]; [] = from the data
     quant_scale: float = 20.0
     quant_t_l: int = 40
     task: str = "pmnist"  # "pmnist" | "split_mnist"
@@ -72,18 +73,20 @@ _ENUMS = {
 }
 
 
-def default_subspace_schedule(cfg: ExperimentConfig) -> list:
-    """Per-layer [first-task rows, per-task expansion] when none is given.
+def default_subspace_schedule(widths: list[int], split: bool) -> list:
+    """Per-layer [first-task rows, per-task expansion] when none is given,
+    sized from the presynaptic widths (``in_dim``) of the built net's
+    trainable layers.
 
-    Scales the working full-size ratios linearly to the configured widths:
-    about a tenth of the input width, a quarter of each hidden width, and an
-    eighth of the classifier's presynaptic width for the first task, with
-    per-task expansions near 9% of the width (e.g. hidden width 200 gives 50
-    first-task rows and +18 per later task).
+    Scales the working full-size ratios linearly to those widths: about a
+    tenth of the input width, a quarter of each hidden width, and an eighth
+    of the classifier's presynaptic width for the first task, with per-task
+    expansions near 9% of the width (e.g. hidden width 200 gives 50
+    first-task rows and +18 per later task). Split runs project only the conv
+    and dense blocks (per-task heads are never revisited).
     """
-    widths = _projected_widths(cfg)
-    if cfg.task == "split_mnist":
-        patch, flat = widths
+    if split:
+        patch, flat = widths[:2]
         return [
             [max(2, patch // 4), 1],
             [max(4, flat // 4), max(2, flat // 12)],
@@ -143,7 +146,7 @@ def parse_flat_config(text: str) -> dict:
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
-    """Field-named problems of ``cfg``; fills in the default subspace schedule."""
+    """Field-named problems of ``cfg`` that the config alone decides."""
     p: list[str] = []
     if cfg.seed < 0:
         p.append(f"seed: must be >= 0, got {cfg.seed}")
@@ -173,57 +176,23 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     split = cfg.task == "split_mnist"
     if split and cfg.n_tasks > 5:
         p.append(f"n_tasks: split_mnist has 5 class pairs, got {cfg.n_tasks}")
-    # The layer widths, which the subspace schedule is checked against;
     # ``type(h) is int`` refuses booleans, which are ints to isinstance.
-    bad_widths = []
     if not cfg.hidden_sizes or not all(type(h) is int and h > 0 for h in cfg.hidden_sizes):
-        bad_widths.append(f"hidden_sizes: need positive integers, got {cfg.hidden_sizes}")
+        p.append(f"hidden_sizes: need positive integers, got {cfg.hidden_sizes}")
     for name in ("conv_channels", "conv_kernel", "conv_pool", "conv_hidden") if split else ():
         if getattr(cfg, name) < 1:
-            bad_widths.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
-    side = 29 - cfg.conv_kernel  # the conv map on 28x28 input
-    if split and not bad_widths and (side < 1 or side % cfg.conv_pool):
-        bad_widths.append(f"conv_kernel: must be <= 28, got {cfg.conv_kernel}" if side < 1 else
-                          f"conv_pool: must divide the {side}x{side} map, got {cfg.conv_pool}")
-    p += bad_widths
-    if cfg.hlop != "off" and not bad_widths:
-        if not cfg.subspace_schedule:
-            cfg.subspace_schedule = default_subspace_schedule(cfg)
-        sched = cfg.subspace_schedule
-        widths = _projected_widths(cfg)
-        if len(sched) != len(widths):
-            p.append(
-                f"subspace_schedule: need {len(widths)} per-layer [first, expand] entries, "
-                f"got {len(sched)}"
-            )
-        else:
-            for i, entry in enumerate(sched):
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or not all(type(v) is int and v >= 0 for v in entry)
-                ):
-                    p.append(f"subspace_schedule[{i}]: expected [first, expand] ints")
-                    continue
-                total = entry[0] + entry[1] * (cfg.n_tasks - 1)
-                if total > widths[i]:
-                    p.append(
-                        f"subspace_schedule[{i}]: {total} subspace neurons exceed "
-                        f"presynaptic width {widths[i]}"
-                    )
+            p.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+    # An empty schedule is sized, and a given one checked, against the data.
+    if cfg.hlop != "off" and (sched := cfg.subspace_schedule):
+        n_layers = 2 if split else len(cfg.hidden_sizes) + 1  # per-task heads get none
+        if len(sched) != n_layers:
+            p.append(f"subspace_schedule: need {n_layers} per-layer [first, expand] entries, "
+                     f"got {len(sched)}")
+        for i, entry in enumerate(sched):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(v) is int and v >= 0 for v in entry)):
+                p.append(f"subspace_schedule[{i}]: expected [first, expand] ints")
     return p
-
-
-def _projected_widths(cfg: ExperimentConfig) -> list[int]:
-    """Presynaptic width of each projected layer, for 28x28 single-channel input:
-    every hidden layer plus the shared classifier, or on split runs the conv
-    and dense blocks (per-task heads are never revisited)."""
-    if cfg.task == "split_mnist":
-        from .spiking import pooled_flat_width
-
-        flat = pooled_flat_width(cfg.conv_channels, (28, 28), cfg.conv_kernel, cfg.conv_pool)
-        return [cfg.conv_kernel * cfg.conv_kernel, flat]
-    return [784, *cfg.hidden_sizes]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -7,6 +7,7 @@ from .data import (
     DatasetError,
     IdxCountMismatchError,
     IdxHeaderError,
+    IdxLabelError,
     IdxMagicError,
     IdxTruncatedError,
     ImageSizeError,
@@ -28,6 +29,7 @@ __all__ = [
     "DatasetError",
     "IdxCountMismatchError",
     "IdxHeaderError",
+    "IdxLabelError",
     "IdxMagicError",
     "IdxTruncatedError",
     "ImageSizeError",

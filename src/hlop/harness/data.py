@@ -57,6 +57,10 @@ class IdxHeaderError(DatasetError):
     code = "bad-header"
 
 
+class IdxLabelError(DatasetError):
+    code = "bad-label"
+
+
 class PoolTooSmallError(DatasetError):
     code = "pool-too-small"
 
@@ -118,7 +122,8 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     """Load a paired IDX image/label file set.
 
     Pixels stay the file's bytes (scaling to [0, 1] happens per batch in the
-    training loop); counts of the two files must agree.
+    training loop); counts of the two files must agree, and every label must
+    be a digit class 0..9.
     """
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
@@ -127,6 +132,9 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
+    if labels.max(initial=0) > 9:
+        i = int(np.argmax(labels > 9))
+        raise IdxLabelError(f"{labels_path}: label {labels[i]} at index {i} is outside 0..9")
     n, rows, cols = images.shape
     flat = images.reshape(n, rows * cols)
     return Dataset(images=flat, labels=labels.astype(np.int64), image_hw=(rows, cols))
@@ -262,7 +270,7 @@ class Task:
 class TaskSequence:
     tasks: list[Task]
     n_classes: int
-    image_hw: tuple[int, int] = (28, 28)
+    image_hw: tuple[int, int]
 
 
 def make_pmnist_tasks(

@@ -8,7 +8,9 @@ and freezes the new subspace rows. All randomness derives from the master
 seed through fixed sub-stream paths, so one integer reproduces the whole
 run, and a checkpoint written at any task boundary resumes it bit for bit.
 Batches enter the net as flat float rows, one per sample, whatever the task:
-only the conv layer views them as images.
+only the conv layer views them as images. The run checks, before training
+and against the data, that the conv kernel and pool tile the images and
+that each circuit's schedule fits its layer's width.
 With a CPU to spare, one FIFO worker thread runs the circuits' Hebbian repeats
 beside the next batch, in each circuit's order, so no result byte changes.
 """
@@ -24,7 +26,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..config import ExperimentConfig
+from ..config import ExperimentConfig, default_subspace_schedule
 from ..lateral import LateralSubspace, QuantConfig
 from ..linalg import make_rng, rowspace_projector
 from ..spiking import NeuronConfig, conv_output_hw
@@ -95,8 +97,15 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
     return build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
 
 
+def subspace_schedule(cfg: ExperimentConfig, net: SpikingNet) -> list:
+    """Per-circuit [first, expand] rows: the config's, or when it gives none,
+    the default sized from the widths of ``net``'s trainable layers."""
+    widths = [layer.in_dim for layer in net.trainable_layers(0)]
+    return cfg.subspace_schedule or default_subspace_schedule(widths, cfg.task == "split_mnist")
+
+
 def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralSubspace]:
-    """One lateral circuit per entry of the validated ``subspace_schedule``:
+    """One lateral circuit per entry of the run's ``subspace_schedule``:
     layer i of the trainable layers hosts the circuit of entry i."""
     if cfg.hlop == "off":
         return {}
@@ -105,7 +114,7 @@ def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralS
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
     return {
         i: LateralSubspace(n=layers[i].in_dim, mode=mode, quant=quant)
-        for i in range(len(cfg.subspace_schedule))
+        for i in range(len(subspace_schedule(cfg, net)))
     }
 
 
@@ -259,6 +268,7 @@ def run_continual(
             raise ImageSizeError(f"conv_kernel {k} and conv_pool {p} do not tile "
                                  f"{h}x{w} images (conv map {oh}x{ow})")
     net = build_net(cfg, seq)
+    sched = subspace_schedule(cfg, net)
     epcfg = ErrorPropConfig(
         mode=cfg.errorprop,
         feedback=(
@@ -270,11 +280,12 @@ def run_continual(
     )
     subspaces = make_subspaces(cfg, net)
     for i, sub in subspaces.items():
-        first, expand = cfg.subspace_schedule[i]
+        first, expand = sched[i]
         if (rows := first + expand * (cfg.n_tasks - 1)) > sub.n:
             raise ImageSizeError(
-                f"subspace {i}: schedule needs {rows} rows, "
-                f"but {seq.image_hw} images give presynaptic width {sub.n}"
+                f"subspace {i}: schedule needs {rows} rows, but layer "
+                f"{net.trainable_layers(0)[i].name} has presynaptic width {sub.n} "
+                f"on {seq.image_hw[0]}x{seq.image_hw[1]} images"
             )
     layers_all = [*net.blocks, *net.heads]
 
@@ -299,7 +310,7 @@ def run_continual(
             task = seq.tasks[t]
             head = t if len(net.heads) > 1 else 0
             for i, sub in subspaces.items():
-                first, expand = cfg.subspace_schedule[i]
+                first, expand = sched[i]
                 sub.expand(expand if t else first, make_rng(cfg.seed, SEED_SUBSPACE, t, i))
             t0 = time.perf_counter()
             _train_one_task(cfg, net, epcfg, subspaces, task, t, head, pool)
@@ -362,13 +373,17 @@ def _check_resume_fits(
     net: SpikingNet,
     subspaces: dict[int, LateralSubspace],
 ) -> None:
-    """Refuse a checkpoint whose seed, task cursor, layer shapes or lateral
-    circuits (width, mode, quantizer scale and steps) differ from the run
-    built from ``cfg``."""
+    """Refuse a checkpoint whose seed, task cursor, accuracy rows (row k holds
+    k entries), layer shapes or lateral circuits (width, mode, quantizer scale
+    and steps) differ from the run built from ``cfg``."""
     if ckpt.master_seed != cfg.seed:
         raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
-    if ckpt.task_cursor > cfg.n_tasks or len(ckpt.acc_matrix) != ckpt.task_cursor:
+    if ckpt.task_cursor > cfg.n_tasks:
         raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
+    lengths = [len(row) for row in ckpt.acc_matrix]
+    if lengths != list(range(1, ckpt.task_cursor + 1)):
+        raise CheckpointError(f"checkpoint accuracy rows hold {lengths} entries; after "
+                              f"task {ckpt.task_cursor}, row k must hold k")
     saved = {name: (w.shape, b.shape) for name, w, b in ckpt.layers}
     built = {l.name: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
     circuit = ("n", "mode", "quant.scale", "quant.T_l")

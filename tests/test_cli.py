@@ -6,6 +6,7 @@ import pytest
 
 from hlop.cli import main
 from hlop.config import load_config
+from hlop.harness.checkpoint import load_checkpoint, save_checkpoint
 from hlop.harness.data import (
     TEST_IMAGES,
     TEST_LABELS,
@@ -51,8 +52,15 @@ _OUT_OF_RANGE = {
     "lr": dict(lr="1e999"),
     "lr=nan": dict(lr="nan"),
     "ss_scale": dict(errorprop="ss", ss_scale=-1.0),
-    "conv_pool=3": dict(task="split_mnist", conv_pool=3),
-    "conv_kernel": dict(task="split_mnist", conv_kernel=29),
+}
+
+# Conv sizes the config accepts but 28x28 images do not tile, with the
+# refusal the run gives against the data.
+_UNTILED_ON_28 = {
+    "conv_pool=3": (dict(conv_pool=3), "conv_kernel 3 and conv_pool 3 do not tile "
+                                        "28x28 images (conv map 26x26)"),
+    "conv_kernel": (dict(conv_kernel=29), "conv_kernel 29 and conv_pool 2 do not tile "
+                                          "28x28 images (conv map 0x0)"),
 }
 
 
@@ -111,6 +119,18 @@ class TestRunCommand:
         assert len(problems) == 1 and problems[0].startswith(f"  - {name}: ")
         assert not (run_env / "out").exists()
 
+    @pytest.mark.parametrize("field", list(_UNTILED_ON_28))
+    def test_conv_geometry_refused_on_the_data_exit_3(self, run_env, capsys, field):
+        # The config alone cannot tell; the run checks the conv map of the
+        # real images before training.
+        kw, message = _UNTILED_ON_28[field]
+        cfg = run_env / "bad.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", **kw)
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"dataset error: {message}"
+        assert not (run_env / "out" / "metrics.csv").exists()
+
     def test_missing_dataset_exit_3(self, run_env, monkeypatch, capsys):
         monkeypatch.setenv("HLOP_DATA_DIR", str(run_env / "nowhere"))
         cfg = run_env / "exp.cfg"
@@ -146,33 +166,87 @@ class TestRunCommand:
         assert line.startswith("dataset error: classes (0, 1): need 5000 train")
 
     @staticmethod
-    def _use_images_of_size(run_env, monkeypatch, hw):
+    def _use_images_of_size(run_env, monkeypatch, hw, bad_label=None):
+        """A 1500/400 corpus of ``hw`` images; ``bad_label`` ("train" or
+        "test") sets that file's label 3 to 12."""
         data = run_env / f"data{hw[0]}"
         data.mkdir()
         tr_x, tr_y, te_x, te_y = synth_digit_pools(1500, 400, seed=1, hw=hw)
+        if bad_label is not None:
+            {"train": tr_y, "test": te_y}[bad_label][3] = 12
         write_idx_images(str(data / TRAIN_IMAGES), tr_x)
         write_idx_labels(str(data / TRAIN_LABELS), tr_y)
         write_idx_images(str(data / TEST_IMAGES), te_x)
         write_idx_labels(str(data / TEST_LABELS), te_y)
         monkeypatch.setenv("HLOP_DATA_DIR", str(data))
 
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_label_outside_0_to_9_exit_3(self, run_env, monkeypatch, capsys, which):
+        # A train label of 12 used to crash the one-hot encoding with a
+        # traceback; a test label of 12 was silently scored as a miss.
+        self._use_images_of_size(run_env, monkeypatch, (28, 28), bad_label=which)
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"))
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        path = run_env / "data28" / (TRAIN_LABELS if which == "train" else TEST_LABELS)
+        assert line == f"dataset error: {path}: label 12 at index 3 is outside 0..9"
+        assert not (run_env / "out" / "metrics.csv").exists()
+
     def test_image_size_too_small_for_circuits_exit_3(self, run_env, monkeypatch, capsys):
-        # The config checks the conv circuits against 28x28 input (dense
-        # width 1352); 20x20 images give 648, too narrow for 338 + 4*112 rows.
+        # The schedule the default gives 28x28 images (dense width 1352) is
+        # too wide for 20x20 ones: width 648, short of 338 + 4*112 rows.
         self._use_images_of_size(run_env, monkeypatch, (20, 20))
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist",
                    n_tasks=5, train_per_task=200, test_per_task=50, conv_channels=8,
-                   conv_kernel=3, conv_pool=2, conv_hidden=100)
+                   conv_kernel=3, conv_pool=2, conv_hidden=100,
+                   subspace_schedule="[[2, 1], [338, 112]]")
         assert main(["run", str(cfg)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("dataset error: subspace 1: ")
-        assert "786 rows" in line and "(20, 20)" in line and "width 648" in line
+        assert line == ("dataset error: subspace 1: schedule needs 786 rows, but layer "
+                        "block1 has presynaptic width 648 on 20x20 images")
         assert not (run_env / "out" / "metrics.csv").exists()
 
+    def test_default_schedule_is_sized_from_20x20_images(self, run_env, monkeypatch):
+        self._use_images_of_size(run_env, monkeypatch, (20, 20))
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), task="split_mnist",
+                   n_tasks=5, train_per_task=200, test_per_task=50, conv_channels=8,
+                   conv_kernel=3, conv_pool=2, conv_hidden=100)
+        assert main(["run", str(cfg)]) == 0
+        sub = load_checkpoint(str(out / "task1.ckpt")).subspaces[1]
+        assert sub.n == 648 and sub.H.shape[0] == 648 // 4
+        assert "subspace_schedule = []\n" in (out / "resolved_config.cfg").read_text()
+
+    def test_default_schedule_is_sized_from_16x16_images(self, run_env, monkeypatch):
+        # Sized for 28x28 input, the default would need 356 rows of a
+        # 256-wide input layer; sized from the data it starts with
+        # round(256 * 0.102) = 26.
+        self._use_images_of_size(run_env, monkeypatch, (16, 16))
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), n_tasks=5, train_per_task=100, test_per_task=50)
+        assert main(["run", str(cfg)]) == 0
+        sub = load_checkpoint(str(out / "task1.ckpt")).subspaces[0]
+        assert sub.n == 256 and sub.H.shape[0] == 26
+        assert (out / "metrics.csv").exists()
+
+    def test_conv_pool_that_tiles_29x29_images_runs(self, run_env, monkeypatch):
+        # conv_pool 3 divides the 27x27 conv map of 29x29 images.
+        self._use_images_of_size(run_env, monkeypatch, (29, 29))
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), task="split_mnist", n_tasks=2,
+                   train_per_task=100, test_per_task=50, conv_kernel=3, conv_pool=3)
+        assert main(["run", str(cfg)]) == 0
+        sub = load_checkpoint(str(out / "task2.ckpt")).subspaces[1]
+        assert sub.n == 8 * 9 * 9
+        assert (out / "metrics.csv").exists()
+
     def test_image_size_the_conv_pool_does_not_tile_exit_3(self, run_env, monkeypatch, capsys):
-        # The config checks the conv map against 28x28 input (26x26, which
-        # pool 2 divides); 29x29 images give a 27x27 map.
+        # 29x29 images give a 27x27 conv map, which pool 2 does not divide.
         self._use_images_of_size(run_env, monkeypatch, (29, 29))
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"), task="split_mnist", n_tasks=2,
@@ -207,7 +281,7 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         ckpt = first / "task1.ckpt"
         if corrupt is not None:
-            ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+            corrupt(ckpt)
         capsys.readouterr()
         cfg = run_env / "resume.cfg"
         _write_cfg(str(cfg), str(run_env / "out"), train_per_task=100, **resume_kw)
@@ -217,14 +291,31 @@ class TestRunCommand:
         return line
 
     def test_truncated_resume_exit_3(self, run_env, capsys):
-        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=lambda b: b[:-8])
+        line = self._refused_resume(
+            run_env, capsys, {}, {}, corrupt=lambda p: p.write_bytes(p.read_bytes()[:-8])
+        )
         assert "truncated" in line
 
     def test_version_1_resume_exit_3(self, run_env, capsys):
-        line = self._refused_resume(
-            run_env, capsys, {}, {}, corrupt=lambda b: b[:8] + struct.pack("<I", 1) + b[12:]
-        )
+        def version_1(p):
+            b = p.read_bytes()
+            p.write_bytes(b[:8] + struct.pack("<I", 1) + b[12:])
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=version_1)
         assert "unsupported checkpoint version 1" in line
+
+    def test_resume_with_misshapen_accuracy_rows_exit_3(self, run_env, capsys):
+        # Such a matrix used to pass, train every remaining task and only
+        # then crash in write_summary_csv.
+        def two_entry_row(p):
+            ckpt = load_checkpoint(str(p))
+            ckpt.acc_matrix = [[50.0, 60.0]]
+            save_checkpoint(str(p), ckpt)
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=two_entry_row)
+        assert line == ("checkpoint error: checkpoint accuracy rows hold [2] entries; "
+                        "after task 1, row k must hold k")
+        assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):
         line = self._refused_resume(

@@ -12,6 +12,7 @@ from hlop.harness.data import (
     DatasetError,
     IdxCountMismatchError,
     IdxHeaderError,
+    IdxLabelError,
     IdxMagicError,
     IdxTruncatedError,
     ImageSizeError,
@@ -108,8 +109,9 @@ class TestIdxFormat:
 
     def test_error_codes_distinct(self):
         codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
-                 IdxHeaderError.code, PoolTooSmallError.code, ImageSizeError.code}
-        assert len(codes) == 6
+                 IdxHeaderError.code, IdxLabelError.code, PoolTooSmallError.code,
+                 ImageSizeError.code}
+        assert len(codes) == 7
 
 
 class TestSyntheticCorpus:
@@ -403,6 +405,15 @@ class TestRunContinual:
         # conv layer hosts a patch-space circuit
         assert res.subspaces[0].n == cfg.conv_kernel ** 2
 
+    def test_schedule_cannot_exceed_width(self, data_pools):
+        # 150 + 4 * 30 rows do not fit block1's 200 presynaptic neurons; the
+        # run refuses before training.
+        cfg = _small_cfg(hlop="linear", n_tasks=5, train_per_task=100,
+                         subspace_schedule=[[80, 70], [150, 30], [25, 18]])
+        with pytest.raises(ImageSizeError, match="subspace 1: schedule needs 270 rows, "
+                                                 "but layer block1 has presynaptic width 200"):
+            run_continual(cfg, data=data_pools)
+
     def test_hlop_off_no_subspaces(self, data_pools):
         res = run_continual(_small_cfg(), data=data_pools)
         assert res.subspaces == {} and res.audit is None
@@ -477,13 +488,6 @@ class TestConfigValidation:
     def test_schedule_length_must_match(self):
         with pytest.raises(ConfigError, match="subspace_schedule"):
             config_from_dict({"hlop": "linear", "subspace_schedule": [[10, 2]]})
-
-    def test_schedule_cannot_exceed_width(self):
-        with pytest.raises(ConfigError, match="exceed"):
-            config_from_dict({
-                "hlop": "linear", "n_tasks": 5,
-                "subspace_schedule": [[80, 70], [150, 30], [25, 18]],
-            })
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_floats_are_refused(self, value):

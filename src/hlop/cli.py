@@ -6,8 +6,9 @@
     hlop synth-data --out DIR    generate the offline IDX dataset
 
 Exit codes: 0 success, 1 failed checks / failed run, 2 invalid configuration
-or arguments, 3 missing or malformed dataset or checkpoint files (including
-a checkpoint that does not fit the resuming run).
+or arguments, 3 missing or malformed dataset, sample or checkpoint files
+(including a checkpoint that does not fit the resuming run, and a subspace
+schedule that overfills a layer of the net built from the data).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .config import ConfigError, echo_config, load_config
 from .harness.checkpoint import CheckpointError, load_checkpoint
 from .harness.data import DatasetError, write_idx_dataset
-from .harness.loop import DivergenceError, run_continual
+from .harness.loop import DivergenceError, ScheduleError, run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
 from .linalg import subspace_alignment_error, topk_principal
 from .verify import SUITES, run_suite
@@ -44,7 +45,12 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
             print(f"  - {p}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output_dir {cfg.output_dir!r}: {e.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         result = run_continual(
             cfg,
@@ -56,6 +62,9 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
         return EXIT_DATA
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except ScheduleError as e:
+        print(f"schedule error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
@@ -109,6 +118,9 @@ def cmd_oracle(
     except ValueError as e:
         print(f"error: {data_path} is not a numeric CSV matrix: {e}", file=sys.stderr)
         return EXIT_DATA
+    if not np.isfinite(data).all():
+        print(f"error: {data_path} holds nan or inf samples", file=sys.stderr)
+        return EXIT_DATA
     if k < 1 or k > data.shape[1]:
         print(
             f"error: k={k} out of range for {data.shape[1]}-dimensional samples",
@@ -118,12 +130,7 @@ def cmd_oracle(
     if data.shape[0] < k:
         print(f"error: need at least k={k} samples, got {data.shape[0]}", file=sys.stderr)
         return EXIT_CONFIG
-    m = topk_principal(data, k)
-    out_path = out_path or (data_path + ".components.csv")
-    tmp = out_path + ".tmp"
-    np.savetxt(tmp, m, delimiter=",")
-    os.replace(tmp, out_path)
-    print(f"wrote {k} principal directions to {out_path}")
+    h = None
     if checkpoint is not None:
         try:
             ckpt = load_checkpoint(checkpoint)
@@ -147,6 +154,13 @@ def cmd_oracle(
                 file=sys.stderr,
             )
             return EXIT_CONFIG
+    m = topk_principal(data, k)
+    out_path = out_path or (data_path + ".components.csv")
+    tmp = out_path + ".tmp"
+    np.savetxt(tmp, m, delimiter=",")
+    os.replace(tmp, out_path)
+    print(f"wrote {k} principal directions to {out_path}")
+    if h is not None:
         err = subspace_alignment_error(h, m)
         print(f"alignment error vs layer {layer} consolidated subspace: {err:.6f}")
     return EXIT_OK
@@ -156,6 +170,9 @@ def cmd_synth_data(out_dir: str, n_train: int, n_test: int, seed: int) -> int:
     if n_train < 1 or n_test < 1:
         print(f"error: --train and --test must be >= 1, got {n_train} and {n_test}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if seed < 0:
+        print(f"error: --seed must be >= 0, got {seed}", file=sys.stderr)
         return EXIT_CONFIG
     write_idx_dataset(out_dir, n_train=n_train, n_test=n_test, seed=seed)
     print(f"wrote IDX dataset ({n_train} train / {n_test} test) to {out_dir}")

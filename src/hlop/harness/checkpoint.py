@@ -1,47 +1,46 @@
-"""Single-file binary checkpoints.
+"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 3).
 
-Layout (version 2, all multi-byte fields little-endian):
+Each member is one little-endian array that ``np.load`` reads:
 
-    magic     8 bytes  b"HLOPCKP1"
-    version   u32      2
-    seed      i64      master seed of the run
-    cursor    u32      number of tasks completed
-    n_layers  u32
-      per layer:  name  (u16 length + utf-8)
-                  weight (u32 rows, u32 cols, rows*cols f64)
-                  bias   (u32 len, len f64)
-    n_subspaces u32
-      per subspace: layer index u32, n u32,
-                    H (u32 rows + data), H_new (u32 rows + data),
-                    velocity (u32 rows + data),
-                    mode u8 (0 linear / 1 spiking), scale f64, T_l u32
-    n_acc_rows u32    accuracy-matrix rows recorded so far
-      per row: u32 length + f64 accuracies
+    meta                   int64 [3, master seed, tasks completed,
+                           layers, circuits, accuracy rows]
+    layer/<name>/weight    float64 (out, in), members in the run's layer order
+    layer/<name>/bias      float64 (out,)
+    subspace/<i>/H         float64 consolidated rows (k, n)
+    subspace/<i>/H_new     float64 in-training rows (k', n)
+    subspace/<i>/velocity  float64 (k', n)
+    subspace/<i>/circuit   float64 [n, spiking (0 or 1), quantizer scale, T_l]
+    acc/<k>                float64 accuracies after task k + 1
 
 A circuit is stored as its state only: the Hebbian step size, momentum and
 repeats are constants of ``LateralSubspace``, and every random stream derives
-per task from the master seed, so neither is stored. Version 1 files, which
-stored both, are refused.
+per task from the master seed, so neither is stored.
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
-always complete. A file that cannot be opened or does not parse as this
-layout raises ``CheckpointError`` and nothing else. Reloading a mid-sequence
-checkpoint and continuing the run reproduces the uninterrupted run bit for
-bit.
+always complete, and every member carries the zip's fixed 1980 timestamp, so
+one run writes byte-identical files. The reader checks each member's CRC-32
+and accepts exactly the member set that ``meta`` counts, so a damaged,
+truncated or older file (versions 1 and 2 were a hand-laid binary starting
+``HLOPCKP1``) raises ``CheckpointError`` and nothing else. Reloading a
+mid-sequence checkpoint and continuing the run reproduces the uninterrupted
+run bit for bit.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..lateral import LateralSubspace, QuantConfig
 
-MAGIC = b"HLOPCKP1"
-VERSION = 2
+VERSION = 3
+_FORMAT = np.lib.format
+_SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 
 
 class CheckpointError(ValueError):
@@ -57,76 +56,80 @@ class Checkpoint:
     acc_matrix: list[list[float]] = field(default_factory=list)
 
 
-def _w_mat(f, m: np.ndarray) -> None:
-    f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-    f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-
-
-def _r_mat(f) -> np.ndarray:
-    rows, cols = struct.unpack("<II", _read(f, 8))
-    data = _read(f, rows * cols * 8)
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
-
-
-def _w_vec(f, v: np.ndarray) -> None:
-    f.write(struct.pack("<I", v.shape[0]))
-    f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-
-
-def _r_vec(f) -> np.ndarray:
-    (n,) = struct.unpack("<I", _read(f, 4))
-    return np.frombuffer(_read(f, n * 8), dtype="<f8").astype(np.float64)
-
-
-def _w_str(f, s: str) -> None:
-    b = s.encode("utf-8")
-    f.write(struct.pack("<H", len(b)))
-    f.write(b)
-
-
-def _r_str(f) -> str:
-    (n,) = struct.unpack("<H", _read(f, 2))
-    raw = _read(f, n)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CheckpointError(f"name {raw!r} is not UTF-8") from e
-
-
-def _read(f, n: int) -> bytes:
-    # Read no more than the file holds, so a corrupted length field is
-    # reported as truncation instead of allocating the size it claims.
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    buf = f.read(min(n, left))
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    members = [("meta", [VERSION, ckpt.master_seed, ckpt.task_cursor, len(ckpt.layers),
+                         len(ckpt.subspaces), len(ckpt.acc_matrix)])]
+    for name, w, b in ckpt.layers:
+        members += [(f"layer/{name}/weight", w), (f"layer/{name}/bias", b)]
+    for i in sorted(ckpt.subspaces):
+        sub = ckpt.subspaces[i]
+        circuit = [sub.n, sub.mode == "spiking", sub.quant.scale, sub.quant.T_l]
+        for part, a in zip(_SUBSPACE_PARTS, (sub.H, sub.H_new, sub.velocity, circuit)):
+            members.append((f"subspace/{i}/{part}", a))
+    members += [(f"acc/{k}", row) for k, row in enumerate(ckpt.acc_matrix)]
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<qI", int(ckpt.master_seed), ckpt.task_cursor))
-        f.write(struct.pack("<I", len(ckpt.layers)))
-        for name, w, b in ckpt.layers:
-            _w_str(f, name)
-            _w_mat(f, w)
-            _w_vec(f, b)
-        f.write(struct.pack("<I", len(ckpt.subspaces)))
-        for idx in sorted(ckpt.subspaces):
-            sub = ckpt.subspaces[idx]
-            f.write(struct.pack("<II", idx, sub.n))
-            _w_mat(f, sub.H)
-            _w_mat(f, sub.H_new)
-            _w_mat(f, sub.velocity)
-            f.write(struct.pack("<B", 1 if sub.mode == "spiking" else 0))
-            f.write(struct.pack("<dI", sub.quant.scale, sub.quant.T_l))
-        f.write(struct.pack("<I", len(ckpt.acc_matrix)))
-        for row in ckpt.acc_matrix:
-            _w_vec(f, np.asarray(row, dtype=np.float64))
+    with zipfile.ZipFile(tmp, "w") as zf:
+        for name, a in members:
+            with zf.open(zipfile.ZipInfo(name), "w") as f:
+                dtype = "<i8" if name == "meta" else "<f8"
+                _FORMAT.write_array(f, np.asarray(a, dtype=dtype), allow_pickle=False)
     os.replace(tmp, path)
+
+
+def _array(zf: zipfile.ZipFile, name: str, ndim: int) -> np.ndarray:
+    buf = io.BytesIO(zf.read(name))  # reading the whole member checks its CRC-32
+    _FORMAT.read_magic(buf)
+    shape, _, dtype = _FORMAT.read_array_header_1_0(buf)
+    # Check the size the header claims before read_array allocates it.
+    size = len(buf.getbuffer()) - buf.tell()
+    want = "<i8" if name == "meta" else "<f8"
+    if dtype != want or len(shape) != ndim or math.prod(shape) * 8 != size:
+        raise ValueError(f"{name}: a {dtype} array of shape {shape} does not fit {size} bytes")
+    buf.seek(0)
+    return _FORMAT.read_array(buf, allow_pickle=False)
+
+
+def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
+    version, seed, cursor, *counts = (int(v) for v in _array(zf, "meta", 1))
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    names = zf.namelist()
+    layers = [n[6:-7] for n in names if n.startswith("layer/") and n.endswith("/weight")]
+    subs = sorted({int(n.split("/")[1]) for n in names if n.startswith("subspace/")})
+    n_acc = sum(n.startswith("acc/") for n in names)
+    expected = ["meta", *(f"layer/{n}/{p}" for n in layers for p in ("weight", "bias"))]
+    expected += [f"subspace/{i}/{p}" for i in subs for p in _SUBSPACE_PARTS]
+    expected += [f"acc/{k}" for k in range(n_acc)]
+    if sorted(names) != sorted(expected):
+        raise ValueError(f"members {sorted(set(names) ^ set(expected))} missing or unknown")
+    # A damaged zip directory can hide whole trailing members, so meta counts them.
+    if [len(layers), len(subs), n_acc] != counts:
+        raise ValueError(f"holds {len(layers)} layers, {len(subs)} circuits and {n_acc} "
+                         f"accuracy rows; meta counts {counts}")
+    subspaces = {}
+    for i in subs:
+        h, h_new, vel = (_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3])
+        n, spiking, scale, t_l = _array(zf, f"subspace/{i}/circuit", 1)
+        if not (n.is_integer() and t_l.is_integer() and spiking in (0, 1)):
+            raise ValueError(f"subspace {i}: bad circuit {[n, spiking, scale, t_l]}")
+        subspaces[i] = LateralSubspace(
+            n=int(n),
+            H=h,
+            H_new=h_new,
+            velocity=vel,
+            mode="spiking" if spiking else "linear",
+            quant=QuantConfig(scale=float(scale), T_l=int(t_l)),
+        )
+    return Checkpoint(
+        master_seed=seed,
+        task_cursor=cursor,
+        layers=[
+            (n, _array(zf, f"layer/{n}/weight", 2), _array(zf, f"layer/{n}/bias", 1))
+            for n in layers
+        ],
+        subspaces=subspaces,
+        acc_matrix=[list(_array(zf, f"acc/{k}", 1)) for k in range(n_acc)],
+    )
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -135,45 +138,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     except OSError as e:
         raise CheckpointError(f"{path}: cannot open checkpoint: {e.strerror}") from e
     with f:
-        if _read(f, 8) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read(f, 4))
-        if version != VERSION:
+        head = f.read(12)
+        if head[:8] == b"HLOPCKP1":
+            version = int.from_bytes(head[8:], "little")
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        seed, cursor = struct.unpack("<qI", _read(f, 12))
-        (n_layers,) = struct.unpack("<I", _read(f, 4))
-        layers = []
-        for _ in range(n_layers):
-            name = _r_str(f)
-            w = _r_mat(f)
-            b = _r_vec(f)
-            layers.append((name, w, b))
-        (n_subs,) = struct.unpack("<I", _read(f, 4))
-        subspaces = {}
-        for _ in range(n_subs):
-            idx, n = struct.unpack("<II", _read(f, 8))
-            h = _r_mat(f)
-            h_new = _r_mat(f)
-            vel = _r_mat(f)
-            (mode_b,) = struct.unpack("<B", _read(f, 1))
-            scale, t_l = struct.unpack("<dI", _read(f, 12))
-            try:
-                subspaces[idx] = LateralSubspace(
-                    n=n,
-                    H=h,
-                    H_new=h_new,
-                    velocity=vel,
-                    mode="spiking" if mode_b else "linear",
-                    quant=QuantConfig(scale=scale, T_l=t_l),
-                )
-            except ValueError as e:
-                raise CheckpointError(f"{path}: subspace {idx}: {e}") from e
-        (n_rows,) = struct.unpack("<I", _read(f, 4))
-        acc = [list(_r_vec(f)) for _ in range(n_rows)]
-    return Checkpoint(
-        master_seed=seed,
-        task_cursor=cursor,
-        layers=layers,
-        subspaces=subspaces,
-        acc_matrix=acc,
-    )
+        try:
+            with zipfile.ZipFile(f) as zf:
+                return _from_zip(zf)
+        except (zipfile.BadZipFile, ValueError, KeyError, EOFError, RuntimeError,
+                NotImplementedError, OSError) as e:
+            why = str(e) or type(e).__name__  # zipfile raises some errors without text
+            raise CheckpointError(f"{path}: damaged or truncated checkpoint: {why}") from e

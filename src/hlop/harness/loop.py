@@ -177,6 +177,10 @@ class DivergenceError(ArithmeticError):
     """A lateral circuit's in-training state became non-finite."""
 
 
+class ScheduleError(ValueError):
+    """A subspace schedule asks a circuit for more rows than its layer is wide."""
+
+
 def _spare_cpu() -> bool:
     """Whether a CPU is left for the Hebbian worker: more CPUs than BLAS threads,
     which take every CPU unless the environment pins them."""
@@ -282,7 +286,7 @@ def run_continual(
     for i, sub in subspaces.items():
         first, expand = sched[i]
         if (rows := first + expand * (cfg.n_tasks - 1)) > sub.n:
-            raise ImageSizeError(
+            raise ScheduleError(
                 f"subspace {i}: schedule needs {rows} rows, but layer "
                 f"{net.trainable_layers(0)[i].name} has presynaptic width {sub.n} "
                 f"on {seq.image_hw[0]}x{seq.image_hw[1]} images"

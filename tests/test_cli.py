@@ -101,6 +101,16 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 2
         assert "mystery_knob" in capsys.readouterr().err
 
+    def test_output_dir_that_cannot_be_created_exit_2(self, run_env, capsys):
+        # A directory below a regular file used to end in a NotADirectoryError
+        # traceback.
+        (run_env / "file").write_text("")
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "file" / "out"))
+        assert main(["run", str(cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot create output_dir ") and "file/out" in line
+
     def test_invalid_value_exit_2(self, run_env, capsys):
         cfg = run_env / "bad.cfg"
         cfg.write_text("trainer = adam\n")
@@ -204,7 +214,7 @@ class TestRunCommand:
                    subspace_schedule="[[2, 1], [338, 112]]")
         assert main(["run", str(cfg)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == ("dataset error: subspace 1: schedule needs 786 rows, but layer "
+        assert line == ("schedule error: subspace 1: schedule needs 786 rows, but layer "
                         "block1 has presynaptic width 648 on 20x20 images")
         assert not (run_env / "out" / "metrics.csv").exists()
 
@@ -298,8 +308,8 @@ class TestRunCommand:
 
     def test_version_1_resume_exit_3(self, run_env, capsys):
         def version_1(p):
-            b = p.read_bytes()
-            p.write_bytes(b[:8] + struct.pack("<I", 1) + b[12:])
+            # magic, version, master seed, task cursor, then no layers
+            p.write_bytes(b"HLOPCKP1" + struct.pack("<IqII", 1, 99, 1, 0))
 
         line = self._refused_resume(run_env, capsys, {}, {}, corrupt=version_1)
         assert "unsupported checkpoint version 1" in line
@@ -374,6 +384,16 @@ class TestOracleCommand:
         np.savetxt(p, np.eye(3), delimiter=",")
         assert main(["oracle", str(p), "--k", "4"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_samples_exit_3(self, tmp_path, capsys, bad):
+        # Such samples used to give nan components and exit 0.
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2\n3,{bad}\n5,7\n")
+        assert main(["oracle", str(p), "--k", "1"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {p} holds nan or inf samples"
+        assert not (tmp_path / "d.csv.components.csv").exists()
+
     def test_alignment_against_checkpoint(self, run_env, capsys, tmp_path):
         out = run_env / "out"
         cfg = run_env / "exp.cfg"
@@ -402,6 +422,16 @@ class TestOracleCommand:
             "oracle", str(samples), "--k", "1",
             "--checkpoint", str(out / "task2.ckpt"), "--layer", "9",
         ]) == 2
+        assert not (tmp_path / "s.csv.components.csv").exists()
+
+    def test_unreadable_checkpoint_exit_3_before_writing(self, tmp_path, capsys):
+        # The components file used to be written before the checkpoint was read.
+        samples, ckpt = tmp_path / "s.csv", tmp_path / "bad.ckpt"
+        np.savetxt(samples, np.eye(3), delimiter=",")
+        ckpt.write_bytes(b"junk")
+        assert main(["oracle", str(samples), "--k", "1", "--checkpoint", str(ckpt)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "s.csv.components.csv").exists()
 
 
 class TestSynthDataCommand:
@@ -418,4 +448,13 @@ class TestSynthDataCommand:
         assert main(["synth-data", "--out", str(out), *counts]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: --train and --test must be >= 1")
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # numpy refuses a negative seed with a traceback; the command refuses
+        # it first.
+        out = tmp_path / "ds"
+        assert main(["synth-data", "--out", str(out), "--seed", "-1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: --seed must be >= 0, got -1"
         assert not out.exists()

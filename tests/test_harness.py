@@ -1,5 +1,7 @@
+import io
 import os
 import struct
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -26,7 +28,7 @@ from hlop.harness.data import (
     write_idx_images,
     write_idx_labels,
 )
-from hlop.harness.loop import _train_one_task, run_continual
+from hlop.harness.loop import ScheduleError, _train_one_task, run_continual
 from hlop.harness.metrics import (
     compute_acc_bwt,
     read_summary_csv,
@@ -313,41 +315,103 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    # Byte offsets below follow the v1 layout: magic 8, version 4,
-    # seed + cursor 12, then the layer count (4) and the first layer name
-    # (u16 length at 28, bytes from 30), or, with no layers, the subspace
-    # count (4) and the first subspace's index (u32 at 32) and width (at 36).
+    @staticmethod
+    def _npy(a):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.asarray(a, dtype=np.float64))
+        return buf.getvalue()
 
-    def _corrupt(self, tmp_path, ckpt, offset, patch):
-        path = str(tmp_path / "x.ckpt")
-        save_checkpoint(path, ckpt)
-        data = bytearray(open(path, "rb").read())
-        data[offset : offset + len(patch)] = patch
-        open(path, "wb").write(bytes(data))
-        return path
+    @staticmethod
+    def _rewrite(path, name, payload):
+        """Replace member ``name`` of the checkpoint at ``path`` by ``payload``
+        bytes, with a valid CRC-32, so only the reader's own checks see it."""
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        members[name] = payload
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, data in members.items():
+                zf.writestr(zipfile.ZipInfo(n), data)
 
     def test_rejects_corrupted_subspace_width(self, tmp_path):
         sub = LateralSubspace(n=4, H=np.eye(4)[:2])
-        ckpt = Checkpoint(master_seed=1, task_cursor=0, layers=[], subspaces={0: sub})
-        path = self._corrupt(tmp_path, ckpt, 36, struct.pack("<I", 5))
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[],
+                                         subspaces={0: sub}))
+        self._rewrite(path, "subspace/0/circuit", self._npy([5, 0, 20.0, 40]))
         with pytest.raises(CheckpointError, match="width 4 != presynaptic width 5"):
             load_checkpoint(path)
 
     def test_rejects_non_utf8_layer_name(self, tmp_path):
-        ckpt = Checkpoint(master_seed=1, task_cursor=0,
-                          layers=[("ab", np.zeros((2, 2)), np.zeros(2))])
-        path = self._corrupt(tmp_path, ckpt, 30, b"\xff\xfe")
-        with pytest.raises(CheckpointError, match="UTF-8"):
-            load_checkpoint(path)
+        # A non-ASCII name is stored as UTF-8 (zip flag bit 11); break its
+        # bytes in both the member header and the central directory.
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), Checkpoint(master_seed=1, task_cursor=0,
+                                              layers=[("äb", np.zeros((2, 2)), np.zeros(2))]))
+        path.write_bytes(path.read_bytes().replace("ä".encode(), b"\xff\xfe"))
+        with pytest.raises(CheckpointError, match="'utf-8' codec can't decode byte 0xff"):
+            load_checkpoint(str(path))
 
     def test_rejects_oversized_length_field(self, tmp_path):
-        # A weight row count of 2^32 - 1 claims about 64 GiB; the reader
-        # must report truncation without trying to read that much.
-        ckpt = Checkpoint(master_seed=1, task_cursor=0,
-                          layers=[("ab", np.zeros((2, 2)), np.zeros(2))])
-        path = self._corrupt(tmp_path, ckpt, 32, struct.pack("<I", 2**32 - 1))
-        with pytest.raises(CheckpointError, match="truncated"):
+        # A weight header claiming 2^32 - 1 rows claims about 64 GiB; the
+        # reader must refuse it without trying to allocate that much.
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0,
+                                         layers=[("ab", np.zeros((2, 2)), np.zeros(2))]))
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": (2**32 - 1, 2)})
+        self._rewrite(path, "layer/ab/weight", buf.getvalue() + bytes(32))
+        with pytest.raises(CheckpointError, match=r"\(4294967295, 2\) does not fit 32 bytes"):
             load_checkpoint(path)
+
+    def test_rejects_a_member_meta_does_not_count(self, tmp_path):
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[]))
+        self._rewrite(path, "acc/0", self._npy([50.0]))
+        with pytest.raises(CheckpointError, match=r"meta counts \[0, 0, 0\]"):
+            load_checkpoint(path)
+
+    def test_rejects_version_2(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(b"HLOPCKP1" + struct.pack("<IqI", 2, 1, 0) + bytes(8))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def _state(c):
+        arrays = [a for _, w, b in c.layers for a in (w, b)]
+        arrays += [a for s in c.subspaces.values() for a in (s.H, s.H_new, s.velocity)]
+        return (c.master_seed, c.task_cursor, c.acc_matrix, [n for n, _, _ in c.layers],
+                {i: (s.n, s.mode, s.quant) for i, s in c.subspaces.items()},
+                [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+    def test_every_cut_and_bit_flip_is_refused_or_harmless(self, tmp_path):
+        # Cut the file at every byte offset, and flip one bit in every byte:
+        # each damaged file must raise CheckpointError or load the same state
+        # (a flip in a timestamp changes nothing the reader returns).
+        rng = np.random.default_rng(0)
+        sub = LateralSubspace(n=4, H=rng.normal(size=(2, 4)), H_new=rng.normal(size=(1, 4)),
+                              velocity=rng.normal(size=(1, 4)), mode="spiking")
+        ckpt = Checkpoint(master_seed=2022, task_cursor=2,
+                          layers=[("block0", rng.normal(size=(3, 4)), rng.normal(size=3))],
+                          subspaces={0: sub}, acc_matrix=[[90.0], [85.0, 92.0]])
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), ckpt)
+        data = path.read_bytes()
+        want = self._state(ckpt)
+        assert self._state(load_checkpoint(str(path))) == want
+        silent = []
+        for i in range(len(data)):
+            flipped = data[:i] + bytes([data[i] ^ 1 << i % 8]) + data[i + 1:]
+            for kind, damaged in (("cut", data[:i]), ("flip", flipped)):
+                path.write_bytes(damaged)
+                try:
+                    back = load_checkpoint(str(path))
+                except CheckpointError:
+                    continue
+                if self._state(back) != want:
+                    silent.append((kind, i))
+        assert silent == []
 
 
 class TestRunContinual:
@@ -407,10 +471,12 @@ class TestRunContinual:
 
     def test_schedule_cannot_exceed_width(self, data_pools):
         # 150 + 4 * 30 rows do not fit block1's 200 presynaptic neurons; the
-        # run refuses before training.
+        # run refuses before training. Only the config is at fault, so the
+        # error is not a dataset error.
+        assert not issubclass(ScheduleError, DatasetError)
         cfg = _small_cfg(hlop="linear", n_tasks=5, train_per_task=100,
                          subspace_schedule=[[80, 70], [150, 30], [25, 18]])
-        with pytest.raises(ImageSizeError, match="subspace 1: schedule needs 270 rows, "
+        with pytest.raises(ScheduleError, match="subspace 1: schedule needs 270 rows, "
                                                  "but layer block1 has presynaptic width 200"):
             run_continual(cfg, data=data_pools)
 

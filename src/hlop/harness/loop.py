@@ -18,6 +18,7 @@ beside the next batch, in each circuit's order, so no result byte changes.
 from __future__ import annotations
 
 import os
+import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -42,7 +43,7 @@ from ..training import (
     rate_backward,
     rate_chain_forward,
     sgd_update,
-    _spiking_forward_pass,
+    _run_steps,
     _stack_feeds,
 )
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
@@ -169,8 +170,8 @@ def collect_feeds(
     if cfg.trainer == "rate":
         pres, _ = rate_chain_forward(net, x, head)
         return pres
-    _, _, pres = _spiking_forward_pass(net, x, head)
-    return _stack_feeds(pres)
+    # Keep the rows only: the layer states of past steps are dropped as the walk goes.
+    return _stack_feeds(list(zip(*(rows for rows, _ in _run_steps(net, x, head)))))
 
 
 class DivergenceError(ArithmeticError):
@@ -182,11 +183,15 @@ class ScheduleError(ValueError):
 
 
 def _spare_cpu() -> bool:
-    """Whether a CPU is left for the Hebbian worker: more CPUs than BLAS threads,
-    which take every CPU unless the environment pins them."""
-    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    """Whether a CPU is left for the Hebbian worker: more CPUs than BLAS threads.
+    OpenBLAS takes the first positive pin (read as C's ``atoi`` reads it) among
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, else every CPU."""
     cpus = len(os.sched_getaffinity(0))
-    return cpus > (int(pin) if pin.isdigit() else cpus)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        pin = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+        if pin and int(pin[1]) > 0:
+            return cpus > int(pin[1])
+    return False
 
 
 def _train_one_task(

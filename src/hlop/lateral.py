@@ -161,7 +161,10 @@ class LateralSubspace:
         in-training response y' = H' x and forms
         dH' = y' x_hat^T - (y' y'^T) H' (y' quantized in spiking mode),
         averages it over the batch rows, folds it into the momentum buffer,
-        and applies it. Consolidated rows are untouched.
+        and applies it. Consolidated rows are untouched. ``learn`` updates
+        ``H_new`` and ``velocity`` in place, through one set of scratch arrays
+        for its K repeats; every product and elementwise step keeps its
+        operands' shapes and order, so the bytes are the out-of-place rule's.
 
         The constant-step rule is only stable while the per-update spectral
         step eta/(1-momentum) * lambda_max(input second moment) stays below
@@ -183,11 +186,18 @@ class LateralSubspace:
         cap = 4.0 * (1.0 - self.momentum) / self.eta
         gain = cap / energy if energy > cap else 1.0
         def learn() -> None:
+            h, v = self.H_new, self.velocity
+            y, yy = np.empty((rows, self.k_new)), np.empty((self.k_new, self.k_new))
+            delta, step = np.empty_like(h), np.empty_like(h)
             for _ in range(self.K):
-                y_new = self._out(x @ self.H_new.T)
-                delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ self.H_new) / rows
-                self.velocity = self.momentum * self.velocity + delta
-                self.H_new = self.H_new + self.eta * self.velocity
+                y_new = self._out(np.matmul(x, h.T, out=y))
+                np.matmul(y_new.T, x_hat, out=delta)
+                delta -= np.matmul(np.matmul(y_new.T, y_new, out=yy), h, out=step)
+                delta *= gain
+                delta /= rows
+                v *= self.momentum
+                v += delta
+                h += np.multiply(v, self.eta, out=step)
         return x_hat, learn
 
     def expand(self, k_add: int, rng: np.random.Generator) -> None:

@@ -89,7 +89,9 @@ def lif_step(
 ) -> tuple[LayerState, np.ndarray]:
     """Advance membrane potentials one step and emit spikes.
 
-    Mutates ``state`` in place and also returns it with the new spike array.
+    Rebinds ``state.u`` and ``state.s`` to fresh arrays, filled in place in the
+    formula's order and so with its bytes, and returns the state with the new
+    spike array; arrays kept from an earlier step never change.
 
     Raises:
         ValueError: if the input current contains non-finite values.
@@ -101,13 +103,16 @@ def lif_step(
             f"input current shape {input_current.shape} does not match "
             f"state shape {state.u.shape}"
         )
-    if not np.all(np.isfinite(input_current)):
+    u_next = np.isfinite(input_current, out=np.empty_like(state.u))
+    if not u_next.all():
         raise ValueError("non-finite input current")
-    u_next = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
-    s_next = (u_next >= cfg.v_th).astype(np.float64)
-    state.u = u_next
-    state.s = s_next
-    return state, s_next
+    np.multiply(state.s, cfg.v_th, out=u_next)
+    np.subtract(state.u, u_next, out=u_next)
+    u_next *= cfg.lam
+    u_next += input_current
+    state.u = u_next  # the old u goes before the spikes are allocated
+    state.s = np.greater_equal(u_next, cfg.v_th, out=np.empty_like(u_next))
+    return state, state.s
 
 
 def surrogate_derivative(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
@@ -117,10 +122,18 @@ def surrogate_derivative(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
     overflow-safe symmetric form. Peaks at 1/(4*a2) for u = v_th and decays
     to 0 in both tails.
     """
-    z = np.abs(np.asarray(u, dtype=np.float64) - cfg.v_th) / cfg.a2
-    # exp(-z) underflows harmlessly to 0 for large z; no overflow possible.
-    e = np.exp(-z)
-    return e / (cfg.a2 * (1.0 + e) ** 2)
+    u = np.asarray(u, dtype=np.float64)
+    # e = exp(-|u - v_th| / a2) underflows harmlessly to 0; no overflow possible.
+    e = np.subtract(u, cfg.v_th, out=np.empty_like(u))
+    np.abs(e, out=e)
+    e /= cfg.a2
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(e, 1.0, out=np.empty_like(e))
+    np.square(d, out=d)
+    d *= cfg.a2
+    e /= d
+    return e
 
 
 def rate_representation(spike_train: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
@@ -210,14 +223,20 @@ def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
     *lead, h, w = x.shape
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    total = sum(x[..., i::size, j::size] for i in range(size) for j in range(size))
-    return total / (size * size)
+    total = np.zeros((*lead, h // size, w // size))
+    for i in range(size):
+        for j in range(size):
+            total += x[..., i::size, j::size]
+    total /= size * size
+    return total
 
 
 def avg_pool_backward(grad: np.ndarray, size: int) -> np.ndarray:
     """Adjoint of ``avg_pool``: spread each pooled gradient over its window."""
-    g = np.repeat(np.repeat(grad, size, axis=-2), size, axis=-1)
-    return g / (size * size)
+    *lead, h, w = grad.shape
+    g = np.empty((*lead, h, size, w, size))
+    g[...] = (grad / (size * size))[..., :, None, :, None]
+    return g.reshape(*lead, h * size, w * size)
 
 
 @dataclass

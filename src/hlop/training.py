@@ -330,8 +330,9 @@ def _run_steps(
     propagate within a step; the input is injected as a constant current at
     every step. The input and the weights are fixed for the batch, so the
     first layer's rows and current are computed once. The states are
-    advanced in place by the next step, but their arrays are rebound, never
-    mutated, so a caller may keep the ``u`` and ``s`` it reads. With
+    advanced by the next step, but their arrays are rebound to fresh ones,
+    never mutated, so a caller may keep the ``u`` and ``s`` it reads. In-place
+    updates keep their operands' shapes and order, and so the bytes. With
     ``smooth`` the spike step is replaced by its sigmoid relaxation (used only
     by gradient-checking code paths).
     """
@@ -451,7 +452,8 @@ def ottt_step(
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
     cs: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        cs[i] = err * surrogate_derivative(states[i].u, cfg)
+        cs[i] = surrogate_derivative(states[i].u, cfg)
+        cs[i] *= err
         if i > 0:
             err = _error_below(layers, i, cs[i], epcfg)
     return cs
@@ -481,15 +483,17 @@ def ottt_backward(
     """
     cfg = net.cfg
     step_rows, step_errs = [], []  # per step: every layer's rows; errors above the first
-    a = first_delta = first_bias = rate_sum = 0.0
-    for rows, states in _run_steps(net, x, head):
+    a = first_bias = 0.0
+    for t, (rows, states) in enumerate(_run_steps(net, x, head)):
         cs = ottt_step(net, states, y_onehot, epcfg, head)
+        if t == 0:  # 0.0 + x, as in a sum from 0.0: -0.0 becomes +0.0
+            first_delta, rate_sum = np.zeros_like(cs[0]), np.zeros_like(states[-1].s)
         a = cfg.lam * a + 1.0
-        first_delta = first_delta + a * cs[0]
         first_bias = first_bias + cs[0].sum(axis=0)
+        first_delta += np.multiply(cs[0], a, out=cs[0])
         step_rows.append(rows)
         step_errs.append(cs[1:])
-        rate_sum = rate_sum + states[-1].s
+        rate_sum += states[-1].s
     traces = _stack_feeds(list(zip(*step_rows)))
     grads = [LayerGrad(delta=first_delta, trace=traces[0], bias=first_bias)]
     for trace, errs in zip(traces[1:], zip(*step_errs)):

@@ -32,6 +32,7 @@ from hlop.training import (
     _post_block,
     _presyn_rows,
     _route_error_to_block,
+    _run_steps,
     _spiking_forward_pass,
     backprop_error,
     build_conv_net,
@@ -314,6 +315,19 @@ class TestStaticInputHoisting:
                 assert np.array_equal(us[i][t], states[i].u)
                 assert np.array_equal(ss[i][t], states[i].s)
                 carry = _post_block(layer, states[i].s)
+
+
+@pytest.mark.parametrize("case", [_mlp_case, _conv_case], ids=["mlp", "conv"])
+def test_walk_leaves_kept_states_unchanged(case):
+    # Callers keep each step's u and s (the forward pass, OTTT's step rows,
+    # the references above); later steps must not write into them.
+    net, x, _, head = case()
+    kept = [[(st.u, st.s, st.u.copy(), st.s.copy()) for st in states]
+            for _, states in _run_steps(net, x, head)]
+    for step in kept:
+        for u, s, u_then, s_then in step:
+            assert u.tobytes() == u_then.tobytes() and s.tobytes() == s_then.tobytes()
+    assert any(s.any() for step in kept for _, s, _, _ in step)
 
 
 def test_conv_state_is_the_map_state_in_patch_rows():

@@ -1,6 +1,7 @@
 import io
 import os
 import struct
+import tracemalloc
 import zipfile
 from dataclasses import fields
 
@@ -38,7 +39,14 @@ from hlop.harness.metrics import (
 from hlop.lateral import LateralSubspace, QuantConfig
 from hlop.linalg import make_rng
 from hlop.spiking import NeuronConfig
-from hlop.training import ErrorPropConfig, build_mlp, ottt_backward
+from hlop.training import (
+    ErrorPropConfig,
+    _spiking_forward_pass,
+    _stack_feeds,
+    build_conv_net,
+    build_mlp,
+    ottt_backward,
+)
 
 
 def _small_cfg(**kw):
@@ -540,6 +548,47 @@ class TestTrainOneTask:
             assert np.array_equal(lg.trace, trace)
         (feed,) = seen["hebbian"]
         assert np.array_equal(feed, traces[0]) and feed.any()
+
+
+def _audit_net(task):
+    """The shipped split_conv net (28x28 inputs, 8 channels, 3x3 kernel, pool 2,
+    100 hidden, five 2-way heads), or a 784-200-200-10 pmnist net."""
+    ncfg = NeuronConfig(lam=0.5, v_th=0.4, T=6, a2=0.25)
+    if task == "split_mnist":
+        return build_conv_net(1, (28, 28), 8, 3, 2, 100, 2, 5, ncfg, make_rng(70, 0))
+    return build_mlp(784, [200, 200], 10, 1, ncfg, make_rng(70, 0))
+
+
+class TestCollectFeeds:
+    @pytest.mark.parametrize("trainer", ["ottt", "bptt"])
+    @pytest.mark.parametrize("task", ["split_mnist", "pmnist"])
+    def test_feeds_are_the_forward_pass_rows(self, task, trainer):
+        cfg = config_from_dict(dict(task=task, trainer=trainer))
+        net = _audit_net(task)
+        x = make_rng(71, 0).uniform(size=(24, 784))
+        feeds = loop.collect_feeds(cfg, net, x)
+        expect = _stack_feeds(_spiking_forward_pass(net, x, 0)[2])
+        assert len(feeds) == len(expect) == 3
+        for got, want in zip(feeds, expect):
+            assert got.shape == want.shape and np.array_equal(got, want) and want.any()
+
+    def test_split_conv_feed_peak_memory(self):
+        # 200 samples give 22.6 MiB of feeds (the 135200x9 input patches once,
+        # six steps of 1352- and 100-wide rows). Walking the steps for their
+        # rows only peaks at 53.5 MiB: the feeds, the conv current and three
+        # conv states of 8.25 MiB each. Keeping every step's conv u and s as
+        # well peaked at 132.6 MiB.
+        cfg = config_from_dict(dict(task="split_mnist", trainer="ottt"))
+        net = _audit_net("split_mnist")
+        x = make_rng(71, 0).uniform(size=(200, 784))
+        tracemalloc.start()
+        try:
+            feeds = loop.collect_feeds(cfg, net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(f.nbytes for f in feeds) / 2**20 == pytest.approx(22.58, abs=0.01)
+        assert peak / 2**20 < 70.0
 
 
 class TestConfigValidation:

@@ -196,6 +196,43 @@ class TestHebbianUpdate:
         assert np.linalg.norm(sub.H_new, axis=1).max() < 2.0
 
 
+def _out_of_place_learn(sub, x):
+    """The Hebbian repeats with a fresh array for every intermediate, as the
+    rule reads: dH' = gain * (y' x_hat^T - (y' y'^T) H') / rows."""
+    x_hat, rows = sub.project_trace(x), x.shape[0]
+    energy, cap = float(np.mean(np.sum(x * x, axis=1))), 4.0 * (1.0 - sub.momentum) / sub.eta
+    gain = cap / energy if energy > cap else 1.0
+    for _ in range(sub.K):
+        y_new = sub._out(x @ sub.H_new.T)
+        delta = gain * (y_new.T @ x_hat - (y_new.T @ y_new) @ sub.H_new) / rows
+        sub.velocity = sub.momentum * sub.velocity + delta
+        sub.H_new = sub.H_new + sub.eta * sub.velocity
+
+
+@pytest.mark.parametrize("mode", ["linear", "spiking"])
+def test_in_place_learn_keeps_the_out_of_place_bits(mode):
+    # Several batches per task, across expand and consolidate, in both the
+    # undamped and the damped regime; learn writes into the banks it found.
+    fast, ref = (LateralSubspace(n=48, mode=mode) for _ in range(2))
+    feeds = make_rng(23, 0).uniform(0.0, 1.0, size=(3, 4, 40, 48)) ** 3
+    feeds[:, 2:] *= 4.0  # mean row energy above the damping cap
+    for task, batches in enumerate(feeds):
+        for sub in (fast, ref):
+            sub.expand(5, make_rng(24, task))
+        for x in batches:
+            h_new, velocity = fast.H_new, fast.velocity
+            x_hat, learn = fast.hebbian_update(x)
+            learn()
+            _out_of_place_learn(ref, x)
+            assert fast.H_new is h_new and fast.velocity is velocity
+            assert np.array_equal(x_hat, ref.project_trace(x))
+            for name in ("H", "H_new", "velocity"):
+                assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+        for sub in (fast, ref):
+            sub.consolidate()
+    assert fast.k == 15 and fast.H.tobytes() == ref.H.tobytes()
+
+
 class TestExpandConsolidate:
     def test_expand_zero_is_noop(self):
         sub = LateralSubspace(n=4)

@@ -195,6 +195,79 @@ class TestPooling:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _hard_values(shape, v_th, seed):
+    """Random conv-sized values with -0.0, +0.0, exactly v_th and +-1e6 mixed in."""
+    rng = make_rng(seed, 0)
+    x = rng.normal(v_th, 2.0, size=shape)
+    special = np.array([-0.0, 0.0, v_th, 1e6, -1e6])
+    pick = rng.uniform(size=shape) < 0.2
+    x[pick] = special[rng.integers(0, len(special), size=int(pick.sum()))]
+    return x
+
+
+class TestKernelsKeepTheFormulaBits:
+    """The in-place kernels write exactly the bytes of the expressions they
+    replace, on conv-sized inputs (64 samples, 26x26 positions, 8 channels).
+    The constants are not powers of two, so a reordered formula shows."""
+
+    ROWS, CH = 64 * 26 * 26, 8
+
+    def test_lif_step(self):
+        cfg = _cfg(lam=0.7, v_th=0.4)
+        u = _hard_values((self.ROWS, self.CH), cfg.v_th, 60)
+        s = (make_rng(61, 0).uniform(size=u.shape) < 0.3).astype(np.float64)
+        current = _hard_values(u.shape, cfg.v_th, 62)
+        expect_u = cfg.lam * (u - cfg.v_th * s) + current
+        expect_s = (expect_u >= cfg.v_th).astype(np.float64)
+        assert np.any(expect_u == cfg.v_th) and np.any(np.signbit(expect_u) & (expect_u == 0))
+        st, spikes = lif_step(LayerState(u=u.copy(), s=s.copy()), current, cfg)
+        assert _same_bits(st.u, expect_u) and _same_bits(spikes, expect_s)
+        assert spikes is st.s and spikes.dtype == np.float64
+
+    def test_surrogate_derivative(self):
+        cfg = _cfg(v_th=0.4, a2=0.3)
+        u = _hard_values((self.ROWS, self.CH), cfg.v_th, 63)
+        e = np.exp(-(np.abs(u - cfg.v_th) / cfg.a2))
+        assert _same_bits(surrogate_derivative(u, cfg), e / (cfg.a2 * (1.0 + e) ** 2))
+        for u0 in (np.array(cfg.v_th), np.array(-0.0), np.array(1e6)):  # 0-d arrays
+            e0 = np.exp(-(np.abs(u0 - cfg.v_th) / cfg.a2))
+            assert _same_bits(surrogate_derivative(u0, cfg), e0 / (cfg.a2 * (1.0 + e0) ** 2))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_avg_pool(self, size):
+        # Pooled as the walk pools: a channels-last state viewed as maps.
+        rows = _hard_values((64 * 24 * 24, self.CH), 0.4, 64)
+        maps = rows.reshape(64, 24, 24, self.CH).transpose(0, 3, 1, 2)
+        subgrids = (maps[..., i::size, j::size] for i in range(size) for j in range(size))
+        assert _same_bits(avg_pool(maps, size), sum(subgrids) / (size * size))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_avg_pool_backward(self, size):
+        g = _hard_values((64, self.CH, 13, 13), 0.4, 65)
+        expect = np.repeat(np.repeat(g, size, axis=-2), size, axis=-1) / (size * size)
+        assert _same_bits(avg_pool_backward(g, size), expect)
+
+
+def test_lif_step_leaves_kept_arrays_unchanged():
+    # The walk, OTTT's step rows and reference walks keep u and s of step t;
+    # step t + 1 must rebind the state to fresh arrays, not write into them.
+    cfg = _cfg(lam=0.5, v_th=0.4)
+    st = LayerState.zeros(64 * 26 * 26, 8)
+    current = _hard_values(st.u.shape, cfg.v_th, 66)
+    kept = []
+    for _ in range(3):
+        st, s = lif_step(st, current, cfg)
+        kept.append((st.u, s, st.u.copy(), s.copy()))
+    for u, s, u_then, s_then in kept:
+        assert _same_bits(u, u_then) and _same_bits(s, s_then)
+    assert len({id(a) for entry in kept for a in entry[:2]}) == 6
+
+
 class TestNeuronConfig:
     def test_rejects_bad_values(self):
         for kw in (dict(lam=0.0), dict(lam=1.5), dict(v_th=0.0), dict(T=0), dict(a2=0.0)):

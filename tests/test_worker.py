@@ -71,9 +71,17 @@ OUTPUTS = ("metrics.csv", "summary.csv", "task1.ckpt", "task2.ckpt")
     (2, {}, False),  # an unpinned BLAS pool already takes both CPUs
     (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
     (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    # OpenBLAS takes the first positive pin, read as C's atoi reads it.
+    (2, {"OPENBLAS_NUM_THREADS": "0"}, False),
+    (2, {"GOTO_NUM_THREADS": "1"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    (2, {"OPENBLAS_NUM_THREADS": " 1x"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "3"}, False),
+    (2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
 ])
 def test_worker_needs_a_cpu_that_blas_leaves_free(monkeypatch, cpus, pins, spare):
-    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(key, raising=False)
     for key, value in pins.items():
         monkeypatch.setenv(key, value)

@@ -1,11 +1,10 @@
 """Command-line entry point.
 
     hlop run <config>            execute a task-sequence experiment
-    hlop verify <suite>          run a named invariant suite
     hlop oracle <csv> --k K      extract top-k principal directions
     hlop synth-data --out DIR    generate the offline IDX dataset
 
-Exit codes: 0 success, 1 failed checks / failed run, 2 invalid configuration
+Exit codes: 0 success, 1 failed run (divergence), 2 invalid configuration
 or arguments, 3 missing or malformed dataset, sample or checkpoint files
 (including a checkpoint that does not fit the resuming run, and a subspace
 schedule that overfills a layer of the net built from the data).
@@ -25,7 +24,6 @@ from .harness.data import DatasetError, write_idx_dataset
 from .harness.loop import DivergenceError, ScheduleError, run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
 from .linalg import subspace_alignment_error, topk_principal
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,22 +85,6 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(suite: str) -> int:
-    if suite not in SUITES:
-        print(
-            f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    results = run_suite(suite)
-    failed = 0
-    for r in results:
-        status = "ok" if r.ok else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
-        failed += 0 if r.ok else 1
-    return EXIT_OK if failed == 0 else EXIT_FAIL
-
-
 def cmd_oracle(
     data_path: str,
     k: int,
@@ -154,10 +136,19 @@ def cmd_oracle(
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-    m = topk_principal(data, k)
     out_path = out_path or (data_path + ".components.csv")
     tmp = out_path + ".tmp"
-    np.savetxt(tmp, m, delimiter=",")
+    if os.path.isdir(out_path):
+        print(f"error: cannot create --out {out_path!r}: Is a directory", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        f = open(tmp, "w", encoding="ascii")
+    except OSError as e:
+        print(f"error: cannot create --out {out_path!r}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
+    with f:
+        m = topk_principal(data, k)
+        np.savetxt(f, m, delimiter=",")
     os.replace(tmp, out_path)
     print(f"wrote {k} principal directions to {out_path}")
     if h is not None:
@@ -174,6 +165,11 @@ def cmd_synth_data(out_dir: str, n_train: int, n_test: int, seed: int) -> int:
     if seed < 0:
         print(f"error: --seed must be >= 0, got {seed}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create --out {out_dir!r}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     write_idx_dataset(out_dir, n_train=n_train, n_test=n_test, seed=seed)
     print(f"wrote IDX dataset ({n_train} train / {n_test} test) to {out_dir}")
     return EXIT_OK
@@ -186,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a task-sequence experiment from a config file")
     run_p.add_argument("config", help="flat-key config file")
     run_p.add_argument("--resume", default=None, help="checkpoint to continue from")
-
-    ver_p = sub.add_parser("verify", help="run a named invariant suite")
-    ver_p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
 
     ora_p = sub.add_parser("oracle", help="top-k principal directions of a CSV sample matrix")
     ora_p.add_argument("csv", help="CSV matrix, one sample per row")
@@ -209,8 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, resume=args.resume)
-    if args.command == "verify":
-        return cmd_verify(args.suite)
     if args.command == "oracle":
         return cmd_oracle(args.csv, args.k, args.out, args.checkpoint, args.layer)
     if args.command == "synth-data":

@@ -309,18 +309,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _smooth_step(state: LayerState, input_current: np.ndarray, cfg: NeuronConfig) -> None:
-    """``lif_step`` with the spike step replaced by its sigmoid relaxation.
-
-    The relaxation's derivative is exactly the surrogate, which makes
-    finite-difference checks of the backward pass exact.
-    """
-    state.u = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
-    state.s = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - state.u) / cfg.a2, -500.0, 500.0)))
-
-
 def _run_steps(
-    net: SpikingNet, x: np.ndarray, head: int = 0, smooth: bool = False
+    net: SpikingNet, x: np.ndarray, head: int = 0
 ) -> Iterator[tuple[list[np.ndarray], list[LayerState]]]:
     """Walk the layers for T steps on a static input, yielding after each step.
 
@@ -332,24 +322,21 @@ def _run_steps(
     first layer's rows and current are computed once. The states are
     advanced by the next step, but their arrays are rebound to fresh ones,
     never mutated, so a caller may keep the ``u`` and ``s`` it reads. In-place
-    updates keep their operands' shapes and order, and so the bytes. With
-    ``smooth`` the spike step is replaced by its sigmoid relaxation (used only
-    by gradient-checking code paths).
+    updates keep their operands' shapes and order, and so the bytes.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    step = _smooth_step if smooth else lif_step
     first_rows = _presyn_rows(layers[0], x)
     first_current = _layer_current(layers[0], first_rows)
     states = [LayerState.zeros(len(first_rows), layers[0].out_dim)]
     for _ in range(cfg.T):
         rows = [first_rows]
-        step(states[0], first_current, cfg)
+        lif_step(states[0], first_current, cfg)
         for i in range(1, len(layers)):
             rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
             if len(states) == i:
                 states.append(LayerState.zeros(len(rows[i]), layers[i].out_dim))
-            step(states[i], _layer_current(layers[i], rows[i]), cfg)
+            lif_step(states[i], _layer_current(layers[i], rows[i]), cfg)
         yield rows, states
 
 
@@ -359,21 +346,14 @@ def _stack_feeds(pres: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
 
 
 def _spiking_forward_pass(
-    net: SpikingNet,
-    x: np.ndarray,
-    head: int,
-    smooth: bool = False,
+    net: SpikingNet, x: np.ndarray, head: int
 ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Run T steps, returning per-layer per-step (u, s) and presynaptic rows.
-
-    With ``smooth`` the spike step is replaced by its sigmoid relaxation
-    (used only by gradient-checking code paths).
-    """
+    """Run T steps, returning per-layer per-step (u, s) and presynaptic rows."""
     n_layers = len(net.trainable_layers(head))
     us: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     ss: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    for rows, states in _run_steps(net, x, head, smooth):
+    for rows, states in _run_steps(net, x, head):
         for i, state in enumerate(states):
             us[i].append(state.u)
             ss[i].append(state.s)
@@ -391,7 +371,6 @@ def bptt_sg_backward(
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
-    smooth_forward: bool = False,
 ) -> tuple[GradPacket, np.ndarray]:
     """Backpropagation through time with the sigmoid surrogate.
 
@@ -406,7 +385,7 @@ def bptt_sg_backward(
     cfg = net.cfg
     layers = net.trainable_layers(head)
     batch = x.shape[0]
-    us, ss, pres = _spiking_forward_pass(net, x, head, smooth=smooth_forward)
+    us, ss, pres = _spiking_forward_pass(net, x, head)
     traces = _stack_feeds(pres)
 
     rate = np.mean(ss[-1], axis=0)

@@ -1,0 +1,69 @@
+"""Test-side references: a relaxed spike step, a finite-difference gradient
+and a streaming subspace run, none of which the system itself needs."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hlop.lateral import LateralSubspace
+from hlop.linalg import make_rng, subspace_alignment_error, topk_principal
+
+
+def smooth_step(state, input_current, cfg):
+    """``lif_step`` with the spike step replaced by its sigmoid relaxation.
+
+    The relaxation's derivative is exactly the surrogate, which makes
+    finite-difference checks of the surrogate backward pass exact. Installed
+    over ``hlop.training.lif_step`` by the ``smooth_forward`` fixture.
+    """
+    state.u = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
+    state.s = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - state.u) / cfg.a2, -500.0, 500.0)))
+    return state, state.s
+
+
+def fd_weight_grad(loss_fn, layer, h=1e-5):
+    """Central differences of ``loss_fn()`` in each entry of ``layer.weight``."""
+    g = np.zeros_like(layer.weight)
+    for i in range(layer.weight.shape[0]):
+        for j in range(layer.weight.shape[1]):
+            orig = layer.weight[i, j]
+            layer.weight[i, j] = orig + h
+            up = loss_fn()
+            layer.weight[i, j] = orig - h
+            dn = loss_fn()
+            layer.weight[i, j] = orig
+            g[i, j] = (up - dn) / (2 * h)
+    return g
+
+
+def streaming_subspace_demo(
+    seed: int = 2024,
+    n: int = 20,
+    k: int = 3,
+    samples: int = 5000,
+    batch: int = 1000,
+    passes: int = 10,
+) -> tuple[float, LateralSubspace, np.ndarray]:
+    """Train a lateral circuit on a synthetic Gaussian stream and score it.
+
+    The stream has covariance diag(10, 5, 2, 1, ..., 1); the circuit should
+    recover the 3-dimensional dominant subspace. The constant learning rate
+    and momentum leave a stochastic fluctuation floor that shrinks with the
+    minibatch size; 1000-sample minibatches over 10 passes sit well under
+    the 0.1 alignment bound. With no trainer to overlap, each batch's
+    ``learn`` runs at once. Returns the alignment error against
+    ``topk_principal`` on the same samples, plus both subspaces.
+    """
+    rng = make_rng(seed, 0)
+    spectrum = np.ones(n)
+    spectrum[:3] = [10.0, 5.0, 2.0]
+    data = rng.normal(size=(samples, n)) * np.sqrt(spectrum)
+    sub = LateralSubspace(n=n)
+    sub.expand(k, make_rng(seed, 1))
+    for _ in range(passes):
+        for start in range(0, samples, batch):
+            _, learn = sub.hebbian_update(data[start : start + batch])
+            learn()
+    sub.consolidate()
+    m = topk_principal(data, k)
+    return subspace_alignment_error(sub.H, m), sub, m

@@ -1,9 +1,12 @@
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hlop
 from hlop.cli import main
 from hlop.config import load_config
 from hlop.harness.checkpoint import load_checkpoint, save_checkpoint
@@ -344,16 +347,20 @@ class TestRunCommand:
         assert "subspace 0 quant.T_l" in line and "has 40" in line and "has 7" in line
 
 
-class TestVerifyCommand:
-    def test_known_suites_pass(self, capsys):
-        for suite in ("algebra", "quantization", "metrics", "gradients",
-                      "hebbian-oracle"):
-            assert main(["verify", suite]) == 0
-            assert "FAIL" not in capsys.readouterr().out
+def test_verify_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "algebra"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
 
-    def test_unknown_suite_exit_2(self, capsys):
-        assert main(["verify", "nonsense"]) == 2
-        assert "nonsense" in capsys.readouterr().err
+
+def _run_cli(*args):
+    """``hlop`` in a fresh interpreter, as a shell would run it."""
+    src = os.path.dirname(os.path.dirname(hlop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "hlop.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 class TestOracleCommand:
@@ -433,6 +440,23 @@ class TestOracleCommand:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "s.csv.components.csv").exists()
 
+    @pytest.mark.parametrize("out", ["afile/x.csv", "adir"])
+    def test_out_that_cannot_be_created_exit_2(self, tmp_path, out):
+        # Below a regular file this used to end in a traceback from
+        # np.savetxt, after the eigendecomposition; onto a directory, in one
+        # from os.replace.
+        samples = tmp_path / "d.csv"
+        np.savetxt(samples, np.eye(3), delimiter=",")
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        proc = _run_cli("oracle", str(samples), "--k", "1", "--out", str(tmp_path / out))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot create --out ") and out in line
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "d.csv"]
+        assert not os.listdir(tmp_path / "adir")
+
 
 class TestSynthDataCommand:
     def test_writes_loadable_dataset(self, tmp_path):
@@ -458,3 +482,12 @@ class TestSynthDataCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "error: --seed must be >= 0, got -1"
         assert not out.exists()
+
+    def test_out_below_a_regular_file_exit_2(self, tmp_path):
+        # This used to end in a NotADirectoryError traceback.
+        (tmp_path / "afile").write_text("")
+        proc = _run_cli("synth-data", "--out", str(tmp_path / "afile" / "x"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot create --out ") and "afile/x" in line

@@ -10,6 +10,17 @@ def _orthonormal_rows(n, k, seed=0):
     return q.T.copy()
 
 
+def _random_circuits(rng, rows=None, count=200):
+    """``count`` circuits of random width n in [3, 16) with k in [1, n)
+    orthonormal consolidated rows, each with a random input: one vector, or
+    ``rows`` rows."""
+    for _ in range(count):
+        n = int(rng.integers(3, 16))
+        k = int(rng.integers(1, n))
+        q, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        yield LateralSubspace(n=n, H=q.T.copy()), rng.normal(size=n if rows is None else (rows, n))
+
+
 class TestProjectTrace:
     def test_empty_subspace_is_identity(self):
         sub = LateralSubspace(n=4)
@@ -28,17 +39,13 @@ class TestProjectTrace:
         assert np.allclose(sub.project_trace(np.array([3.0, 4.0])), [0.0, 4.0])
 
     def test_idempotent(self):
-        h = _orthonormal_rows(9, 4, seed=2)
-        sub = LateralSubspace(n=9, H=h)
-        x = make_rng(3, 0).normal(size=(20, 9))
-        once = sub.project_trace(x)
-        assert np.max(np.abs(sub.project_trace(once) - once)) < 1e-10
+        for sub, x in _random_circuits(make_rng(2, 0), rows=20):
+            once = sub.project_trace(x)
+            assert np.max(np.abs(sub.project_trace(once) - once)) < 1e-10
 
     def test_result_orthogonal_to_rows(self):
-        h = _orthonormal_rows(9, 4, seed=4)
-        sub = LateralSubspace(n=9, H=h)
-        x_hat = sub.project_trace(make_rng(5, 0).normal(size=9))
-        assert np.max(np.abs(h @ x_hat)) < 1e-10
+        for sub, x in _random_circuits(make_rng(4, 0)):
+            assert np.max(np.abs(sub.H @ sub.project_trace(x))) < 1e-10
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
@@ -303,7 +310,7 @@ class TestQuantizer:
     def test_direct_evaluation(self):
         # 3.27/20*40 = 6.54 -> 7 -> 7/40*20 = 3.5
         q = QuantConfig(scale=20.0, T_l=40)
-        assert quantize_subspace_output(np.array(3.27), q) == pytest.approx(3.5)
+        assert abs(float(quantize_subspace_output(np.array(3.27), q)) - 3.5) < 1e-12
 
     def test_ties_away_from_zero(self):
         # 0.25/20*40 = 0.5 exactly: away-from-zero gives grid step 1 -> 0.5.
@@ -312,9 +319,10 @@ class TestQuantizer:
         assert quantize_subspace_output(np.array(-0.25), q) == pytest.approx(-0.5)
 
     def test_grid_refinement(self):
-        q = QuantConfig(scale=20.0, T_l=10**8)
-        y = make_rng(27, 0).uniform(-25, 25, size=256)
-        assert np.max(np.abs(quantize_subspace_output(y, q) - np.clip(y, -20, 20))) < 1e-5
+        for t_l, seed, span, size in ((10**8, 27, 25, 256), (10**7, 5, 30, 1000)):
+            q = QuantConfig(scale=20.0, T_l=t_l)
+            y = make_rng(seed, 0).uniform(-span, span, size=size)
+            assert np.max(np.abs(quantize_subspace_output(y, q) - np.clip(y, -20, 20))) < 1e-5
 
     def test_spiking_projection_close_to_linear_at_fine_grid(self):
         h = _orthonormal_rows(10, 3, seed=28)

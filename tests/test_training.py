@@ -22,6 +22,7 @@ from hlop.training import (
     softmax,
     _post_block,
 )
+from reference import fd_weight_grad
 
 
 def _mlp(seed, sizes, cfg):
@@ -134,20 +135,6 @@ def _oracle_conv_rate_chain_loss(net, x, y_onehot):
     return float(-np.sum(y_onehot * np.log(softmax(z))))
 
 
-def _fd_grad(loss_fn, layer, h=1e-5):
-    g = np.zeros_like(layer.weight)
-    for i in range(layer.weight.shape[0]):
-        for j in range(layer.weight.shape[1]):
-            orig = layer.weight[i, j]
-            layer.weight[i, j] = orig + h
-            up = loss_fn()
-            layer.weight[i, j] = orig - h
-            dn = loss_fn()
-            layer.weight[i, j] = orig
-            g[i, j] = (up - dn) / (2 * h)
-    return g
-
-
 class TestBpttSg:
     def test_t1_reduces_to_single_step(self):
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=1, a2=0.25)
@@ -172,21 +159,19 @@ class TestBpttSg:
         assert np.max(np.abs(dw0)) < 1e-6
         assert np.max(np.abs(dw0)) > 0.0  # leakage, not an exact zero
 
-    def test_matches_finite_differences_on_smooth_relaxation(self):
+    def test_matches_finite_differences_on_smooth_relaxation(self, smooth_forward):
         cfg = NeuronConfig(lam=0.5, v_th=1.0, T=3, a2=0.25)
         net = _mlp(6, [2, 2, 2], cfg)
         x = make_rng(7, 0).uniform(0.1, 1.2, size=(3, 2))
         y = _onehot([0, 1, 0], 2)
-        packet, _ = bptt_sg_backward(
-            net, x, y, ErrorPropConfig(), smooth_forward=True
-        )
+        packet, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
-            fd = _fd_grad(lambda: _oracle_smooth_bptt_loss(net, x, y), layer)
+            fd = fd_weight_grad(lambda: _oracle_smooth_bptt_loss(net, x, y), layer)
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-4
 
-    def test_reset_path_credit_is_present(self):
+    def test_reset_path_credit_is_present(self, smooth_forward):
         # With the reset path, credit flows even when only the membrane could
         # not explain the loss change; compare against finite differences at
         # a different leak to make sure the lam*v_th*c term is exercised.
@@ -194,12 +179,10 @@ class TestBpttSg:
         net = _mlp(8, [2, 3, 2], cfg)
         x = make_rng(9, 0).uniform(0.2, 1.0, size=(2, 2))
         y = _onehot([1, 0], 2)
-        packet, _ = bptt_sg_backward(
-            net, x, y, ErrorPropConfig(), smooth_forward=True
-        )
+        packet, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
-            fd = _fd_grad(lambda: _oracle_smooth_bptt_loss(net, x, y), layer)
+            fd = fd_weight_grad(lambda: _oracle_smooth_bptt_loss(net, x, y), layer)
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-4
 
@@ -314,7 +297,7 @@ class TestRateTrainer:
         packet, _ = rate_backward(net, x, y, ErrorPropConfig())
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
-            fd = _fd_grad(lambda: _oracle_rate_chain_loss(net, x, y), layer)
+            fd = fd_weight_grad(lambda: _oracle_rate_chain_loss(net, x, y), layer)
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-6
 
@@ -326,7 +309,7 @@ class TestRateTrainer:
         packet, _ = rate_backward(net, x, y, ErrorPropConfig())
         for i, layer in enumerate(net.trainable_layers(0)):
             analytic = packet.layers[i].delta.T @ packet.layers[i].trace
-            fd = _fd_grad(lambda: _oracle_conv_rate_chain_loss(net, x, y), layer)
+            fd = fd_weight_grad(lambda: _oracle_conv_rate_chain_loss(net, x, y), layer)
             assert np.abs(fd).max() > 0.0
             rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel < 1e-6

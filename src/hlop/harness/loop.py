@@ -12,7 +12,8 @@ only the conv layer views them as images. The run checks, before training
 and against the data, that the conv kernel and pool tile the images and
 that each circuit's schedule fits its layer's width.
 With a CPU to spare, one FIFO worker thread runs the circuits' Hebbian repeats
-beside the next batch, in each circuit's order, so no result byte changes.
+beside the next batch, in each circuit's order, and, once training has joined
+them, counts half of each task's evaluation batches; no result byte changes.
 """
 
 from __future__ import annotations
@@ -141,21 +142,38 @@ def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[y]
 
 
+EVAL_BATCH = 128  # rows per evaluation batch; two at once hold about one 256-row walk
+
+
 def evaluate_task(
     cfg: ExperimentConfig,
     net: SpikingNet,
     task: Task,
     head: int,
-    eval_batch: int = 256,
+    pool: ThreadPoolExecutor | None = None,
 ) -> float:
-    """Accuracy (%) on one task's test set, inference mode only."""
-    correct = 0
+    """Accuracy (%) on one task's test set, inference mode only.
+
+    The test rows are scored in fixed ``EVAL_BATCH``-row batches. With a
+    ``pool`` (whose worker is idle: training has joined every Hebbian job), the
+    worker counts the odd-numbered batches while the caller counts the even
+    ones, so the two integer counts add up to the serial count. On an error in
+    the caller's half, the pool's owner joins the worker's."""
     n = task.test_x.shape[0]
-    for start in range(0, n, eval_batch):
-        x = _net_input(task.test_x[start : start + eval_batch])
-        pred = predict(net, x, cfg.trainer, head)
-        correct += int(np.sum(pred == task.test_y[start : start + eval_batch]))
-    return 100.0 * correct / n
+    starts = range(0, n, EVAL_BATCH)
+
+    def count(batch_starts: range) -> int:
+        correct = 0
+        for start in batch_starts:
+            rows = slice(start, start + EVAL_BATCH)
+            pred = predict(net, _net_input(task.test_x[rows]), cfg.trainer, head)
+            correct += int(np.sum(pred == task.test_y[rows]))
+        return correct
+
+    if pool is None:
+        return 100.0 * count(starts) / n
+    odd = pool.submit(count, starts[1::2])
+    return 100.0 * (count(starts[0::2]) + odd.result()) / n
 
 
 def collect_feeds(
@@ -175,7 +193,8 @@ def collect_feeds(
 
 
 class DivergenceError(ArithmeticError):
-    """A lateral circuit's in-training state became non-finite."""
+    """A trained layer's weights or a lateral circuit's in-training state
+    became non-finite."""
 
 
 class ScheduleError(ValueError):
@@ -183,7 +202,8 @@ class ScheduleError(ValueError):
 
 
 def _spare_cpu() -> bool:
-    """Whether a CPU is left for the Hebbian worker: more CPUs than BLAS threads.
+    """Whether a CPU is left for the worker that runs the Hebbian repeats and half
+    of the evaluation batches: more CPUs than BLAS threads.
     OpenBLAS takes the first positive pin (read as C's ``atoi`` reads it) among
     ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, else every CPU."""
     cpus = len(os.sched_getaffinity(0))
@@ -206,7 +226,8 @@ def _train_one_task(
 ) -> None:
     """Train on one task, running each circuit's ``learn`` on ``pool`` or at once.
     A circuit's job is joined, and its state checked finite, before its next batch
-    and before this returns; on an error the pool's owner joins what is left."""
+    and before this returns; every trained layer's weights and biases are checked
+    finite after each batch's update. On an error the pool's owner joins what is left."""
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
     n = task.train_x.shape[0]
@@ -237,7 +258,13 @@ def _train_one_task(
                     x_hat, learn = subspaces[i].hebbian_update(grad.trace)
                     pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
                     grad = replace(grad, trace=x_hat)
-                sgd_update(layer, grad, cfg.lr, packet.batch)
+                with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+                    sgd_update(layer, grad, cfg.lr, packet.batch)
+            for layer in layers:
+                if not (np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()):
+                    raise DivergenceError(
+                        f"task {task_idx + 1}, batch {batch_no}, layer {layer.name}: "
+                        "non-finite weights")
     for i in list(pending):
         join(i)
 
@@ -326,7 +353,7 @@ def run_continual(
             train_s = time.perf_counter() - t0
 
             row = [
-                evaluate_task(cfg, net, seq.tasks[i], i if len(net.heads) > 1 else 0)
+                evaluate_task(cfg, net, seq.tasks[i], i if len(net.heads) > 1 else 0, pool)
                 for i in range(t + 1)
             ]
             matrix.append(row)

@@ -270,6 +270,19 @@ class TestRunCommand:
                         "29x29 images (conv map 27x27)")
         assert not (run_env / "out" / "metrics.csv").exists()
 
+    def test_non_finite_weights_exit_1_without_traceback(self, run_env):
+        # An SGD step that overflows the weights used to end in a traceback from
+        # lif_step ("non-finite input current") at the next batch.
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), lr="1e308")
+        proc = _run_cli("run", str(cfg))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line == "divergence: task 1, batch 1, layer head0: non-finite weights"
+        assert not (out / "metrics.csv").exists()
+
     def test_missing_resume_file_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(run_env / "out"))

@@ -6,6 +6,8 @@ self-contained T-step loops that recompute every per-step value (the first
 layer's rows and current included) without the shared layer walk
 ``_run_steps``. The optimized code must reproduce them exactly (bit for bit
 where the arithmetic is unchanged, to 1e-12 where it is reassociated).
+Last, a row's scores do not depend on how many rows share its batch, which
+let evaluation move from 256-row to 128-row batches without changing a byte.
 """
 
 from dataclasses import replace
@@ -39,6 +41,8 @@ from hlop.training import (
     bptt_sg_backward,
     build_mlp,
     ottt_backward,
+    predict,
+    rate_chain_forward,
     sgd_update,
     softmax,
     spiking_rate_readout,
@@ -360,3 +364,45 @@ def test_avg_pool_exact_on_spike_maps():
     s = (make_rng(49, 0).uniform(size=(4, 3, 6, 6)) < 0.4).astype(np.float64)
     mean = s.reshape(4, 3, 3, 2, 3, 2).mean(axis=(-3, -1))
     assert np.array_equal(avg_pool(s, 2), mean)
+
+
+def _shipped_mlp():
+    """The shipped pmnist net, 784-200-200-10, and a 256-row pixel batch."""
+    cfg = NeuronConfig(lam=0.5, v_th=0.4, T=6, a2=0.25)
+    net = build_mlp(784, [200, 200], 10, 1, cfg, make_rng(50, 0))
+    return net, make_rng(51, 0).integers(0, 256, size=(256, 784)) / 255.0, 0
+
+
+def _shipped_conv():
+    """The shipped split_conv net (8 channels, 3x3 kernel, pool 2, 100 hidden,
+    five 2-way heads) on 28x28 images, and a 256-row pixel batch."""
+    cfg = NeuronConfig(lam=0.5, v_th=0.4, T=6, a2=0.25)
+    net = build_conv_net(1, (28, 28), 8, 3, 2, 100, 2, 5, cfg, make_rng(52, 0))
+    return net, make_rng(53, 0).integers(0, 256, size=(256, 784)) / 255.0, 3
+
+
+def _scores(net, x, trainer, head):
+    """The scores ``predict`` takes its argmax over."""
+    if trainer == "rate":
+        return rate_chain_forward(net, x, head)[1][-1]
+    return spiking_rate_readout(net, x, head)
+
+
+@pytest.mark.parametrize("trainer", ["ottt", "rate"])
+@pytest.mark.parametrize("case", [_shipped_mlp, _shipped_conv], ids=["mlp", "conv"])
+@pytest.mark.parametrize("rows", [128, 100, 37])
+def test_scores_do_not_depend_on_the_batch_row_count(case, trainer, rows):
+    net, x, head = case()
+    whole = _scores(net, x, trainer, head)
+    parts = np.concatenate([_scores(net, x[i : i + rows], trainer, head)
+                            for i in range(0, len(x), rows)])
+    if trainer == "rate" and rows % 128:
+        # OpenBLAS picks its kernel, and its split of the rows between threads,
+        # by the product's shape, so fewer rows may round a row's sums another
+        # way; the rate encoding passes that on with no threshold to absorb it.
+        np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0)
+    else:
+        assert parts.tobytes() == whole.tobytes()
+    assert len(np.unique(whole, axis=0)) > 1  # the case scores its rows apart
+    decided = [predict(net, x[i : i + rows], trainer, head) for i in range(0, len(x), rows)]
+    assert np.array_equal(np.concatenate(decided), predict(net, x, trainer, head))

@@ -80,3 +80,22 @@ def test_two_task_spiking_run_with_the_worker_on(data_pools, tmp_path, monkeypat
     assert {"_count_hebbian", "_count_project"} <= ran
     assert "lateral.quantize" in {name for name, *_ in tr.spans}
     assert len(res.matrix) == 2 and np.all(np.isfinite(res.matrix[-1]))
+
+
+def test_eval_spans_stay_one_per_task_and_never_overlap(data_pools, monkeypatch):
+    # The benchmark's eval_s adds up the harness.eval spans, and its
+    # train_samples_per_s divides by run_s less eval_s: with the worker
+    # scoring half the batches, each task's evaluation must still be one
+    # evaluate_task call, so one span, and no two spans may overlap.
+    monkeypatch.setattr(loop, "_spare_cpu", lambda: True)
+    tr = tracing.Tracer()
+    with tracing.installed(tr, tracing.timing_sites()) as missing:
+        res = run_continual(config_from_dict(dict(
+            seed=99, hlop="linear", n_tasks=2, train_per_task=128, test_per_task=300,
+        )), data=data_pools)
+    assert missing == []
+    evals = sorted((start, end) for name, start, end, _ in tr.spans if name == tracing.EVAL)
+    assert len(evals) == 1 + 2
+    assert all(end <= start for (_, end), (start, _) in zip(evals, evals[1:]))
+    assert tr.counts["harness.eval_samples"] == 3 * 300
+    assert len(res.matrix) == 2

@@ -1,8 +1,9 @@
-"""The Hebbian worker thread: same bytes on or off, errors and thread lifetime.
+"""The worker thread: same bytes on or off, errors and thread lifetime.
 
-``run_continual`` runs each circuit's Hebbian repeats on one worker thread
-when ``loop._spare_cpu()`` says a CPU is left beside the BLAS threads. These
-tests force the worker on and off by monkeypatching that check.
+``run_continual`` runs each circuit's Hebbian repeats, and half of each
+task's evaluation batches, on one worker thread when ``loop._spare_cpu()``
+says a CPU is left beside the BLAS threads. These tests force the worker on
+and off by monkeypatching that check.
 """
 
 import sys
@@ -160,4 +161,64 @@ def test_divergence_names_task_batch_and_circuit(run_env, monkeypatch, capsys, o
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "divergence: task 1, batch 3, circuit 0: non-finite Hebbian state"
     assert not (run_env / "out" / "metrics.csv").exists()
+    assert threading.active_count() == threads
+
+
+def _record_predict(monkeypatch, before=lambda on_main, rows: None):
+    """Wrap the loop's ``predict``: each call appends (on the main thread, rows)
+    and first runs ``before`` with the same two values."""
+    predict = loop.predict
+    scored = []
+
+    def recording(net, x, trainer, head):
+        on_main = threading.current_thread() is threading.main_thread()
+        scored.append((on_main, len(x)))
+        before(on_main, len(x))
+        return predict(net, x, trainer, head)
+
+    monkeypatch.setattr(loop, "predict", recording)
+    return scored
+
+
+@pytest.mark.parametrize("test_per_task", [2 * loop.EVAL_BATCH + 5, 50],
+                         ids=["three-batches", "under-one-batch"])
+def test_worker_scores_the_odd_batches_and_the_accuracies_hold(data_pools, monkeypatch,
+                                                                test_per_task):
+    cfg = config_from_dict(dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300,
+                                test_per_task=test_per_task))
+    scored = _record_predict(monkeypatch)
+    sizes = [min(loop.EVAL_BATCH, test_per_task - start)
+             for start in range(0, test_per_task, loop.EVAL_BATCH)]
+    matrices = {}
+    for on in (True, False):
+        _force_worker(monkeypatch, on)
+        scored.clear()
+        res = run_continual(cfg, data=data_pools)
+        assert [t.test_x.shape[0] for t in res.seq.tasks] == [test_per_task] * 2
+        # Three evaluations: task 1 after each task, task 2 after the second.
+        batches = [(not on or k % 2 == 0, rows) for k, rows in enumerate(sizes)]
+        assert sorted(scored) == sorted(batches * 3)
+        matrices[on] = res.matrix
+    assert matrices[True] == matrices[False]
+
+
+@pytest.mark.parametrize("where", ["worker", "main"])
+def test_error_in_an_evaluation_half_comes_out_of_run_continual(data_pools, monkeypatch, where):
+    _force_worker(monkeypatch, True)
+    boom = RuntimeError("scoring failed")
+    halves = []
+
+    def fail(on_main, rows):
+        halves.append(on_main)
+        if on_main == (where == "main"):
+            raise boom
+
+    cfg = config_from_dict(dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300,
+                                test_per_task=150))
+    threads = threading.active_count()
+    _record_predict(monkeypatch, fail)
+    with pytest.raises(RuntimeError) as exc:
+        run_continual(cfg, data=data_pools)
+    assert exc.value is boom
+    assert halves and (where == "main") in halves
     assert threading.active_count() == threads

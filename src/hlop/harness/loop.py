@@ -45,7 +45,7 @@ from ..training import (
     rate_chain_forward,
     sgd_update,
     _run_steps,
-    _stack_feeds,
+    _stack_rows,
 )
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
@@ -188,13 +188,21 @@ def collect_feeds(
     if cfg.trainer == "rate":
         pres, _ = rate_chain_forward(net, x, head)
         return pres
-    # Keep the rows only: the layer states of past steps are dropped as the walk goes.
-    return _stack_feeds(list(zip(*(rows for rows, _ in _run_steps(net, x, head)))))
+    # Keep the rows only: the walk reuses its layer states' arrays.
+    feeds: list[np.ndarray] = []
+    for t, (rows, _) in enumerate(_run_steps(net, x, head)):
+        _stack_rows(feeds, t, rows, net.cfg.T)
+    return feeds
+
+
+# The Oja fixed point has unit rows, and healthy runs keep H_new's row norms
+# at or below 1.01, so a row two orders of magnitude longer is divergence.
+MAX_HEBBIAN_ROW_NORM = 100.0
 
 
 class DivergenceError(ArithmeticError):
     """A trained layer's weights or a lateral circuit's in-training state
-    became non-finite."""
+    became non-finite, or an in-training row outgrew ``MAX_HEBBIAN_ROW_NORM``."""
 
 
 class ScheduleError(ValueError):
@@ -225,9 +233,10 @@ def _train_one_task(
     pool: ThreadPoolExecutor | None = None,
 ) -> None:
     """Train on one task, running each circuit's ``learn`` on ``pool`` or at once.
-    A circuit's job is joined, and its state checked finite, before its next batch
-    and before this returns; every trained layer's weights and biases are checked
-    finite after each batch's update. On an error the pool's owner joins what is left."""
+    A circuit's job is joined, and its state checked finite with rows no longer than
+    ``MAX_HEBBIAN_ROW_NORM``, before its next batch and before this returns; every
+    trained layer's weights and biases are checked finite after each batch's update.
+    On an error the pool's owner joins what is left."""
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
     n = task.train_x.shape[0]
@@ -238,9 +247,13 @@ def _train_one_task(
         if job is not None:
             job.result()
         sub = subspaces[i]
+        where = f"task {task_idx + 1}, batch {batch_no}, circuit {i}"
         if not (np.isfinite(sub.H_new).all() and np.isfinite(sub.velocity).all()):
+            raise DivergenceError(f"{where}: non-finite Hebbian state")
+        norm = np.max(np.linalg.norm(sub.H_new, axis=1), initial=0.0)
+        if norm > MAX_HEBBIAN_ROW_NORM:
             raise DivergenceError(
-                f"task {task_idx + 1}, batch {batch_no}, circuit {i}: non-finite Hebbian state")
+                f"{where}: Hebbian row norm {norm:.3g} exceeds {MAX_HEBBIAN_ROW_NORM:g}")
 
     batch_no = 0
     for epoch in range(cfg.epochs):

@@ -73,7 +73,8 @@ class LayerState:
     Arrays are (rows, neurons), in the row layout of the layer's presynaptic
     rows: one row per sample for a dense layer, one per sample and output
     position for a conv layer, whose neurons are its channels. Between
-    layers every carry is flat rows, one per sample.
+    layers every carry is flat rows, one per sample. ``lif_step`` writes
+    into the arrays, so a walk allocates them once, with the state.
     """
 
     u: np.ndarray
@@ -89,9 +90,11 @@ def lif_step(
 ) -> tuple[LayerState, np.ndarray]:
     """Advance membrane potentials one step and emit spikes.
 
-    Rebinds ``state.u`` and ``state.s`` to fresh arrays, filled in place in the
-    formula's order and so with its bytes, and returns the state with the new
-    spike array; arrays kept from an earlier step never change.
+    Writes the new potentials and spikes into ``state.u`` and ``state.s``, in
+    the formula's order and so with its bytes (the spike array holds v_th * s
+    on the way), and returns the state with its spike array. The arrays belong
+    to whoever walks the layer: a caller that keeps a step's ``u`` or ``s``
+    copies it before the next step.
 
     Raises:
         ValueError: if the input current contains non-finite values.
@@ -103,33 +106,35 @@ def lif_step(
             f"input current shape {input_current.shape} does not match "
             f"state shape {state.u.shape}"
         )
-    u_next = np.isfinite(input_current, out=np.empty_like(state.u))
-    if not u_next.all():
+    if not np.isfinite(input_current).all():
         raise ValueError("non-finite input current")
-    np.multiply(state.s, cfg.v_th, out=u_next)
-    np.subtract(state.u, u_next, out=u_next)
-    u_next *= cfg.lam
-    u_next += input_current
-    state.u = u_next  # the old u goes before the spikes are allocated
-    state.s = np.greater_equal(u_next, cfg.v_th, out=np.empty_like(u_next))
-    return state, state.s
+    u, s = state.u, state.s
+    np.multiply(s, cfg.v_th, out=s)
+    np.subtract(u, s, out=u)
+    u *= cfg.lam
+    u += input_current
+    np.greater_equal(u, cfg.v_th, out=s)
+    return state, s
 
 
-def surrogate_derivative(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
+def surrogate_derivative(
+    u: np.ndarray, cfg: NeuronConfig, out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Sigmoid-shaped stand-in for the spike step's derivative.
 
     (1/a2) * exp((v_th-u)/a2) / (1 + exp((v_th-u)/a2))^2, evaluated in the
     overflow-safe symmetric form. Peaks at 1/(4*a2) for u = v_th and decays
-    to 0 in both tails.
+    to 0 in both tails. The result goes into ``out`` and the denominator into
+    ``work``, arrays of u's shape that a caller may pass to reuse.
     """
     u = np.asarray(u, dtype=np.float64)
     # e = exp(-|u - v_th| / a2) underflows harmlessly to 0; no overflow possible.
-    e = np.subtract(u, cfg.v_th, out=np.empty_like(u))
+    e = np.subtract(u, cfg.v_th, out=np.empty_like(u) if out is None else out)
     np.abs(e, out=e)
-    e /= cfg.a2
-    np.negative(e, out=e)
+    e /= -cfg.a2  # exactly -(e / a2): rounding is symmetric about zero
     np.exp(e, out=e)
-    d = np.add(e, 1.0, out=np.empty_like(e))
+    d = np.add(e, 1.0, out=np.empty_like(e) if work is None else work)
     np.square(d, out=d)
     d *= cfg.a2
     e /= d
@@ -215,28 +220,34 @@ def pooled_flat_width(channels: int, in_hw: tuple[int, int], kernel: int, pool: 
 
 
 def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
-    """Non-overlapping average pooling over the trailing two axes.
+    """Non-overlapping average pooling of channels-last (..., H, W, C) maps.
 
     Sums the size*size strided sub-grids, one per window offset, which is
     several times faster than a reshaped mean and exact on spike maps.
     """
-    *lead, h, w = x.shape
+    *lead, h, w, c = x.shape
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    total = np.zeros((*lead, h // size, w // size))
+    total = np.zeros((*lead, h // size, w // size, c))
     for i in range(size):
         for j in range(size):
-            total += x[..., i::size, j::size]
+            total += x[..., i::size, j::size, :]
     total /= size * size
     return total
 
 
-def avg_pool_backward(grad: np.ndarray, size: int) -> np.ndarray:
-    """Adjoint of ``avg_pool``: spread each pooled gradient over its window."""
-    *lead, h, w = grad.shape
-    g = np.empty((*lead, h, size, w, size))
-    g[...] = (grad / (size * size))[..., :, None, :, None]
-    return g.reshape(*lead, h * size, w * size)
+def avg_pool_backward(
+    grad: np.ndarray, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Adjoint of ``avg_pool``: spread each pooled gradient of channels-last
+    (..., h, w, C) maps over its window. The (..., h*size, w*size, C) result
+    is written into ``out``, a contiguous array of its size, when one is given."""
+    *lead, h, w, c = grad.shape
+    if out is None:
+        out = np.empty((*lead, h * size, w * size, c))
+    g = out.reshape(*lead, h, size, w, size, c)
+    g[...] = (grad / (size * size))[..., :, None, :, None, :]
+    return g.reshape(*lead, h * size, w * size, c)
 
 
 @dataclass
@@ -248,7 +259,8 @@ class Layer:
     so its current and state have one row per patch (output position). A
     conv layer is the only owner of image geometry: it takes flat
     (B, in_channels*H*W) rows, views them as maps of ``in_hw`` to unfold,
-    and hands the layer above its pooled spikes flattened back to rows.
+    pools its spike rows as channels-last maps, and hands the layer above
+    the pooled spikes flattened channel-major, one row per sample.
     ``name`` keys the layer in checkpoints and feedback matrices.
     """
 

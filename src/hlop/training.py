@@ -266,41 +266,48 @@ def _presyn_rows(layer: Layer, carry: np.ndarray) -> np.ndarray:
 
 def _layer_current(layer: Layer, rows: np.ndarray) -> np.ndarray:
     """Synaptic current from presynaptic rows, in the same row layout."""
-    return rows @ layer.weight.T + layer.bias
+    current = rows @ layer.weight.T
+    current += layer.bias
+    return current
 
 
 def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
     """Spike rows of a block as the carry for the next one, one row per
-    sample: conv rows (one per output position) are viewed as (B, C, oh, ow)
-    maps, pooled and flattened channel-major."""
+    sample: conv rows (one per output position) are viewed as channels-last
+    (B, oh, ow, C) maps, pooled, and flattened channel-major."""
     if layer.kind != "conv":
         return s
     oh, ow = layer.out_hw
-    maps = s.reshape(-1, oh, ow, layer.out_dim).transpose(0, 3, 1, 2)
+    maps = s.reshape(-1, oh, ow, layer.out_dim)
     pooled = avg_pool(maps, layer.pool) if layer.pool > 1 else maps
-    return pooled.reshape(len(pooled), -1)
+    return pooled.transpose(0, 3, 1, 2).reshape(len(pooled), -1)
 
 
-def _route_error_to_block(delta_flat: np.ndarray, below: Layer) -> np.ndarray:
+def _route_error_to_block(
+    delta_flat: np.ndarray, below: Layer, out: np.ndarray | None = None
+) -> np.ndarray:
     """An error on a block's (flattened, pooled) output, as error rows at its
-    spikes: conv errors are unpooled and returned one row per output position."""
+    spikes: conv errors are unpooled straight into patch rows, one per output
+    position, and into ``out`` (an array of those rows) when one is given."""
     if below.kind != "conv":
         return delta_flat
     oh, ow = below.out_hw
-    p = below.pool
-    g = delta_flat.reshape(-1, below.out_dim, oh // p, ow // p)
+    p, c = below.pool, below.out_dim
+    g = delta_flat.reshape(-1, c, oh // p, ow // p).transpose(0, 2, 3, 1)
     if p > 1:
-        g = avg_pool_backward(g, p)
-    return g.transpose(0, 2, 3, 1).reshape(-1, below.out_dim)
+        g = avg_pool_backward(g, p, out)
+    return g.reshape(-1, c)
 
 
 def _error_below(
-    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig
+    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Carry layer i's error rows ``c`` down to the spikes of layer i - 1."""
+    """Carry layer i's error rows ``c`` down to the spikes of layer i - 1
+    (into ``out``, see ``_route_error_to_block``)."""
     if layers[i].kind == "conv":
         raise ShapeError("error propagation below a conv layer is not supported")
-    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1])
+    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], out)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -316,13 +323,18 @@ def _run_steps(
 
     Each step yields the per-layer presynaptic rows and per-layer states, a
     state in the row layout of its rows: (batch * oh * ow, channels) on a
-    conv layer, allocated once its layer's first rows are known. Layers
-    propagate within a step; the input is injected as a constant current at
-    every step. The input and the weights are fixed for the batch, so the
-    first layer's rows and current are computed once. The states are
-    advanced by the next step, but their arrays are rebound to fresh ones,
-    never mutated, so a caller may keep the ``u`` and ``s`` it reads. In-place
-    updates keep their operands' shapes and order, and so the bytes.
+    conv layer. Layers propagate within a step; the input is injected as a
+    constant current at every step. The input and the weights are fixed for
+    the batch, so the first layer's rows and current are computed once, and
+    the rows are yielded at step 0 only (None after): the walk lets them go
+    once a caller has had them.
+
+    The walk owns what it yields. Each state's arrays are allocated once,
+    when its layer's first rows are known, and every step writes into them;
+    a dense layer's rows are the spike array of the layer below. So a
+    caller that keeps a step's arrays past the next step copies them
+    (``_stack_rows``). In-place updates keep their operands' shapes and
+    order, and so the bytes.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
@@ -330,7 +342,7 @@ def _run_steps(
     first_current = _layer_current(layers[0], first_rows)
     states = [LayerState.zeros(len(first_rows), layers[0].out_dim)]
     for _ in range(cfg.T):
-        rows = [first_rows]
+        rows, first_rows = [first_rows], None
         lif_step(states[0], first_current, cfg)
         for i in range(1, len(layers)):
             rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
@@ -340,25 +352,33 @@ def _run_steps(
         yield rows, states
 
 
-def _stack_feeds(pres: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
-    """Trace rows of a T-step pass: per-step rows stacked; the constant input once."""
-    return [rows[0] if i == 0 else np.concatenate(rows) for i, rows in enumerate(pres)]
+def _stack_rows(
+    feeds: list[np.ndarray], t: int, rows: Sequence[np.ndarray | None], T: int
+) -> None:
+    """Keep step t of a T-step walk's presynaptic rows in ``feeds``, its trace
+    rows: the constant input's rows once, from step 0, and every other
+    layer's rows copied into block t of a (T * rows, in) array made at step 0."""
+    if t == 0:
+        feeds[:] = [rows[0], *(np.empty((T * len(r), r.shape[1])) for r in rows[1:])]
+    for feed, r in zip(feeds[1:], rows[1:]):
+        feed[t * len(r) : (t + 1) * len(r)] = r
 
 
 def _spiking_forward_pass(
     net: SpikingNet, x: np.ndarray, head: int
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Run T steps, returning per-layer per-step (u, s) and presynaptic rows."""
+) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[np.ndarray]]:
+    """Run T steps, returning per-layer per-step copies of (u, s) and the
+    per-layer trace rows of ``_stack_rows``."""
     n_layers = len(net.trainable_layers(head))
     us: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     ss: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    pres: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    for rows, states in _run_steps(net, x, head):
+    feeds: list[np.ndarray] = []
+    for t, (rows, states) in enumerate(_run_steps(net, x, head)):
+        _stack_rows(feeds, t, rows, net.cfg.T)
         for i, state in enumerate(states):
-            us[i].append(state.u)
-            ss[i].append(state.s)
-            pres[i].append(rows[i])
-    return us, ss, pres
+            us[i].append(state.u.copy())
+            ss[i].append(state.s.copy())
+    return us, ss, feeds
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +405,7 @@ def bptt_sg_backward(
     cfg = net.cfg
     layers = net.trainable_layers(head)
     batch = x.shape[0]
-    us, ss, pres = _spiking_forward_pass(net, x, head)
-    traces = _stack_feeds(pres)
+    us, ss, traces = _spiking_forward_pass(net, x, head)
 
     rate = np.mean(ss[-1], axis=0)
     # External error at the current layer's spikes at each step, top-down.
@@ -415,6 +434,7 @@ def ottt_step(
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
+    first: Sequence[np.ndarray] = (),
 ) -> list[np.ndarray]:
     """The learning half of one forward-in-time step, on the layer states the
     walk has just advanced: the step's instantaneous per-layer errors.
@@ -423,18 +443,25 @@ def ottt_step(
     at past steps. No eligibility trace is advanced here: ``ottt_backward``
     regroups the trace sum by the step each presynaptic row entered.
 
+    ``first`` may hold two arrays of the first layer's state shape, owned by
+    the caller: they receive its error c_t and the surrogate's denominator,
+    then the error routed down to it, so a step allocates no conv-sized array.
+
     Returns the step's per-layer errors c_t, in the row layout of the
     states and of the presynaptic rows.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
+    out, work = first or (None, None)
+    # Every surrogate first: the first layer's denominator buffer is then
+    # free to take the error routed down to it.
+    cs = [surrogate_derivative(states[0].u, cfg, out, work)]
+    cs += [surrogate_derivative(st.u, cfg) for st in states[1:]]
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
-    cs: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
-    for i in range(len(layers) - 1, -1, -1):
-        cs[i] = surrogate_derivative(states[i].u, cfg)
+    for i in range(len(layers) - 1, 0, -1):
         cs[i] *= err
-        if i > 0:
-            err = _error_below(layers, i, cs[i], epcfg)
+        err = _error_below(layers, i, cs[i], epcfg, work if i == 1 else None)
+    cs[0] *= err
     return cs
 
 
@@ -461,21 +488,22 @@ def ottt_backward(
     (per-step spikes; the constant input once), and the output firing rate.
     """
     cfg = net.cfg
-    step_rows, step_errs = [], []  # per step: every layer's rows; errors above the first
+    feeds: list[np.ndarray] = []
+    step_errs = []  # per step: the errors of the layers above the first
     a = first_bias = 0.0
     for t, (rows, states) in enumerate(_run_steps(net, x, head)):
-        cs = ottt_step(net, states, y_onehot, epcfg, head)
         if t == 0:  # 0.0 + x, as in a sum from 0.0: -0.0 becomes +0.0
-            first_delta, rate_sum = np.zeros_like(cs[0]), np.zeros_like(states[-1].s)
+            first_delta, rate_sum = np.zeros_like(states[0].u), np.zeros_like(states[-1].s)
+            first = [np.empty_like(first_delta) for _ in range(2)]  # ottt_step's buffers
+        _stack_rows(feeds, t, rows, cfg.T)
+        cs = ottt_step(net, states, y_onehot, epcfg, head, first)
         a = cfg.lam * a + 1.0
         first_bias = first_bias + cs[0].sum(axis=0)
         first_delta += np.multiply(cs[0], a, out=cs[0])
-        step_rows.append(rows)
         step_errs.append(cs[1:])
         rate_sum += states[-1].s
-    traces = _stack_feeds(list(zip(*step_rows)))
-    grads = [LayerGrad(delta=first_delta, trace=traces[0], bias=first_bias)]
-    for trace, errs in zip(traces[1:], zip(*step_errs)):
+    grads = [LayerGrad(delta=first_delta, trace=feeds[0], bias=first_bias)]
+    for trace, errs in zip(feeds[1:], zip(*step_errs)):
         c = np.concatenate(errs)
         e = c.reshape(cfg.T, -1, c.shape[1]).copy()
         for t in range(cfg.T - 2, -1, -1):

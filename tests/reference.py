@@ -1,5 +1,6 @@
-"""Test-side references: a relaxed spike step, a finite-difference gradient
-and a streaming subspace run, none of which the system itself needs."""
+"""Test-side references: a relaxed spike step, channel-first pooling, a
+finite-difference gradient and a streaming subspace run, none of which the
+system itself needs."""
 
 from __future__ import annotations
 
@@ -19,6 +20,29 @@ def smooth_step(state, input_current, cfg):
     state.u = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
     state.s = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - state.u) / cfg.a2, -500.0, 500.0)))
     return state, state.s
+
+
+def channel_first_avg_pool(x, size):
+    """Non-overlapping average pooling of channel-first (..., C, H, W) maps:
+    the size*size strided sub-grids added onto zeros in window order, then
+    divided by size*size. ``hlop.spiking.avg_pool`` on channels-last maps
+    must give these bytes."""
+    *lead, h, w = x.shape
+    total = np.zeros((*lead, h // size, w // size))
+    for i in range(size):
+        for j in range(size):
+            total += x[..., i::size, j::size]
+    total /= size * size
+    return total
+
+
+def channel_first_avg_pool_backward(grad, size):
+    """Adjoint of ``channel_first_avg_pool``: each pooled gradient divided by
+    size*size and spread over its window of (..., C, h*size, w*size) maps."""
+    *lead, h, w = grad.shape
+    g = np.empty((*lead, h, size, w, size))
+    g[...] = (grad / (size * size))[..., :, None, :, None]
+    return g.reshape(*lead, h * size, w * size)
 
 
 def fd_weight_grad(loss_fn, layer, h=1e-5):

@@ -10,6 +10,8 @@ Last, a row's scores do not depend on how many rows share its batch, which
 let evaluation move from 256-row to 128-row batches without changing a byte.
 """
 
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from hlop.spiking import (
     surrogate_derivative,
     unfold_patches,
 )
+from hlop import training
 from hlop.training import (
     ErrorPropConfig,
     GradPacket,
@@ -47,6 +50,8 @@ from hlop.training import (
     softmax,
     spiking_rate_readout,
 )
+
+from reference import channel_first_avg_pool
 
 
 def _onehot(idx, n):
@@ -155,7 +160,7 @@ def _reference_ottt(net, x, y, epcfg, subspaces, head):
         carry = x
         for i, layer in enumerate(layers):
             rows = _presyn_rows(layer, carry)
-            feeds[i].append(rows)
+            feeds[i].append(rows.copy())  # a dense layer's rows are a state's spikes
             sub = subspaces.get(i)
             trace_in = rows if sub is None else sub.project_trace(rows)
             if traces[i] is None:
@@ -198,9 +203,9 @@ def _reference_bptt(net, x, y, epcfg, subspaces, head):
         for i, layer in enumerate(layers):
             rows = _presyn_rows(layer, carry)
             lif_step(states[i], _layer_current(layer, rows), cfg)
-            us[i].append(states[i].u)
-            ss[i].append(states[i].s)
-            pres[i].append(rows)
+            us[i].append(states[i].u.copy())  # lif_step writes into the state's arrays
+            ss[i].append(states[i].s.copy())
+            pres[i].append(rows.copy())
             carry = _post_block(layer, states[i].s)
     rate = np.mean(ss[-1], axis=0)
     ext = [[(softmax(rate) - y) / cfg.T] * cfg.T]
@@ -274,6 +279,15 @@ def _conv_case():
     return net, x, _onehot([0, 3, 2, 1], 4), 1
 
 
+def _split_case():
+    """The shipped split_conv geometry: 28x28 rows, 8 channels, 3x3 kernel,
+    pool 2, five 2-way heads."""
+    cfg = NeuronConfig(lam=0.5, v_th=0.4, T=6, a2=0.25)
+    net = build_conv_net(1, (28, 28), 8, 3, 2, 20, 2, 5, cfg, make_rng(59, 0))
+    x = make_rng(55, 0).uniform(0.0, 1.5, size=(5, 784))
+    return net, x, _onehot([0, 1, 1, 0, 1], 2), 3
+
+
 def _spiking_subspaces(net, head):
     rng = make_rng(48, 0)
     return {
@@ -282,7 +296,8 @@ def _spiking_subspaces(net, head):
     }
 
 
-@pytest.mark.parametrize("case", [_mlp_case, _conv_case], ids=["mlp", "conv"])
+@pytest.mark.parametrize("case", [_mlp_case, _conv_case, _split_case],
+                         ids=["mlp", "conv", "split"])
 class TestStaticInputHoisting:
     @pytest.mark.parametrize("projected", [False, True], ids=["raw", "spiking-projected"])
     def test_ottt_backward_matches_step_loop(self, case, projected):
@@ -307,14 +322,17 @@ class TestStaticInputHoisting:
 
     def test_forward_pass_matches_step_loop(self, case):
         net, x, _, head = case()
-        us, ss, pres = _spiking_forward_pass(net, x, head)
+        us, ss, feeds = _spiking_forward_pass(net, x, head)
         layers = net.trainable_layers(head)
         states = [_zero_state(l, x.shape[0]) for l in layers]
         for t in range(net.cfg.T):
             carry = x
             for i, layer in enumerate(layers):
                 rows = _presyn_rows(layer, carry)
-                assert np.array_equal(pres[i][t], rows)
+                # The static input's rows once, every other layer's per step.
+                n = len(rows)
+                assert len(feeds[i]) == (n if i == 0 else net.cfg.T * n)
+                assert np.array_equal(feeds[i][0 if i == 0 else t * n :][:n], rows)
                 lif_step(states[i], _layer_current(layer, rows), net.cfg)
                 assert np.array_equal(us[i][t], states[i].u)
                 assert np.array_equal(ss[i][t], states[i].s)
@@ -322,16 +340,92 @@ class TestStaticInputHoisting:
 
 
 @pytest.mark.parametrize("case", [_mlp_case, _conv_case], ids=["mlp", "conv"])
-def test_walk_leaves_kept_states_unchanged(case):
-    # Callers keep each step's u and s (the forward pass, OTTT's step rows,
-    # the references above); later steps must not write into them.
+def test_walk_reuses_its_state_arrays(case):
+    # Across the T steps each layer's u cycles among at most two buffers and
+    # s stays in one: a step allocates no state. Holding every array keeps
+    # the addresses of distinct buffers distinct.
     net, x, _, head = case()
-    kept = [[(st.u, st.s, st.u.copy(), st.s.copy()) for st in states]
-            for _, states in _run_steps(net, x, head)]
-    for step in kept:
-        for u, s, u_then, s_then in step:
-            assert u.tobytes() == u_then.tobytes() and s.tobytes() == s_then.tobytes()
-    assert any(s.any() for step in kept for _, s, _, _ in step)
+    held = [[(st.u, st.s) for st in states] for _, states in _run_steps(net, x, head)]
+    assert len(held) == net.cfg.T
+    for layer_steps in zip(*held):
+        assert len({u.ctypes.data for u, _ in layer_steps}) <= 2
+        assert len({s.ctypes.data for _, s in layer_steps}) == 1
+
+
+def test_walk_lets_the_first_rows_go_after_step_0():
+    # The trainers take the first layer's rows at step 0; the readout never
+    # reads them, so the walk holds the unfolded patches no longer.
+    net, x, _, head = _split_case()
+    walk = _run_steps(net, x, head)
+    rows, _ = next(walk)
+    patches = weakref.ref(rows[0])
+    assert rows[0].shape == (len(x) * 26 * 26, 9)
+    del rows
+    rows, _ = next(walk)
+    assert rows[0] is None and patches() is None
+
+
+def _walk_arrays(states):
+    return [a for st in states for a in (st.u, st.s)]
+
+
+def test_walk_arrays_die_with_the_walk():
+    net, x, _, head = _split_case()
+
+    def last_step():
+        for _, states in _run_steps(net, x, head):
+            arrays = [weakref.ref(a) for a in _walk_arrays(states)]
+        return arrays
+
+    arrays = last_step()
+    assert len(arrays) == 6 and all(a() is None for a in arrays)
+
+
+def test_ottt_buffers_die_with_the_batch(monkeypatch):
+    # The states and ottt_step's first-layer buffers belong to one batch.
+    net, x, y, head = _split_case()
+    step, held = training.ottt_step, {}
+
+    def holding(net, states, y_onehot, epcfg, head, first):
+        held.update((id(a), weakref.ref(a)) for a in [*first, *_walk_arrays(states)])
+        return step(net, states, y_onehot, epcfg, head, first)
+
+    monkeypatch.setattr(training, "ottt_step", holding)
+    packet, _ = ottt_backward(net, x, y, ErrorPropConfig(), head)
+    assert len(held) == 2 + 6  # the same eight arrays at every step
+    del packet
+    assert all(r() is None for r in held.values())
+
+
+def test_two_threads_score_one_split_net_as_one_does():
+    # Every buffer belongs to the call that walks the batch, so two threads
+    # walking one net at once get the serial scores bit for bit.
+    net, x, head = _shipped_conv()
+    halves = (x[:128], x[128:])
+    serial = [spiking_rate_readout(net, h, head) for h in halves]
+    decided = [predict(net, h, "ottt", head) for h in halves]
+    start, got, errors = threading.Barrier(2), [[], []], []
+
+    def score(k):
+        try:
+            start.wait()
+            for _ in range(3):
+                got[k].append((spiking_rate_readout(net, halves[k], head),
+                               predict(net, halves[k], "ottt", head)))
+        except BaseException as e:  # pragma: no cover - reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=score, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    for k in (0, 1):
+        assert len(got[k]) == 3
+        for scores, pred in got[k]:
+            assert scores.tobytes() == serial[k].tobytes()
+            assert np.array_equal(pred, decided[k])
 
 
 def test_conv_state_is_the_map_state_in_patch_rows():
@@ -361,9 +455,13 @@ def test_conv_state_is_the_map_state_in_patch_rows():
 
 
 def test_avg_pool_exact_on_spike_maps():
-    s = (make_rng(49, 0).uniform(size=(4, 3, 6, 6)) < 0.4).astype(np.float64)
-    mean = s.reshape(4, 3, 3, 2, 3, 2).mean(axis=(-3, -1))
+    # Channels-last (B, H, W, C) spike maps; the channel-first pool of the
+    # same maps, moved channel-major, gives the same bytes.
+    s = (make_rng(49, 0).uniform(size=(4, 6, 6, 3)) < 0.4).astype(np.float64)
+    mean = s.reshape(4, 3, 2, 3, 2, 3).mean(axis=(2, 4))
     assert np.array_equal(avg_pool(s, 2), mean)
+    first = channel_first_avg_pool(s.transpose(0, 3, 1, 2), 2)
+    assert avg_pool(s, 2).transpose(0, 3, 1, 2).tobytes() == first.tobytes()
 
 
 def _shipped_mlp():

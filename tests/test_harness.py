@@ -42,7 +42,6 @@ from hlop.spiking import NeuronConfig
 from hlop.training import (
     ErrorPropConfig,
     _spiking_forward_pass,
-    _stack_feeds,
     build_conv_net,
     build_mlp,
     ottt_backward,
@@ -567,7 +566,7 @@ class TestCollectFeeds:
         net = _audit_net(task)
         x = make_rng(71, 0).uniform(size=(24, 784))
         feeds = loop.collect_feeds(cfg, net, x)
-        expect = _stack_feeds(_spiking_forward_pass(net, x, 0)[2])
+        expect = _spiking_forward_pass(net, x, 0)[2]
         assert len(feeds) == len(expect) == 3
         for got, want in zip(feeds, expect):
             assert got.shape == want.shape and np.array_equal(got, want) and want.any()

@@ -14,6 +14,8 @@ from hlop.spiking import (
     unfold_patches,
 )
 
+from reference import channel_first_avg_pool, channel_first_avg_pool_backward
+
 
 def _cfg(**kw):
     base = dict(lam=0.5, v_th=1.0, T=4, a2=0.25)
@@ -54,6 +56,7 @@ class TestLifStep:
         st = LayerState.zeros(1, 2)
         with pytest.raises(ValueError, match="non-finite"):
             lif_step(st, np.array([[np.nan, 0.0]]), _cfg())
+        assert not st.u.any() and not st.s.any()  # refused before any write
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -181,15 +184,18 @@ class TestUnfoldPatches:
 
 
 class TestPooling:
+    """Pooling takes channels-last (B, H, W, C) maps."""
+
     def test_average(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
         p = avg_pool(x, 2)
-        assert np.array_equal(p[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+        assert p.shape == (1, 2, 2, 1)
+        assert np.array_equal(p[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_adjoint(self):
         rng = make_rng(3, 0)
-        x = rng.normal(size=(2, 3, 4, 4))
-        g = rng.normal(size=(2, 3, 2, 2))
+        x = rng.normal(size=(2, 4, 4, 3))
+        g = rng.normal(size=(2, 2, 2, 3))
         lhs = np.sum(avg_pool(x, 2) * g)
         rhs = np.sum(x * avg_pool_backward(g, 2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -234,38 +240,55 @@ class TestKernelsKeepTheFormulaBits:
         u = _hard_values((self.ROWS, self.CH), cfg.v_th, 63)
         e = np.exp(-(np.abs(u - cfg.v_th) / cfg.a2))
         assert _same_bits(surrogate_derivative(u, cfg), e / (cfg.a2 * (1.0 + e) ** 2))
+        out, work = np.empty_like(u), np.empty_like(u)
+        assert surrogate_derivative(u, cfg, out, work) is out
+        assert _same_bits(out, e / (cfg.a2 * (1.0 + e) ** 2))
         for u0 in (np.array(cfg.v_th), np.array(-0.0), np.array(1e6)):  # 0-d arrays
             e0 = np.exp(-(np.abs(u0 - cfg.v_th) / cfg.a2))
             assert _same_bits(surrogate_derivative(u0, cfg), e0 / (cfg.a2 * (1.0 + e0) ** 2))
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_avg_pool(self, size):
-        # Pooled as the walk pools: a channels-last state viewed as maps.
+        # Pooled as the walk pools: a channels-last state viewed as maps, then
+        # moved channel-major; the channel-first pool of the moved maps.
         rows = _hard_values((64 * 24 * 24, self.CH), 0.4, 64)
-        maps = rows.reshape(64, 24, 24, self.CH).transpose(0, 3, 1, 2)
-        subgrids = (maps[..., i::size, j::size] for i in range(size) for j in range(size))
-        assert _same_bits(avg_pool(maps, size), sum(subgrids) / (size * size))
+        maps = rows.reshape(64, 24, 24, self.CH)
+        pooled = avg_pool(maps, size).transpose(0, 3, 1, 2)
+        first = maps.transpose(0, 3, 1, 2)
+        assert _same_bits(pooled, channel_first_avg_pool(first, size))
+        subgrids = (first[..., i::size, j::size] for i in range(size) for j in range(size))
+        assert _same_bits(pooled, sum(subgrids) / (size * size))
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_avg_pool_backward(self, size):
+        # A channel-major error viewed channels-last and unpooled into patch
+        # rows, against the channel-first unpool moved channels-last.
         g = _hard_values((64, self.CH, 13, 13), 0.4, 65)
-        expect = np.repeat(np.repeat(g, size, axis=-2), size, axis=-1) / (size * size)
-        assert _same_bits(avg_pool_backward(g, size), expect)
+        expect = channel_first_avg_pool_backward(g, size).transpose(0, 2, 3, 1)
+        spread = np.repeat(np.repeat(g, size, axis=-2), size, axis=-1) / (size * size)
+        assert _same_bits(expect, spread.transpose(0, 2, 3, 1))
+        rows = np.full((64 * (13 * size) ** 2, self.CH), np.nan)
+        got = avg_pool_backward(g.transpose(0, 2, 3, 1), size, rows)
+        assert np.shares_memory(got, rows) and _same_bits(got, expect)
+        assert _same_bits(rows, expect.reshape(rows.shape))
+        assert _same_bits(avg_pool_backward(g.transpose(0, 2, 3, 1), size), expect)
 
 
-def test_lif_step_leaves_kept_arrays_unchanged():
-    # The walk, OTTT's step rows and reference walks keep u and s of step t;
-    # step t + 1 must rebind the state to fresh arrays, not write into them.
+def test_lif_step_writes_into_the_state_arrays():
+    # The walk owns a layer's u and s for a whole batch: every step writes
+    # into them, with the out-of-place formula's bytes at every step.
     cfg = _cfg(lam=0.5, v_th=0.4)
     st = LayerState.zeros(64 * 26 * 26, 8)
-    current = _hard_values(st.u.shape, cfg.v_th, 66)
-    kept = []
+    u, s = st.u, st.s
+    current = _hard_values(u.shape, cfg.v_th, 66)
+    expect_u = expect_s = np.zeros(u.shape)
     for _ in range(3):
-        st, s = lif_step(st, current, cfg)
-        kept.append((st.u, s, st.u.copy(), s.copy()))
-    for u, s, u_then, s_then in kept:
-        assert _same_bits(u, u_then) and _same_bits(s, s_then)
-    assert len({id(a) for entry in kept for a in entry[:2]}) == 6
+        expect_u = cfg.lam * (expect_u - cfg.v_th * expect_s) + current
+        expect_s = (expect_u >= cfg.v_th).astype(np.float64)
+        st, spikes = lif_step(st, current, cfg)
+        assert st.u is u and st.s is s and spikes is s
+        assert _same_bits(u, expect_u) and _same_bits(s, expect_s)
+    assert s.any() and not s.all()
 
 
 class TestNeuronConfig:

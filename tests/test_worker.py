@@ -164,6 +164,34 @@ def test_divergence_names_task_batch_and_circuit(run_env, monkeypatch, capsys, o
     assert threading.active_count() == threads
 
 
+def _explode(sub, call):
+    # After its third update the 784-wide input circuit holds finite rows of
+    # norm 1e3, far past the Oja fixed point's unit rows.
+    if sub.n == 784 and call == 3:
+        sub.H_new[...] = 1e3 / np.sqrt(sub.n)
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
+def test_exploding_hebbian_rows_raise_divergence(data_pools, monkeypatch, on):
+    _force_worker(monkeypatch, on)
+    _wrap_learn(monkeypatch, _explode)
+    cfg = config_from_dict(dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300,
+                                test_per_task=150))
+    threads = threading.active_count()
+    with pytest.raises(loop.DivergenceError) as exc:
+        run_continual(cfg, data=data_pools)
+    assert str(exc.value) == "task 1, batch 3, circuit 0: Hebbian row norm 1e+03 exceeds 100"
+    assert threading.active_count() == threads
+
+
+def test_exploding_hebbian_rows_exit_1(run_env, monkeypatch, capsys):
+    _wrap_learn(monkeypatch, _explode)
+    assert main(["run", _write_cfg(run_env / "exp.cfg", run_env / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "divergence: task 1, batch 3, circuit 0: Hebbian row norm 1e+03 exceeds 100"
+    assert not (run_env / "out" / "metrics.csv").exists()
+
+
 def _record_predict(monkeypatch, before=lambda on_main, rows: None):
     """Wrap the loop's ``predict``: each call appends (on the main thread, rows)
     and first runs ``before`` with the same two values."""

@@ -20,7 +20,6 @@ from .spiking import (
     NeuronConfig,
     lif_step,
     rate_forward_transform,
-    rate_representation,
     surrogate_derivative,
     unfold_patches,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "quantize_subspace_output",
     "rate_backward",
     "rate_forward_transform",
-    "rate_representation",
     "rowspace_projector",
     "sgd_update",
     "subspace_alignment_error",

@@ -5,7 +5,8 @@
     hlop synth-data --out DIR    generate the offline IDX dataset
 
 Exit codes: 0 success, 1 failed run (divergence), 2 invalid configuration
-or arguments, 3 missing or malformed dataset, sample or checkpoint files
+or arguments (including a config file that cannot be read or is not UTF-8),
+3 missing, unopenable or malformed dataset, sample or checkpoint files
 (including a checkpoint that does not fit the resuming run, and a subspace
 schedule that overfills a layer of the net built from the data).
 """
@@ -19,11 +20,11 @@ import sys
 import numpy as np
 
 from .config import ConfigError, echo_config, load_config
-from .harness.checkpoint import CheckpointError, load_checkpoint
+from .harness.checkpoint import CheckpointError
 from .harness.data import DatasetError, write_idx_dataset
 from .harness.loop import DivergenceError, ScheduleError, run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
-from .linalg import subspace_alignment_error, topk_principal
+from .linalg import topk_principal
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,8 +35,8 @@ EXIT_DATA = 3
 def cmd_run(config_path: str, resume: str | None = None) -> int:
     try:
         cfg = load_config(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
+    except OSError as e:
+        print(f"error: cannot read config file {config_path}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as e:
         print("invalid configuration:", file=sys.stderr)
@@ -85,13 +86,7 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(
-    data_path: str,
-    k: int,
-    out_path: str | None = None,
-    checkpoint: str | None = None,
-    layer: int = 0,
-) -> int:
+def cmd_oracle(data_path: str, k: int, out_path: str | None = None) -> int:
     try:
         data = np.loadtxt(data_path, delimiter=",", ndmin=2, dtype=np.float64)
     except OSError:
@@ -112,30 +107,6 @@ def cmd_oracle(
     if data.shape[0] < k:
         print(f"error: need at least k={k} samples, got {data.shape[0]}", file=sys.stderr)
         return EXIT_CONFIG
-    h = None
-    if checkpoint is not None:
-        try:
-            ckpt = load_checkpoint(checkpoint)
-        except (OSError, CheckpointError) as e:
-            print(f"error: cannot read checkpoint: {e}", file=sys.stderr)
-            return EXIT_DATA
-        if layer not in ckpt.subspaces:
-            print(
-                f"error: checkpoint has no subspace for layer {layer} "
-                f"(layers: {sorted(ckpt.subspaces)})",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        h = ckpt.subspaces[layer].H
-        if h.shape[0] == 0:
-            print(f"error: layer {layer} has no consolidated subspace", file=sys.stderr)
-            return EXIT_CONFIG
-        if h.shape[1] != data.shape[1]:
-            print(
-                f"error: subspace width {h.shape[1]} != sample width {data.shape[1]}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
     out_path = out_path or (data_path + ".components.csv")
     tmp = out_path + ".tmp"
     if os.path.isdir(out_path):
@@ -151,9 +122,6 @@ def cmd_oracle(
         np.savetxt(f, m, delimiter=",")
     os.replace(tmp, out_path)
     print(f"wrote {k} principal directions to {out_path}")
-    if h is not None:
-        err = subspace_alignment_error(h, m)
-        print(f"alignment error vs layer {layer} consolidated subspace: {err:.6f}")
     return EXIT_OK
 
 
@@ -187,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     ora_p.add_argument("csv", help="CSV matrix, one sample per row")
     ora_p.add_argument("--k", type=int, required=True, help="number of directions")
     ora_p.add_argument("--out", default=None, help="output CSV (default <csv>.components.csv)")
-    ora_p.add_argument("--checkpoint", default=None, help="compare against a checkpointed subspace")
-    ora_p.add_argument("--layer", type=int, default=0, help="subspace layer index in the checkpoint")
 
     syn_p = sub.add_parser("synth-data", help="generate the deterministic offline dataset")
     syn_p.add_argument("--out", required=True, help="output directory for the IDX files")
@@ -203,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return cmd_run(args.config, resume=args.resume)
     if args.command == "oracle":
-        return cmd_oracle(args.csv, args.k, args.out, args.checkpoint, args.layer)
+        return cmd_oracle(args.csv, args.k, args.out)
     if args.command == "synth-data":
         return cmd_synth_data(args.out, args.train, args.test, args.seed)
     return EXIT_CONFIG

@@ -107,8 +107,8 @@ def _parse_value(raw: str, line_no: int, problems: list[str]):
         return False
     try:
         return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        pass
+    except (ValueError, TypeError, SyntaxError, RecursionError, MemoryError):
+        pass  # also unhashable set/dict members, and nesting too deep for the parser
     # bare strings (unquoted identifiers such as `trainer = ottt`)
     if raw and all(ch.isalnum() or ch in "._-/" for ch in raw):
         return raw
@@ -222,7 +222,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 problems.append(f"{key}: expected a number, got {value!r}")
                 continue
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond float range, refused as non-finite below
+                value = math.inf if value > 0 else -math.inf
         elif isinstance(current, str):
             if not isinstance(value, str):
                 problems.append(f"{key}: expected a string, got {value!r}")
@@ -242,7 +245,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as f:
-        return config_from_dict(parse_flat_config(f.read()))
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"]) from e
+    return config_from_dict(parse_flat_config(text))
 
 
 def _format_value(v) -> str:

@@ -81,7 +81,11 @@ def _read_exact(f, n: int, path: str) -> bytes:
 
 def _load_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.ndarray:
     """Read an IDX file's uint8 payload in the shape its header gives."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DatasetError(f"{path}: cannot open: {e.strerror}") from e
+    with f:
         found, = struct.unpack(">i", _read_exact(f, 4, path))
         if found != magic:
             raise IdxMagicError(

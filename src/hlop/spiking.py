@@ -1,4 +1,4 @@
-"""Leaky integrate-and-fire dynamics, surrogate derivatives, rate coding.
+"""Leaky integrate-and-fire dynamics, surrogate derivatives, rate transform.
 
 Discrete neuron update (subtraction reset, applied at the next step):
 
@@ -24,9 +24,7 @@ class NeuronConfig:
     """Neuron and simulation constants shared by all layers of a network.
 
     ``delta_t`` and ``tau`` only matter for the rate-representation trainer;
-    spike-driven trainers use ``lam`` directly. ``dsr_defaults`` wires the
-    fixed rate-mode constants (T=20, v_th=0.3, tau=1.0, delta_t=0.05,
-    lam=exp(-delta_t/tau)).
+    spike-driven trainers use ``lam`` directly.
     """
 
     lam: float = 0.5
@@ -47,18 +45,6 @@ class NeuronConfig:
             raise ValueError(f"time steps T must be >= 1, got {self.T}")
         if self.a2 <= 0.0:
             raise ValueError(f"surrogate width a2 must be positive, got {self.a2}")
-
-    @classmethod
-    def dsr_defaults(cls, T: int = 20) -> "NeuronConfig":
-        delta_t, tau = 0.05, 1.0
-        return cls(
-            lam=float(np.exp(-delta_t / tau)),
-            v_th=0.3,
-            T=T,
-            a2=0.25,
-            delta_t=delta_t,
-            tau=tau,
-        )
 
     @property
     def rate_bound(self) -> float:
@@ -139,28 +125,6 @@ def surrogate_derivative(
     d *= cfg.a2
     e /= d
     return e
-
-
-def rate_representation(spike_train: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
-    """Leak-weighted firing rate of a spike train.
-
-    a[T] = v_th * sum_t lam^(T-t) s[t] / (sum_t lam^(T-t) * delta_t)
-
-    Args:
-        spike_train: (T, ...) array, first axis is time.
-
-    Returns:
-        Array of the trailing shape; all-ones trains map to v_th/delta_t
-        regardless of the leak.
-    """
-    spike_train = np.asarray(spike_train, dtype=np.float64)
-    T = spike_train.shape[0]
-    if T < 1:
-        raise ValueError("spike train must cover at least one step")
-    weights = cfg.lam ** np.arange(T - 1, -1, -1, dtype=np.float64)
-    numer = cfg.v_th * np.tensordot(weights, spike_train, axes=(0, 0))
-    denom = weights.sum() * cfg.delta_t
-    return numer / denom
 
 
 def rate_forward_transform(

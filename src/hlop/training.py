@@ -232,10 +232,6 @@ class GradPacket:
         ]
         return GradPacket(layers=merged, batch=self.batch)
 
-    def dense_grads(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Materialized (dW, db) per layer, batch-averaged."""
-        return [(lg.delta.T @ lg.trace / self.batch, lg.bias / self.batch) for lg in self.layers]
-
 
 def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
     """Apply W <- W - lr * delta^T @ trace / batch and b <- b - lr * bias / batch.

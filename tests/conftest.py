@@ -1,10 +1,28 @@
+import shutil
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hlop import training
 from hlop.harness.data import load_data_dir, write_idx_dataset
 from reference import smooth_step
 
 POOL_SEED = 1
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants read from local source files while it
+    # collects; without this, under ./.hypothesis of the working directory.
+    config.stash[_HYPOTHESIS_HOME] = home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    if home := config.stash.get(_HYPOTHESIS_HOME, None):
+        shutil.rmtree(home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

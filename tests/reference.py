@@ -1,6 +1,7 @@
 """Test-side references: a relaxed spike step, channel-first pooling, a
-finite-difference gradient and a streaming subspace run, none of which the
-system itself needs."""
+finite-difference gradient, rate-mode neuron constants, dense gradients of a
+packet and a streaming subspace run, none of which the system itself
+needs."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng, subspace_alignment_error, topk_principal
+from hlop.spiking import NeuronConfig
 
 
 def smooth_step(state, input_current, cfg):
@@ -58,6 +60,20 @@ def fd_weight_grad(loss_fn, layer, h=1e-5):
             layer.weight[i, j] = orig
             g[i, j] = (up - dn) / (2 * h)
     return g
+
+
+def dsr_config(T: int = 20) -> NeuronConfig:
+    """The fixed rate-mode constants: v_th=0.3, tau=1.0, delta_t=0.05 and
+    lam=exp(-delta_t/tau)."""
+    delta_t, tau = 0.05, 1.0
+    return NeuronConfig(lam=float(np.exp(-delta_t / tau)), v_th=0.3, T=T, a2=0.25,
+                        delta_t=delta_t, tau=tau)
+
+
+def dense_grads(packet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Materialized (dW, db) per layer of a ``GradPacket``, batch-averaged."""
+    return [(lg.delta.T @ lg.trace / packet.batch, lg.bias / packet.batch)
+            for lg in packet.layers]
 
 
 def streaming_subspace_demo(

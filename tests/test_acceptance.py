@@ -32,7 +32,7 @@ from hlop.training import (
     sgd_update,
     softmax,
 )
-from reference import fd_weight_grad, smooth_step, streaming_subspace_demo
+from reference import dense_grads, dsr_config, fd_weight_grad, smooth_step, streaming_subspace_demo
 
 RUNTIME_BUDGET_S = 1800.0  # per task-sequence run
 
@@ -173,7 +173,7 @@ def test_criterion_4_gradient_correctness(monkeypatch):
             rel = np.max(np.abs(analytic - g)) / max(np.max(np.abs(g)), 1e-12)
             worst = max(worst, float(rel))
 
-    net = build_mlp(2, [2], 2, 1, NeuronConfig.dsr_defaults(T=4), make_rng(43, 0))
+    net = build_mlp(2, [2], 2, 1, dsr_config(T=4), make_rng(43, 0))
     x = make_rng(44, 0).uniform(0.2, 0.9, size=(3, 2))
     packet, _ = rate_backward(net, x, y, ep)
     for i, layer in enumerate(net.trainable_layers(0)):
@@ -190,7 +190,7 @@ def test_criterion_4_gradient_correctness(monkeypatch):
     po, _ = ottt_backward(net, x, y, ep)
     exact = all(
         np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        for a, b in zip(pb.dense_grads(), po.dense_grads())
+        for a, b in zip(dense_grads(pb), dense_grads(po))
     )
     _report(
         "criterion 4 (gradient correctness)",

@@ -54,6 +54,7 @@ _OUT_OF_RANGE = {
     "subspace_schedule[0]": dict(subspace_schedule="[[True, 1], [5, 2], [3, 1]]"),
     "lr": dict(lr="1e999"),
     "lr=nan": dict(lr="nan"),
+    "lr=1e400": dict(lr="1" + "0" * 400),
     "ss_scale": dict(errorprop="ss", ss_scale=-1.0),
 }
 
@@ -64,6 +65,17 @@ _UNTILED_ON_28 = {
                                         "28x28 images (conv map 26x26)"),
     "conv_kernel": (dict(conv_kernel=29), "conv_kernel 29 and conv_pool 2 do not tile "
                                           "28x28 images (conv map 0x0)"),
+}
+
+
+# Config paths that exist but cannot be read as a config: how to make one,
+# and the start of the one line the refusal prints after its header.
+_UNREADABLE_CONFIGS = {
+    "not-utf8": (lambda p: p.write_bytes(b"trainer = \xff\xfe\n"),
+                 "  - {path}: not UTF-8 text"),
+    "directory": (lambda p: p.mkdir(), "error: cannot read config file {path}: Is a directory"),
+    "deep-unary-minus": (lambda p: p.write_text("lr = " + "-" * 5000 + "1\n"),
+                         "  - lr: expected a number, got '-----"),
 }
 
 
@@ -163,6 +175,18 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: ") and "negative count -1" in line
+
+    def test_idx_file_that_cannot_be_opened_exit_3(self, run_env, monkeypatch, capsys):
+        # A directory in the image file's place used to end in an
+        # IsADirectoryError traceback.
+        data = run_env / "data"
+        (data / "train-images-idx3-ubyte").mkdir(parents=True)
+        monkeypatch.setenv("HLOP_DATA_DIR", str(data))
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"))
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"dataset error: {data / 'train-images-idx3-ubyte'}: cannot open: Is a directory"
 
     def test_pool_too_small_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"
@@ -282,6 +306,20 @@ class TestRunCommand:
         (line,) = proc.stderr.splitlines()
         assert line == "divergence: task 1, batch 1, layer head0: non-finite weights"
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("case", list(_UNREADABLE_CONFIGS))
+    def test_unreadable_config_exit_2_without_traceback(self, run_env, case):
+        # Each used to end in a traceback and exit 1.
+        make, line = _UNREADABLE_CONFIGS[case]
+        path = run_env / "exp.cfg"
+        make(path)
+        proc = _run_cli("run", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        if case != "directory":
+            assert lines.pop(0) == "invalid configuration:"
+        assert len(lines) == 1 and lines[0].startswith(line.format(path=path))
 
     def test_missing_resume_file_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"
@@ -414,43 +452,15 @@ class TestOracleCommand:
         assert line == f"error: {p} holds nan or inf samples"
         assert not (tmp_path / "d.csv.components.csv").exists()
 
-    def test_alignment_against_checkpoint(self, run_env, capsys, tmp_path):
-        out = run_env / "out"
-        cfg = run_env / "exp.cfg"
-        _write_cfg(str(cfg), str(out))
-        assert main(["run", str(cfg)]) == 0
-        # full-rank k = n against any test matrix gives alignment 0 when the
-        # checkpointed bank spans the space; here simply verify wiring.
-        rng = make_rng(1, 0)
+    def test_checkpoint_flag_is_refused(self, tmp_path, capsys):
+        # The checkpoint comparison is gone: no command writes the per-layer
+        # feed CSV it needed.
         samples = tmp_path / "s.csv"
-        np.savetxt(samples, rng.normal(size=(300, 200)), delimiter=",")
-        code = main([
-            "oracle", str(samples), "--k", "2",
-            "--checkpoint", str(out / "task2.ckpt"), "--layer", "1",
-        ])
-        assert code == 0
-        assert "alignment error" in capsys.readouterr().out
-
-    def test_checkpoint_layer_missing_exit_2(self, run_env, tmp_path):
-        out = run_env / "out"
-        cfg = run_env / "exp.cfg"
-        _write_cfg(str(cfg), str(out))
-        assert main(["run", str(cfg)]) == 0
-        samples = tmp_path / "s.csv"
-        np.savetxt(samples, make_rng(2, 0).normal(size=(10, 4)), delimiter=",")
-        assert main([
-            "oracle", str(samples), "--k", "1",
-            "--checkpoint", str(out / "task2.ckpt"), "--layer", "9",
-        ]) == 2
-        assert not (tmp_path / "s.csv.components.csv").exists()
-
-    def test_unreadable_checkpoint_exit_3_before_writing(self, tmp_path, capsys):
-        # The components file used to be written before the checkpoint was read.
-        samples, ckpt = tmp_path / "s.csv", tmp_path / "bad.ckpt"
         np.savetxt(samples, np.eye(3), delimiter=",")
-        ckpt.write_bytes(b"junk")
-        assert main(["oracle", str(samples), "--k", "1", "--checkpoint", str(ckpt)]) == 3
-        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(samples), "--k", "1", "--checkpoint", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --checkpoint x" in capsys.readouterr().err
         assert not (tmp_path / "s.csv.components.csv").exists()
 
     @pytest.mark.parametrize("out", ["afile/x.csv", "adir"])

@@ -51,7 +51,7 @@ from hlop.training import (
     spiking_rate_readout,
 )
 
-from reference import channel_first_avg_pool
+from reference import channel_first_avg_pool, dense_grads
 
 
 def _onehot(idx, n):
@@ -241,7 +241,7 @@ def _assert_matches_reference(packet, rate, ref, subspaces):
         sub = (subspaces or {}).get(i)
         trace = lg.trace if sub is None else sub.project_trace(lg.trace)
         dw, db = lg.delta.T @ trace / packet.batch, lg.bias / packet.batch
-        (ref_dw, ref_db) = GradPacket([ref_lg], ref_packet.batch).dense_grads()[0]
+        (ref_dw, ref_db) = dense_grads(GradPacket([ref_lg], ref_packet.batch))[0]
         assert np.max(np.abs(dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
         assert np.max(np.abs(db - ref_db)) <= 1e-12 * np.max(np.abs(ref_db))
         assert np.abs(ref_dw).max() > 0.0 and np.abs(ref_db).max() > 0.0

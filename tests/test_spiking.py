@@ -9,12 +9,11 @@ from hlop.spiking import (
     avg_pool_backward,
     lif_step,
     rate_forward_transform,
-    rate_representation,
     surrogate_derivative,
     unfold_patches,
 )
 
-from reference import channel_first_avg_pool, channel_first_avg_pool_backward
+from reference import channel_first_avg_pool, channel_first_avg_pool_backward, dsr_config
 
 
 def _cfg(**kw):
@@ -100,51 +99,22 @@ class TestSurrogateDerivative:
         assert abs(total - 1.0) < 1e-3
 
 
-class TestRateRepresentation:
-    def test_all_zero(self):
-        cfg = NeuronConfig.dsr_defaults(T=5)
-        assert not rate_representation(np.zeros((5, 3)), cfg).any()
-
-    def test_all_ones_gives_vth_over_dt(self):
-        # Telescopes to v_th/delta_t independent of the leak: 0.3/0.05 = 6.
-        cfg = NeuronConfig.dsr_defaults(T=20)
-        out = rate_representation(np.ones((20, 4)), cfg)
-        assert np.allclose(out, 6.0, atol=1e-12)
-        other = NeuronConfig(lam=0.5, v_th=0.3, T=7, a2=0.25, delta_t=0.05)
-        assert np.allclose(rate_representation(np.ones((7, 2)), other), 6.0, atol=1e-12)
-
-    def test_single_late_spike(self):
-        # T=2, lam=0.5, v_th=0.3, dt=0.05: 0.3*1 / ((0.5+1)*0.05) = 4.0
-        cfg = NeuronConfig(lam=0.5, v_th=0.3, T=2, a2=0.25, delta_t=0.05)
-        train = np.array([[0.0], [1.0]])
-        assert rate_representation(train, cfg)[0] == pytest.approx(4.0, abs=1e-12)
-
-    def test_linear_in_spike_train(self):
-        cfg = NeuronConfig.dsr_defaults(T=6)
-        rng = make_rng(1, 0)
-        a = rng.random((6, 5))
-        b = rng.random((6, 5))
-        lhs = rate_representation(a + 2.0 * b, cfg)
-        rhs = rate_representation(a, cfg) + 2.0 * rate_representation(b, cfg)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
 class TestRateForwardTransform:
     def test_lower_clamp(self):
-        cfg = NeuronConfig.dsr_defaults()
+        cfg = dsr_config()
         w = -np.eye(3)
         z = rate_forward_transform(np.ones((2, 3)), w, None, cfg)
         assert not z.any()
 
     def test_interior_identity(self):
-        cfg = NeuronConfig.dsr_defaults()  # tau=1, bound=6
+        cfg = dsr_config()  # tau=1, bound=6
         w = np.eye(2)
         x = np.array([[1.0, 5.0]])
         assert np.allclose(rate_forward_transform(x, w, None, cfg), x)
 
     def test_upper_clamp(self):
         # pre-activation 10 against bound v_th/dt = 6
-        cfg = NeuronConfig.dsr_defaults()
+        cfg = dsr_config()
         w = np.array([[10.0]])
         z = rate_forward_transform(np.ones((1, 1)), w, None, cfg)
         assert z[0, 0] == cfg.rate_bound
@@ -296,9 +266,3 @@ class TestNeuronConfig:
         for kw in (dict(lam=0.0), dict(lam=1.5), dict(v_th=0.0), dict(T=0), dict(a2=0.0)):
             with pytest.raises(ValueError):
                 _cfg(**kw)
-
-    def test_dsr_defaults(self):
-        cfg = NeuronConfig.dsr_defaults()
-        assert cfg.T == 20 and cfg.v_th == 0.3 and cfg.delta_t == 0.05 and cfg.tau == 1.0
-        assert cfg.lam == pytest.approx(np.exp(-0.05))
-        assert cfg.rate_bound == pytest.approx(6.0)

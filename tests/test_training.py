@@ -22,7 +22,7 @@ from hlop.training import (
     softmax,
     _post_block,
 )
-from reference import fd_weight_grad
+from reference import dense_grads, dsr_config, fd_weight_grad
 
 
 def _mlp(seed, sizes, cfg):
@@ -155,7 +155,7 @@ class TestBpttSg:
         x = np.full((2, 3), -3.0)
         y = _onehot([0, 1], 2)
         packet, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
-        dw0, _ = packet.dense_grads()[0]
+        dw0, _ = dense_grads(packet)[0]
         assert np.max(np.abs(dw0)) < 1e-6
         assert np.max(np.abs(dw0)) > 0.0  # leakage, not an exact zero
 
@@ -206,7 +206,7 @@ class TestOttt:
         s_out = u_out.copy()
         c_out = (softmax(s_out) - y) / cfg.T * surrogate_derivative(u_out, cfg)
         traces = np.array([0.0, 1.0, 0.5, 1.25])
-        dw_head, db_head = packet.dense_grads()[1]
+        dw_head, db_head = dense_grads(packet)[1]
         assert np.abs(c_out.T @ traces).max() > 0.0
         assert np.allclose(dw_head[:, 0], c_out.T @ traces, rtol=0, atol=1e-12)
         assert np.allclose(db_head, c_out.sum(axis=0), rtol=0, atol=1e-12)
@@ -261,22 +261,22 @@ class TestOttt:
         y = _onehot(make_rng(14, 0).integers(0, 3, size=6), 3)
         p_bptt, _ = bptt_sg_backward(net, x, y, ErrorPropConfig())
         p_ottt, _ = ottt_backward(net, x, y, ErrorPropConfig())
-        for a, b in zip(p_bptt.dense_grads(), p_ottt.dense_grads()):
+        for a, b in zip(dense_grads(p_bptt), dense_grads(p_ottt)):
             assert np.array_equal(a[0], b[0])
             assert np.array_equal(a[1], b[1])
 
 
 class TestRateTrainer:
     def test_zero_presynaptic_rates_zero_update(self):
-        cfg = NeuronConfig.dsr_defaults(T=4)
+        cfg = dsr_config(T=4)
         net = _mlp(17, [3, 4, 2], cfg)
         packet, _ = rate_backward(net, np.zeros((2, 3)), _onehot([0, 1], 2),
                                      ErrorPropConfig())
-        dw0, _ = packet.dense_grads()[0]
+        dw0, _ = dense_grads(packet)[0]
         assert not dw0.any()
 
     def test_saturated_unit_gates_error(self):
-        cfg = NeuronConfig.dsr_defaults()
+        cfg = dsr_config()
         net = SpikingNet(
             blocks=[],
             heads=[Layer(weight=np.array([[100.0], [1.0]]), bias=np.zeros(2), name="head0")],
@@ -285,12 +285,12 @@ class TestRateTrainer:
         x = np.array([[1.0]])
         packet, logits = rate_backward(net, x, _onehot([1], 2), ErrorPropConfig())
         assert logits[0, 0] == cfg.rate_bound  # saturated above
-        dw, _ = packet.dense_grads()[0]
+        dw, _ = dense_grads(packet)[0]
         assert dw[0, 0] == 0.0  # clamped unit receives no gradient
         assert dw[1, 0] != 0.0
 
     def test_matches_finite_differences(self):
-        cfg = NeuronConfig.dsr_defaults(T=4)
+        cfg = dsr_config(T=4)
         net = _mlp(18, [2, 2, 2], cfg)
         x = make_rng(19, 0).uniform(0.2, 0.9, size=(3, 2))
         y = _onehot([1, 0, 1], 2)
@@ -302,7 +302,7 @@ class TestRateTrainer:
             assert rel < 1e-6
 
     def test_matches_finite_differences_on_conv_net(self):
-        cfg = NeuronConfig.dsr_defaults(T=4)
+        cfg = dsr_config(T=4)
         net = build_conv_net(1, (6, 6), 2, 3, 2, 4, 2, 1, cfg, make_rng(20, 0))
         x = make_rng(21, 0).uniform(0.2, 0.9, size=(3, 1, 6, 6))
         y = _onehot([1, 0, 1], 2)
@@ -361,7 +361,7 @@ class TestSgdUpdate:
                          bias=np.array([2.0, -4.0]))
         sgd_update(layer, grad, lr=0.5, batch=4)
         assert np.array_equal(layer.bias, [-0.25, 0.5])
-        assert np.array_equal(GradPacket([grad], batch=4).dense_grads()[0][1], [0.5, -1.0])
+        assert np.array_equal(dense_grads(GradPacket([grad], batch=4))[0][1], [0.5, -1.0])
 
     def test_zero_projected_trace_freezes_weights(self):
         layer = dense_layer(2, 3, make_rng(21, 0))

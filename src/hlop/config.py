@@ -98,6 +98,12 @@ def default_subspace_schedule(widths: list[int], split: bool) -> list:
     return sched
 
 
+def _shown(value, width: int = 60) -> str:
+    """A refused value's repr for a problem line, cut to ``width`` characters."""
+    r = repr(value)
+    return r if len(r) <= width else f"{r[:width]}... ({len(r)} characters)"
+
+
 def _parse_value(raw: str, line_no: int, problems: list[str]):
     raw = raw.strip()
     low = raw.lower()
@@ -112,7 +118,7 @@ def _parse_value(raw: str, line_no: int, problems: list[str]):
     # bare strings (unquoted identifiers such as `trainer = ottt`)
     if raw and all(ch.isalnum() or ch in "._-/" for ch in raw):
         return raw
-    problems.append(f"line {line_no}: cannot parse value {raw!r}")
+    problems.append(f"line {line_no}: cannot parse value {_shown(raw)}")
     return None
 
 
@@ -129,7 +135,7 @@ def parse_flat_config(text: str) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            problems.append(f"line {line_no}: expected 'key = value', got {stripped!r}")
+            problems.append(f"line {line_no}: expected 'key = value', got {_shown(stripped)}")
             continue
         key, _, raw = stripped.partition("=")
         key = key.strip()
@@ -138,7 +144,7 @@ def parse_flat_config(text: str) -> dict:
             raw = raw.split("#", 1)[0]
         value = _parse_value(raw, line_no, problems)
         if key in out:
-            problems.append(f"line {line_no}: duplicate key {key!r}")
+            problems.append(f"line {line_no}: duplicate key {_shown(key)}")
         out[key] = value
     if problems:
         raise ConfigError(problems)
@@ -149,15 +155,15 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     """Field-named problems of ``cfg`` that the config alone decides."""
     p: list[str] = []
     if cfg.seed < 0:
-        p.append(f"seed: must be >= 0, got {cfg.seed}")
+        p.append(f"seed: must be >= 0, got {_shown(cfg.seed)}")
     for name in ("T", "batch", "epochs", "n_tasks", "quant_t_l",
                  "train_per_task", "test_per_task"):
         if getattr(cfg, name) < 1:
-            p.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+            p.append(f"{name}: must be >= 1, got {_shown(getattr(cfg, name))}")
     for name, allowed in _ENUMS.items():
         v = getattr(cfg, name)
         if v not in allowed:
-            p.append(f"{_FIELD_TO_KEY.get(name, name)}: {v!r} not one of {allowed}")
+            p.append(f"{_FIELD_TO_KEY.get(name, name)}: {_shown(v)} not one of {allowed}")
     if not (0.0 < cfg.lam < 1.0):
         p.append(f"lambda: must lie in (0, 1), got {cfg.lam}")
     if cfg.v_th <= 0:
@@ -175,13 +181,13 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             p.append(f"{_FIELD_TO_KEY.get(f.name, f.name)}: must be finite, got {v}")
     split = cfg.task == "split_mnist"
     if split and cfg.n_tasks > 5:
-        p.append(f"n_tasks: split_mnist has 5 class pairs, got {cfg.n_tasks}")
+        p.append(f"n_tasks: split_mnist has 5 class pairs, got {_shown(cfg.n_tasks)}")
     # ``type(h) is int`` refuses booleans, which are ints to isinstance.
     if not cfg.hidden_sizes or not all(type(h) is int and h > 0 for h in cfg.hidden_sizes):
-        p.append(f"hidden_sizes: need positive integers, got {cfg.hidden_sizes}")
+        p.append(f"hidden_sizes: need positive integers, got {_shown(cfg.hidden_sizes)}")
     for name in ("conv_channels", "conv_kernel", "conv_pool", "conv_hidden") if split else ():
         if getattr(cfg, name) < 1:
-            p.append(f"{name}: must be >= 1, got {getattr(cfg, name)}")
+            p.append(f"{name}: must be >= 1, got {_shown(getattr(cfg, name))}")
     # An empty schedule is sized, and a given one checked, against the data.
     if cfg.hlop != "off" and (sched := cfg.subspace_schedule):
         n_layers = 2 if split else len(cfg.hidden_sizes) + 1  # per-task heads get none
@@ -207,20 +213,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key, value in raw.items():
         name = _KEY_ALIASES.get(key, key)
         if name not in known:
-            problems.append(f"unknown key {key!r}")
+            problems.append(f"unknown key {_shown(key)}")
             continue
         current = getattr(cfg, name)
         if isinstance(current, bool):
             if not isinstance(value, bool):
-                problems.append(f"{key}: expected a boolean, got {value!r}")
+                problems.append(f"{key}: expected a boolean, got {_shown(value)}")
                 continue
         elif isinstance(current, int):
             if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{key}: expected an integer, got {value!r}")
+                problems.append(f"{key}: expected an integer, got {_shown(value)}")
                 continue
         elif isinstance(current, float):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{key}: expected a number, got {value!r}")
+                problems.append(f"{key}: expected a number, got {_shown(value)}")
                 continue
             try:
                 value = float(value)
@@ -228,11 +234,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 value = math.inf if value > 0 else -math.inf
         elif isinstance(current, str):
             if not isinstance(value, str):
-                problems.append(f"{key}: expected a string, got {value!r}")
+                problems.append(f"{key}: expected a string, got {_shown(value)}")
                 continue
         elif isinstance(current, list):
             if not isinstance(value, list):
-                problems.append(f"{key}: expected a list, got {value!r}")
+                problems.append(f"{key}: expected a list, got {_shown(value)}")
                 continue
         setattr(cfg, name, value)
     if problems:

@@ -9,6 +9,7 @@ from .data import (
     IdxHeaderError,
     IdxLabelError,
     IdxMagicError,
+    IdxTrailingBytesError,
     IdxTruncatedError,
     ImageSizeError,
     PoolTooSmallError,
@@ -31,6 +32,7 @@ __all__ = [
     "IdxHeaderError",
     "IdxLabelError",
     "IdxMagicError",
+    "IdxTrailingBytesError",
     "IdxTruncatedError",
     "ImageSizeError",
     "PoolTooSmallError",

@@ -57,6 +57,10 @@ class IdxHeaderError(DatasetError):
     code = "bad-header"
 
 
+class IdxTrailingBytesError(DatasetError):
+    code = "trailing-bytes"
+
+
 class IdxLabelError(DatasetError):
     code = "bad-label"
 
@@ -80,7 +84,7 @@ def _read_exact(f, n: int, path: str) -> bytes:
 
 
 def _load_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.ndarray:
-    """Read an IDX file's uint8 payload in the shape its header gives."""
+    """Read an IDX file's uint8 payload in the shape its header gives, and no more."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -96,6 +100,9 @@ def _load_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.nda
         if bad:  # before a negative dimension can size a read
             raise IdxHeaderError(f"{path}: negative {', '.join(bad)} in header")
         payload = _read_exact(f, math.prod(shape), path)
+        if extra := os.fstat(f.fileno()).st_size - f.tell():
+            raise IdxTrailingBytesError(
+                f"{path}: {extra} bytes after the {len(payload)}-byte payload its header sizes")
     # Copy, so the read buffer is freed here: glibc then raises its mmap threshold (fewer faults).
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
 

@@ -11,9 +11,10 @@ Batches enter the net as flat float rows, one per sample, whatever the task:
 only the conv layer views them as images. The run checks, before training
 and against the data, that the conv kernel and pool tile the images and
 that each circuit's schedule fits its layer's width.
-With a CPU to spare, one FIFO worker thread runs the circuits' Hebbian repeats
-beside the next batch, in each circuit's order, and, once training has joined
-them, counts half of each task's evaluation batches; no result byte changes.
+With a CPU to spare, one FIFO worker thread projects each layer's trace rows as
+soon as the trainer has finished them, runs the circuits' Hebbian repeats beside
+the next batch, in each circuit's order, and, once training has joined them,
+counts half of each task's evaluation batches; no result byte changes.
 """
 
 from __future__ import annotations
@@ -232,15 +233,21 @@ def _train_one_task(
     head: int,
     pool: ThreadPoolExecutor | None = None,
 ) -> None:
-    """Train on one task, running each circuit's ``learn`` on ``pool`` or at once.
-    A circuit's job is joined, and its state checked finite with rows no longer than
-    ``MAX_HEBBIAN_ROW_NORM``, before its next batch and before this returns; every
-    trained layer's weights and biases are checked finite after each batch's update.
-    On an error the pool's owner joins what is left."""
+    """Train on one task. With a ``pool``, the trainer hands each circuit's rows to the
+    worker mid-walk for ``hebbian_update`` (run here if the worker has not begun it),
+    and every ``learn`` runs there too. A circuit's ``learn`` is joined, and its state
+    checked finite with rows no longer than ``MAX_HEBBIAN_ROW_NORM``, before its next
+    update and before this returns; every trained layer's weights and biases are checked
+    finite after each batch's update. On an error the pool's owner joins what is left."""
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
     n = task.train_x.shape[0]
     pending: dict[int, tuple[Future | None, int]] = {}
+    early: dict[int, Future] = {}
+
+    def project_early(i: int, rows: np.ndarray) -> None:  # the trainers' on_trace
+        if i in subspaces:
+            early[i] = pool.submit(subspaces[i].hebbian_update, rows)
 
     def join(i: int) -> None:
         job, batch_no = pending.pop(i, (None, 0))
@@ -263,12 +270,14 @@ def _train_one_task(
             sl = order[start : start + cfg.batch]
             x = _net_input(task.train_x[sl])
             y1h = _onehot(task.train_y[sl], layers[-1].out_dim)
-            packet, _ = trainer(net, x, y1h, epcfg, head)
+            packet, _ = trainer(net, x, y1h, epcfg, head, project_early if pool else None)
             for i, (layer, grad) in enumerate(zip(layers, packet.layers)):
                 # The circuit learns from the raw rows and returns them projected.
                 if i in subspaces:
                     join(i)
-                    x_hat, learn = subspaces[i].hebbian_update(grad.trace)
+                    job = early.pop(i, None)
+                    x_hat, learn = (job.result() if job and not job.cancel()
+                                    else subspaces[i].hebbian_update(grad.trace))
                     pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
                     grad = replace(grad, trace=x_hat)
                 with np.errstate(over="ignore", invalid="ignore"):  # named below instead

@@ -10,7 +10,7 @@ subspace neurons over the layer's presynaptic space:
   rule  dH' = y' x^T + y' x_tilde^T  with the integrated return signal
   x_tilde from both banks, which drives ``H_new`` toward the principal
   subspace of the current input stream that is not already covered by ``H``.
-  ``hebbian_update`` hands a batch's repeats back as ``learn``, which may run
+  ``hebbian_update`` hands a batch's repeats back as ``learn``; both may run
   on another thread, as the paper's separate lateral population learns.
 
 With no consolidated rows the rule reduces exactly to the Oja subspace form
@@ -151,8 +151,9 @@ class LateralSubspace:
         """Return ``(x_hat, learn)`` for one batch: the host layer's update
         trace x_hat = ``project_trace(x_batch)`` (2-D), which reads only ``H``,
         and ``learn()``, which runs K two-stage Hebbian updates and writes only
-        ``H_new`` and ``velocity``. A caller may run ``learn`` later, on another
-        thread, if it ends before the next ``hebbian_update`` or ``consolidate``.
+        ``H_new`` and ``velocity``. Both may run on another thread: learns end
+        in order, before ``consolidate``/``expand``; ``hebbian_update`` may run
+        while an earlier ``learn`` is pending.
 
         The two-stage rule dH' = y' x^T + y' x_tilde^T is evaluated in its
         Oja form. The consolidated bank's part of the return, x + x_minus,
@@ -161,10 +162,9 @@ class LateralSubspace:
         in-training response y' = H' x and forms
         dH' = y' x_hat^T - (y' y'^T) H' (y' quantized in spiking mode),
         averages it over the batch rows, folds it into the momentum buffer,
-        and applies it. Consolidated rows are untouched. ``learn`` updates
-        ``H_new`` and ``velocity`` in place, through one set of scratch arrays
-        for its K repeats; every product and elementwise step keeps its
-        operands' shapes and order, so the bytes are the out-of-place rule's.
+        and applies it, in place, through one set of scratch arrays for its K
+        repeats; every product and elementwise step keeps its operands' shapes
+        and order, so the bytes are the out-of-place rule's.
 
         The constant-step rule is only stable while the per-update spectral
         step eta/(1-momentum) * lambda_max(input second moment) stays below

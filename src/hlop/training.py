@@ -23,7 +23,9 @@ circuit learns from, so no trainer sees a circuit: the training loop hands
 the rows to ``LateralSubspace.hebbian_update``, which projects them once,
 x_hat = x - H^T H x, for its own Hebbian step and returns x_hat for the
 layer's update. The projection acts row by row, so this holds for
-burst-quantized circuits too.
+burst-quantized circuits too. A trainer given ``on_trace`` calls
+``on_trace(i, rows)`` once per layer with the packet's trace rows as soon
+as it no longer writes them, so the loop may project them during the walk.
 
 The static input is the same at every step, so the spiking trainers emit its
 rows once, in one block: (sum_t c_t, x) for BPTT, (sum_t a_t c_t, x) for OTTT.
@@ -45,7 +47,7 @@ matrices), or sign symmetry.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,6 +64,8 @@ from .spiking import (
     surrogate_derivative,
     unfold_patches,
 )
+
+OnTrace = Callable[[int, np.ndarray], None]  # on_trace(i, rows), see the module docstring
 
 # ---------------------------------------------------------------------------
 # network container
@@ -242,7 +246,9 @@ def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
     directions old tasks relied on; biases are never projected.
     """
     dw = grad.delta.T @ grad.trace
-    layer.weight -= lr * dw / batch
+    dw *= lr
+    dw /= batch
+    layer.weight -= dw
     layer.bias -= lr * grad.bias / batch
 
 
@@ -387,6 +393,7 @@ def bptt_sg_backward(
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
+    on_trace: OnTrace | None = None,
 ) -> tuple[GradPacket, np.ndarray]:
     """Backpropagation through time with the sigmoid surrogate.
 
@@ -400,8 +407,9 @@ def bptt_sg_backward(
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    batch = x.shape[0]
     us, ss, traces = _spiking_forward_pass(net, x, head)
+    for i, rows in enumerate(traces if on_trace else ()):
+        on_trace(i, rows)
 
     rate = np.mean(ss[-1], axis=0)
     # External error at the current layer's spikes at each step, top-down.
@@ -417,7 +425,7 @@ def bptt_sg_backward(
         grads[i] = LayerGrad(delta=sum(cs) if i == 0 else np.concatenate(cs), trace=traces[i])
         if i > 0:
             ext = [_error_below(layers, i, c, epcfg) for c in cs]
-    return GradPacket(layers=grads, batch=batch), rate
+    return GradPacket(layers=grads, batch=x.shape[0]), rate
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +475,7 @@ def ottt_backward(
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
+    on_trace: OnTrace | None = None,
 ) -> tuple[GradPacket, np.ndarray]:
     """Run all T steps of online learning on one batch of static inputs.
 
@@ -492,6 +501,10 @@ def ottt_backward(
             first_delta, rate_sum = np.zeros_like(states[0].u), np.zeros_like(states[-1].s)
             first = [np.empty_like(first_delta) for _ in range(2)]  # ottt_step's buffers
         _stack_rows(feeds, t, rows, cfg.T)
+        if on_trace and t == 0:  # the input's rows are final at once
+            on_trace(0, feeds[0])
+        for i in range(1, len(feeds)) if on_trace and t == cfg.T - 1 else ():
+            on_trace(i, feeds[i])
         cs = ottt_step(net, states, y_onehot, epcfg, head, first)
         a = cfg.lam * a + 1.0
         first_bias = first_bias + cs[0].sum(axis=0)
@@ -538,6 +551,7 @@ def rate_backward(
     y_onehot: np.ndarray,
     epcfg: ErrorPropConfig,
     head: int = 0,
+    on_trace: OnTrace | None = None,
 ) -> tuple[GradPacket, np.ndarray]:
     """Gradients through the rate-transform chain.
 
@@ -549,8 +563,9 @@ def rate_backward(
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    batch = x.shape[0]
     pres, outs = rate_chain_forward(net, x, head)
+    for i, rows in enumerate(pres if on_trace else ()):
+        on_trace(i, rows)
     logits = outs[-1]
     err = softmax(logits) - y_onehot
 
@@ -562,7 +577,7 @@ def rate_backward(
         grads[i] = LayerGrad(delta=c, trace=pres[i])
         if i > 0:
             err = _error_below(layers, i, c, epcfg)
-    return GradPacket(layers=grads, batch=batch), logits
+    return GradPacket(layers=grads, batch=x.shape[0]), logits
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,21 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("dataset error: ") and "negative count -1" in line
 
+    def test_idx_file_longer_than_its_header_exit_3(self, run_env, monkeypatch, capsys):
+        # An image count lowered from 1500 to 1499 used to load 1499 images
+        # and drop the last one's bytes.
+        self._use_images_of_size(run_env, monkeypatch, (28, 28))
+        path = run_env / "data28" / TRAIN_IMAGES
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack(">i", 1499) + blob[8:])
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(run_env / "out"))
+        assert main(["run", str(cfg)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"dataset error: {path}: 784 bytes after the {1499 * 784}-byte "
+                        "payload its header sizes")
+        assert not (run_env / "out" / "metrics.csv").exists()
+
     def test_idx_file_that_cannot_be_opened_exit_3(self, run_env, monkeypatch, capsys):
         # A directory in the image file's place used to end in an
         # IsADirectoryError traceback.
@@ -320,6 +335,8 @@ class TestRunCommand:
         if case != "directory":
             assert lines.pop(0) == "invalid configuration:"
         assert len(lines) == 1 and lines[0].startswith(line.format(path=path))
+        if case == "deep-unary-minus":  # the 5003-character value is cut
+            assert len(lines[0]) < 200 and lines[0].endswith("... (5003 characters)")
 
     def test_missing_resume_file_exit_3(self, run_env, capsys):
         cfg = run_env / "exp.cfg"

@@ -139,8 +139,8 @@ def test_idx_byte_edits_load_or_raise_dataset_error(tmp_path, which, at, value, 
         out = reader(str(path))
     except DatasetError:
         return
-    header = 16 if which == 0 else 8
-    assert out.dtype == np.uint8 and out.size <= len(edited) - header
+    header = 16 if which == 0 else 8  # a file that loads holds exactly its header's payload
+    assert out.dtype == np.uint8 and out.size == len(edited) - header
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ from hlop.harness.data import (
     IdxHeaderError,
     IdxLabelError,
     IdxMagicError,
+    IdxTrailingBytesError,
     IdxTruncatedError,
     ImageSizeError,
     PoolTooSmallError,
     Task,
+    load_idx_images,
     load_idx_labels,
     load_mnist_idx,
     make_pmnist_tasks,
@@ -109,6 +111,18 @@ class TestIdxFormat:
         with pytest.raises(IdxTruncatedError, match="784 left"):
             load_mnist_idx(str(p), str(p))
 
+    @pytest.mark.parametrize("extra", [1, 784])
+    def test_bytes_after_the_payload_refused(self, tmp_path, extra):
+        # A count lowered from 2 to 1 used to load one image and drop the other.
+        p = tmp_path / "long"
+        p.write_bytes(struct.pack(">iiii", 0x00000803, 1, 28, 28) + b"\x00" * (784 + extra))
+        with pytest.raises(IdxTrailingBytesError,
+                           match=f"{extra} bytes after the 784-byte payload its header sizes"):
+            load_idx_images(str(p))
+        p.write_bytes(struct.pack(">ii", 0x00000801, 3) + b"\x01" * (3 + extra))
+        with pytest.raises(IdxTrailingBytesError, match=f"{extra} bytes after the 3-byte"):
+            load_idx_labels(str(p))
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = str(tmp_path / "imgs"), str(tmp_path / "lbls")
         write_idx_images(ip, np.zeros((2, 2, 2), dtype=np.uint8))
@@ -119,8 +133,8 @@ class TestIdxFormat:
     def test_error_codes_distinct(self):
         codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
                  IdxHeaderError.code, IdxLabelError.code, PoolTooSmallError.code,
-                 ImageSizeError.code}
-        assert len(codes) == 7
+                 ImageSizeError.code, IdxTrailingBytesError.code}
+        assert len(codes) == 8
 
 
 class TestSyntheticCorpus:
@@ -612,6 +626,20 @@ class TestConfigValidation:
             with pytest.raises(ConfigError) as exc:
                 config_from_dict({key: value})
             assert any(p.startswith(f"{key}: must be finite") for p in exc.value.problems)
+
+    @pytest.mark.parametrize("key, value, start", [
+        ("lr", "-" * 5000, "lr: expected a number, got '---"),
+        ("trainer", "x" * 500, "trainer: 'xxx"),
+        ("y" * 500, 1, "unknown key 'yyy"),
+        ("hidden_sizes", [0] * 500, "hidden_sizes: need positive integers, got [0, 0"),
+    ], ids=["number", "enum", "key", "list"])
+    def test_refused_values_are_cut_to_a_fixed_width(self, key, value, start):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({key: value})
+        (problem,) = exc.value.problems
+        refused = key if start.startswith("unknown") else value
+        assert problem.startswith(start)
+        assert f"... ({len(repr(refused))} characters)" in problem and len(problem) < 160
 
     def test_type_mismatches_reported_together(self):
         with pytest.raises(ConfigError) as exc:

@@ -346,6 +346,32 @@ class TestFlatRows:
         assert _post_block(dense, carry) is carry
 
 
+class TestTraceHandOut:
+    """``on_trace`` receives each layer's trace rows once, as the packet holds
+    them, at a point after which the trainer no longer writes them."""
+
+    @pytest.mark.parametrize("T", [6, 1])
+    @pytest.mark.parametrize("conv", [False, True], ids=["mlp", "conv"])
+    @pytest.mark.parametrize("trainer", [rate_backward, bptt_sg_backward, ottt_backward],
+                             ids=["rate", "bptt", "ottt"])
+    def test_each_layer_once_with_its_final_rows(self, trainer, conv, T):
+        cfg = NeuronConfig(lam=0.5, v_th=0.2, T=T, a2=0.25)
+        if conv:
+            net = build_conv_net(1, (8, 8), 3, 3, 2, 12, 3, 1, cfg, make_rng(26, 0))
+        else:
+            net = _mlp(26, [64, 24, 16, 3], cfg)
+        x = make_rng(27, 0).uniform(0.0, 1.0, size=(6, 64))
+        handed = []
+        packet, _ = trainer(net, x, _onehot([0, 1, 2, 2, 1, 0], 3), ErrorPropConfig(),
+                            on_trace=lambda i, rows: handed.append((i, rows, rows.copy())))
+        assert [i for i, _, _ in handed] == list(range(len(packet.layers)))
+        for i, rows, copy in handed:
+            assert rows is packet.layers[i].trace
+            assert np.array_equal(copy, rows)
+        # No trace is all zeros, so a copy taken before the last write would differ.
+        assert all(lg.trace.any() for lg in packet.layers)
+
+
 class TestSgdUpdate:
     def test_zero_lr_no_change(self):
         layer = dense_layer(2, 3, make_rng(20, 0))

@@ -1,9 +1,9 @@
 """The worker thread: same bytes on or off, errors and thread lifetime.
 
-``run_continual`` runs each circuit's Hebbian repeats, and half of each
-task's evaluation batches, on one worker thread when ``loop._spare_cpu()``
-says a CPU is left beside the BLAS threads. These tests force the worker on
-and off by monkeypatching that check.
+``run_continual`` runs each circuit's projections and Hebbian repeats, and
+half of each task's evaluation batches, on one worker thread when
+``loop._spare_cpu()`` says a CPU is left beside the BLAS threads. These tests
+force the worker on and off by monkeypatching that check.
 """
 
 import sys
@@ -90,8 +90,10 @@ def test_worker_needs_a_cpu_that_blas_leaves_free(monkeypatch, cpus, pins, spare
     assert loop._spare_cpu() is spare
 
 
-@pytest.mark.parametrize("hlop", ["linear", "spiking"])
-def test_worker_on_and_off_write_the_same_bytes(run_env, monkeypatch, hlop):
+@pytest.mark.parametrize("kw", [dict(hlop="linear"), dict(hlop="spiking"),
+                                dict(hlop="linear", task="split_mnist")],
+                         ids=["linear", "spiking", "split-conv"])
+def test_worker_on_and_off_write_the_same_bytes(run_env, monkeypatch, kw):
     on_main = set()
     _wrap_learn(monkeypatch, lambda sub, call: on_main.add(
         threading.current_thread() is threading.main_thread()))
@@ -104,7 +106,7 @@ def test_worker_on_and_off_write_the_same_bytes(run_env, monkeypatch, hlop):
             _force_worker(monkeypatch, on)
             on_main.clear()
             out = run_env / f"out-{on}"
-            assert main(["run", _write_cfg(run_env / f"{on}.cfg", out, hlop=hlop)]) == 0
+            assert main(["run", _write_cfg(run_env / f"{on}.cfg", out, **kw)]) == 0
             assert on_main == {not on}
             outputs[on] = {name: (out / name).read_bytes() for name in OUTPUTS}
     finally:
@@ -141,6 +143,53 @@ def test_error_in_learn_comes_out_of_run_continual(data_pools, monkeypatch, on):
     _wrap_learn(monkeypatch, fail)
     with pytest.raises(RuntimeError) as exc:
         run_continual(cfg, data=data_pools)
+    assert exc.value is boom
+    assert threading.active_count() == threads
+
+
+def _wrap_projection(monkeypatch, before):
+    """Wrap every circuit's ``hebbian_update`` so that ``before(sub)`` runs first."""
+    hebbian_update = LateralSubspace.hebbian_update
+
+    def hebbian(sub, rows):
+        before(sub)
+        return hebbian_update(sub, rows)
+
+    monkeypatch.setattr(LateralSubspace, "hebbian_update", hebbian)
+
+
+_TWO_TASKS = dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300, test_per_task=150)
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
+def test_projection_runs_on_the_worker_while_the_trainer_walks(data_pools, monkeypatch, on):
+    # The trainer hands each layer's rows out once they are final, and the
+    # worker projects them; a projection the worker has not begun by the time
+    # the loop needs it runs on the main thread instead.
+    _force_worker(monkeypatch, on)
+    on_main = []
+    _wrap_projection(monkeypatch, lambda sub: on_main.append(
+        threading.current_thread() is threading.main_thread()))
+    run_continual(config_from_dict(_TWO_TASKS), data=data_pools)
+    assert len(on_main) == 2 * 5 * 3  # two tasks of 5 batches, three circuits
+    assert (False in on_main) if on else all(on_main)
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
+def test_error_in_projection_comes_out_of_run_continual(data_pools, monkeypatch, on):
+    _force_worker(monkeypatch, on)
+    boom = RuntimeError("projection failed")
+    calls = []
+
+    def fail(sub):
+        calls.append(sub.n)
+        if sub.n == 784 and calls.count(784) == 3:
+            raise boom
+
+    _wrap_projection(monkeypatch, fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        run_continual(config_from_dict(_TWO_TASKS), data=data_pools)
     assert exc.value is boom
     assert threading.active_count() == threads
 

@@ -143,7 +143,16 @@ def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[y]
 
 
-EVAL_BATCH = 128  # rows per evaluation batch; two at once hold about one 256-row walk
+EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 1 MiB per state array
+
+
+def eval_batch_rows(net: SpikingNet, n: int) -> int:
+    """Samples per evaluation batch of an ``n``-row test set: as many as keep the
+    first trainable layer's state (rows per sample times width) within
+    ``EVAL_STATES``, and at most half the set, so that both threads get rows."""
+    first = net.trainable_layers(0)[0]
+    states = first.out_dim * (int(np.prod(first.out_hw)) if first.kind == "conv" else 1)
+    return max(1, min(EVAL_STATES // states, -(-n // 2)))
 
 
 def evaluate_task(
@@ -155,18 +164,19 @@ def evaluate_task(
 ) -> float:
     """Accuracy (%) on one task's test set, inference mode only.
 
-    The test rows are scored in fixed ``EVAL_BATCH``-row batches. With a
+    The test rows are scored in ``eval_batch_rows``-sample batches. With a
     ``pool`` (whose worker is idle: training has joined every Hebbian job), the
     worker counts the odd-numbered batches while the caller counts the even
     ones, so the two integer counts add up to the serial count. On an error in
     the caller's half, the pool's owner joins the worker's."""
     n = task.test_x.shape[0]
-    starts = range(0, n, EVAL_BATCH)
+    size = eval_batch_rows(net, n)
+    starts = range(0, n, size)
 
     def count(batch_starts: range) -> int:
         correct = 0
         for start in batch_starts:
-            rows = slice(start, start + EVAL_BATCH)
+            rows = slice(start, start + size)
             pred = predict(net, _net_input(task.test_x[rows]), cfg.trainer, head)
             correct += int(np.sum(pred == task.test_y[rows]))
         return correct
@@ -466,14 +476,16 @@ def interference_audit(net: SpikingNet, store: dict) -> dict:
     layers = net.trainable_layers(0)
     out = {}
     for i, entry in store.items():
-        dw = layers[i].weight - entry["w"]
-        p = rowspace_projector(entry["h"])
         x = entry["x"]
         norms = np.linalg.norm(x, axis=1)
         keep = norms > 0
         if not np.any(keep):
             out[i] = 0.0
             continue
-        moved = (x[keep] @ p.T) @ dw.T
-        out[i] = float(np.max(np.linalg.norm(moved, axis=1) / norms[keep]))
+        # (dW P) x on every row: one (out, n) product and (rows, out) results.
+        # The rows' norms come first, so their (rows, n) temporary is freed
+        # before the (n, n) projector is formed.
+        dw = layers[i].weight - entry["w"]
+        moved = np.linalg.norm(x @ (dw @ rowspace_projector(entry["h"])).T, axis=1)
+        out[i] = float(np.max(moved[keep] / norms[keep]))
     return out

@@ -128,6 +128,8 @@ class LateralSubspace:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.n:
             raise ShapeError(f"trace width {x.shape[-1]} != presynaptic width {self.n}")
+        if self.k == 0:
+            return x
         y = self._out(x @ self.H.T)
         return x - y @ self.H
 

@@ -1,14 +1,14 @@
 """Test-side references: a relaxed spike step, channel-first pooling, a
 finite-difference gradient, rate-mode neuron constants, dense gradients of a
-packet and a streaming subspace run, none of which the system itself
-needs."""
+packet, a streaming subspace run and the interference audit's first formula,
+none of which the system itself needs."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from hlop.lateral import LateralSubspace
-from hlop.linalg import make_rng, subspace_alignment_error, topk_principal
+from hlop.linalg import make_rng, rowspace_projector, subspace_alignment_error, topk_principal
 from hlop.spiking import NeuronConfig
 
 
@@ -107,3 +107,22 @@ def streaming_subspace_demo(
     sub.consolidate()
     m = topk_principal(data, k)
     return subspace_alignment_error(sub.H, m), sub, m
+
+
+def interference_audit(net, store):
+    """``hlop.harness.loop.interference_audit`` by its first formula: the kept
+    trace rows copied out and projected, (x P^T), then moved by dW^T."""
+    layers = net.trainable_layers(0)
+    out = {}
+    for i, entry in store.items():
+        dw = layers[i].weight - entry["w"]
+        p = rowspace_projector(entry["h"])
+        x = entry["x"]
+        norms = np.linalg.norm(x, axis=1)
+        keep = norms > 0
+        if not np.any(keep):
+            out[i] = 0.0
+            continue
+        moved = (x[keep] @ p.T) @ dw.T
+        out[i] = float(np.max(np.linalg.norm(moved, axis=1) / norms[keep]))
+    return out

@@ -29,6 +29,7 @@ from hlop.spiking import (
     unfold_patches,
 )
 from hlop import training
+from hlop.harness.loop import eval_batch_rows
 from hlop.training import (
     ErrorPropConfig,
     GradPacket,
@@ -488,9 +489,11 @@ def _scores(net, x, trainer, head):
 
 @pytest.mark.parametrize("trainer", ["ottt", "rate"])
 @pytest.mark.parametrize("case", [_shipped_mlp, _shipped_conv], ids=["mlp", "conv"])
-@pytest.mark.parametrize("rows", [128, 100, 37])
+@pytest.mark.parametrize("rows", [128, 100, 37, None], ids=["128", "100", "37", "rule"])
 def test_scores_do_not_depend_on_the_batch_row_count(case, trainer, rows):
     net, x, head = case()
+    # The evaluation's own size: 24 rows on the conv net, half the dense case's 256.
+    rows = rows or eval_batch_rows(net, len(x))
     whole = _scores(net, x, trainer, head)
     parts = np.concatenate([_scores(net, x[i : i + rows], trainer, head)
                             for i in range(0, len(x), rows)])

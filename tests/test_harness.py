@@ -40,14 +40,17 @@ from hlop.harness.metrics import (
 )
 from hlop.lateral import LateralSubspace, QuantConfig
 from hlop.linalg import make_rng
-from hlop.spiking import NeuronConfig
+from hlop.spiking import Layer, NeuronConfig
 from hlop.training import (
     ErrorPropConfig,
+    SpikingNet,
     _spiking_forward_pass,
     build_conv_net,
     build_mlp,
     ottt_backward,
 )
+
+import reference
 
 
 def _small_cfg(**kw):
@@ -602,6 +605,53 @@ class TestCollectFeeds:
             tracemalloc.stop()
         assert sum(f.nbytes for f in feeds) / 2**20 == pytest.approx(22.58, abs=0.01)
         assert peak / 2**20 < 70.0
+
+
+@pytest.mark.parametrize("task", ["split_mnist", "pmnist"])
+def test_interference_audit_matches_its_first_formula(task):
+    # dW (P x) computed as (dW P) x, on every row before the silent ones are
+    # dropped: the same bound to rounding, without copying the kept rows.
+    cfg = config_from_dict(dict(task=task, trainer="ottt"))
+    net = _audit_net(task)
+    rng = make_rng(72, 0)
+    x = rng.uniform(size=(16, 784))
+    x[3] = 0.0  # a silent sample gives all-zero input rows, which the audit skips
+    layers = net.trainable_layers(0)
+    store = {
+        i: {"x": feed, "h": rng.normal(size=(3, feed.shape[1])), "w": layer.weight.copy()}
+        for i, (feed, layer) in enumerate(zip(loop.collect_feeds(cfg, net, x), layers))
+    }
+    for layer in layers:
+        layer.weight += 1e-2 * rng.normal(size=layer.weight.shape)
+    got, want = loop.interference_audit(net, store), reference.interference_audit(net, store)
+    assert got.keys() == want.keys() == {0, 1, 2}
+    for i in want:
+        assert want[i] > 0 and got[i] == pytest.approx(want[i], rel=1e-12, abs=0)
+
+
+class TestEvalBatchRows:
+    @pytest.mark.parametrize("task, n, rows", [
+        ("split_mnist", 300, 24),  # 24 samples of 676x8 conv states fill 2**17
+        ("split_mnist", 30, 15),
+        ("pmnist", 1000, 500),  # under 2**17 // 200 = 655 samples: half the set
+        ("pmnist", 4000, 655),
+        ("pmnist", 1, 1),
+    ])
+    def test_shipped_geometries(self, task, n, rows):
+        assert loop.eval_batch_rows(_audit_net(task), n) == rows
+
+    @pytest.mark.parametrize("task", ["split_mnist", "pmnist"])
+    def test_at_least_one_and_at_most_half_the_set(self, task):
+        net = _audit_net(task)
+        for n in range(1, 1500):
+            assert 1 <= loop.eval_batch_rows(net, n) <= -(-n // 2)
+
+    @pytest.mark.parametrize("width, rows", [(2**16, 2), (2**17, 1), (2**17 + 1, 1)])
+    def test_a_first_layer_near_the_budget_still_scores_a_sample(self, width, rows):
+        head = Layer(weight=np.zeros((2, width)), bias=np.zeros(2))
+        net = SpikingNet(blocks=[Layer(weight=np.zeros((width, 1)), bias=np.zeros(width))],
+                         heads=[head], cfg=NeuronConfig())
+        assert loop.eval_batch_rows(net, 100) == rows
 
 
 class TestConfigValidation:

@@ -257,15 +257,18 @@ def _record_predict(monkeypatch, before=lambda on_main, rows: None):
     return scored
 
 
-@pytest.mark.parametrize("test_per_task", [2 * loop.EVAL_BATCH + 5, 50],
-                         ids=["three-batches", "under-one-batch"])
+@pytest.mark.parametrize("task, test_per_task, sizes", [
+    # 24 conv-layer samples (676x8 states each) fill the state budget.
+    ("split_mnist", 50, [24, 24, 2]),
+    # A pmnist set under one budget batch (655 samples) is scored in halves.
+    ("pmnist", 261, [131, 130]),
+    ("pmnist", 1, [1]),
+], ids=["three-batches", "under-one-batch", "one-row"])
 def test_worker_scores_the_odd_batches_and_the_accuracies_hold(data_pools, monkeypatch,
-                                                                test_per_task):
+                                                                task, test_per_task, sizes):
     cfg = config_from_dict(dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300,
-                                test_per_task=test_per_task))
+                                test_per_task=test_per_task, task=task))
     scored = _record_predict(monkeypatch)
-    sizes = [min(loop.EVAL_BATCH, test_per_task - start)
-             for start in range(0, test_per_task, loop.EVAL_BATCH)]
     matrices = {}
     for on in (True, False):
         _force_worker(monkeypatch, on)

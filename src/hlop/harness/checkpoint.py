@@ -6,15 +6,17 @@ Each member is one little-endian array that ``np.load`` reads:
                            layers, circuits, accuracy rows]
     layer/<name>/weight    float64 (out, in), members in the run's layer order
     layer/<name>/bias      float64 (out,)
-    subspace/<i>/H         float64 consolidated rows (k, n)
-    subspace/<i>/H_new     float64 in-training rows (k', n)
-    subspace/<i>/velocity  float64 (k', n)
+    subspace/<i>/H         float64 copy of the consolidated rows (k, n)
+    subspace/<i>/H_new     float64 copy of the in-training rows (k', n)
+    subspace/<i>/velocity  float64 copy of the momentum buffer (k', n)
     subspace/<i>/circuit   float64 [n, spiking (0 or 1), quantizer scale, T_l]
     acc/<k>                float64 accuracies after task k + 1
 
 A circuit is stored as its state only: the Hebbian step size, momentum and
 repeats are constants of ``LateralSubspace``, and every random stream derives
-per task from the master seed, so neither is stored.
+per task from the master seed, so neither is stored. Circuits compute in
+``CIRCUIT_DTYPE`` (float32), which float64 holds exactly; the reader casts back
+and refuses banks it cannot hold exactly, as a float64 run writes them.
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
 always complete, and every member carries the zip's fixed 1980 timestamp, so
@@ -39,6 +41,7 @@ import numpy as np
 from ..lateral import LateralSubspace, QuantConfig
 
 VERSION = 3
+CIRCUIT_DTYPE = np.float32  # the dtype every circuit of a run computes in
 _FORMAT = np.lib.format
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 
@@ -108,7 +111,11 @@ def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
                          f"accuracy rows; meta counts {counts}")
     subspaces = {}
     for i in subs:
-        h, h_new, vel = (_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3])
+        saved = [_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3]]
+        h, h_new, vel = (a.astype(CIRCUIT_DTYPE) for a in saved)
+        if not all(map(np.array_equal, (h, h_new, vel), saved)):
+            raise CheckpointError(f"subspace {i}: holds values {CIRCUIT_DTYPE.__name__} cannot "
+                                  "hold exactly, as a float64 run writes them")
         n, spiking, scale, t_l = _array(zf, f"subspace/{i}/circuit", 1)
         if not (n.is_integer() and t_l.is_integer() and spiking in (0, 1)):
             raise ValueError(f"subspace {i}: bad circuit {[n, spiking, scale, t_l]}")
@@ -145,6 +152,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         try:
             with zipfile.ZipFile(f) as zf:
                 return _from_zip(zf)
+        except CheckpointError as e:
+            raise CheckpointError(f"{path}: {e}") from e
         except (zipfile.BadZipFile, ValueError, KeyError, EOFError, RuntimeError,
                 NotImplementedError, OSError) as e:
             why = str(e) or type(e).__name__  # zipfile raises some errors without text

@@ -48,7 +48,7 @@ from ..training import (
     _run_steps,
     _stack_rows,
 )
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CIRCUIT_DTYPE, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     ImageSizeError,
@@ -108,16 +108,16 @@ def subspace_schedule(cfg: ExperimentConfig, net: SpikingNet) -> list:
 
 
 def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralSubspace]:
-    """One lateral circuit per entry of the run's ``subspace_schedule``:
-    layer i of the trainable layers hosts the circuit of entry i."""
+    """One lateral circuit per entry of the run's ``subspace_schedule``, in
+    ``CIRCUIT_DTYPE``: layer i of the trainable layers hosts the circuit of entry i."""
     if cfg.hlop == "off":
         return {}
-    layers = net.trainable_layers(0)
+    widths = [layer.in_dim for layer in net.trainable_layers(0)][: len(subspace_schedule(cfg, net))]
     quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
     return {
-        i: LateralSubspace(n=layers[i].in_dim, mode=mode, quant=quant)
-        for i in range(len(subspace_schedule(cfg, net)))
+        i: LateralSubspace(n, np.zeros((0, n), CIRCUIT_DTYPE), mode=mode, quant=quant)
+        for i, n in enumerate(widths)
     }
 
 

@@ -19,7 +19,9 @@ trace x_hat in the Hebbian term, dH' = eta (y' x_hat^T - y' y'^T H').
 
 In spiking mode the subspace neuron outputs are burst-rate quantized before
 the return path, emulating lateral neurons that communicate through short
-high-frequency bursts.
+high-frequency bursts. A circuit computes in the float dtype of its banks,
+to which it casts its inputs and fresh rows: float32 as the harness builds it
+(``hlop.harness.CIRCUIT_DTYPE``), float64 when built from float64 banks.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ def quantize_subspace_output(y: np.ndarray, q: QuantConfig) -> np.ndarray:
 
     y_hat = scale * round(clamp(y, -scale, scale) / scale * T_l) / T_l,
     with ties rounded away from zero. As T_l grows this converges to the
-    plain clamp.
+    plain clamp. A float ``y`` keeps its dtype.
     """
-    y = np.asarray(y, dtype=np.float64)
     clipped = np.clip(y, -q.scale, q.scale)
     return q.scale * _round_half_away(clipped / q.scale * q.T_l) / q.T_l
 
@@ -91,11 +92,14 @@ class LateralSubspace:
 
     def __post_init__(self) -> None:
         if self.H is None:
-            self.H = np.zeros((0, self.n))
+            self.H = np.zeros((0, self.n), getattr(self.H_new, "dtype", np.float64))
         if self.H_new is None:
-            self.H_new = np.zeros((0, self.n))
+            self.H_new = np.zeros((0, self.n), self.H.dtype)
         if self.velocity is None:
             self.velocity = np.zeros_like(self.H_new)
+        dtypes = [m.dtype for m in (self.H, self.H_new, self.velocity)]
+        if len(set(dtypes)) > 1 or self.H.dtype.kind != "f":
+            raise TypeError(f"H, H_new and velocity must share one float dtype, got {dtypes}")
         if self.mode not in ("linear", "spiking"):
             raise ValueError(f"unknown lateral mode {self.mode!r}")
         for name, m in (("H", self.H), ("H_new", self.H_new)):
@@ -122,32 +126,16 @@ class LateralSubspace:
 
         Accepts a single trace (n,) or a batch (rows, n) and returns
         x_hat = x - H^T (H x) row-wise (with the subspace-neuron output
-        quantized first in spiking mode). With no consolidated rows this is
-        the identity.
+        quantized first in spiking mode), in the circuit's dtype. With no
+        consolidated rows this is the identity.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.H.dtype)
         if x.shape[-1] != self.n:
             raise ShapeError(f"trace width {x.shape[-1]} != presynaptic width {self.n}")
         if self.k == 0:
             return x
         y = self._out(x @ self.H.T)
         return x - y @ self.H
-
-    def lateral_response(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full circuit response (y, x_minus, y_new, x_minus_new, x_tilde).
-
-        y / x_minus come from the consolidated bank, y_new / x_minus_new from
-        the in-training bank, and x_tilde = x_minus + x_minus_new is the
-        integrated postsynaptic return signal driving Hebbian learning.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        y = self._out(x @ self.H.T)
-        x_minus = -(y @ self.H)
-        y_new = self._out(x @ self.H_new.T)
-        x_minus_new = -(y_new @ self.H_new)
-        return y, x_minus, y_new, x_minus_new, x_minus + x_minus_new
 
     def hebbian_update(self, x_batch: np.ndarray) -> tuple[np.ndarray, Callable[[], None]]:
         """Return ``(x_hat, learn)`` for one batch: the host layer's update
@@ -177,9 +165,10 @@ class LateralSubspace:
         exceeds the budget cap = 4 * (1-momentum) / eta, which keeps wide,
         high-activity layers such as conv patch spaces inside the stable
         region without touching the signal scale the burst quantizer sees.
-        Below the cap the rule runs undamped.
+        Below the cap the rule runs undamped. Every array stays in the circuit's
+        dtype: the constants and the gain are Python floats, which never widen it.
         """
-        x = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(x_batch, dtype=self.H.dtype))
         if x.shape[1] != self.n:
             raise ShapeError(f"batch width {x.shape[1]} != presynaptic width {self.n}")
         x_hat = self.project_trace(x)
@@ -189,7 +178,7 @@ class LateralSubspace:
         gain = cap / energy if energy > cap else 1.0
         def learn() -> None:
             h, v = self.H_new, self.velocity
-            y, yy = np.empty((rows, self.k_new)), np.empty((self.k_new, self.k_new))
+            y, yy = np.empty((rows, self.k_new), h.dtype), np.empty((self.k_new,) * 2, h.dtype)
             delta, step = np.empty_like(h), np.empty_like(h)
             for _ in range(self.K):
                 y_new = self._out(np.matmul(x, h.T, out=y))
@@ -205,10 +194,11 @@ class LateralSubspace:
     def expand(self, k_add: int, rng: np.random.Generator) -> None:
         """Grow the in-training bank by ``k_add`` small random rows.
 
-        New rows are Kaiming-uniform scaled by ``INIT_SCALE``; the momentum
-        buffer is reset to match the new shape. Projection is unaffected since
-        it only reads consolidated rows. Both banks together hold at most n
-        rows, so a larger ``k_add`` raises ``ValueError``.
+        New rows are Kaiming-uniform scaled by ``INIT_SCALE`` (drawn in float64,
+        then cast); the momentum buffer is reset to match the new shape.
+        Projection is unaffected since it only reads consolidated rows. Both
+        banks together hold at most n rows, so a larger ``k_add`` raises
+        ``ValueError``.
         """
         if k_add < 0:
             raise ValueError(f"k_add must be >= 0, got {k_add}")
@@ -220,11 +210,11 @@ class LateralSubspace:
         if k_add == 0:
             return
         fresh = INIT_SCALE * kaiming_uniform_init(k_add, self.n, fan_in=self.n, rng=rng)
-        self.H_new = np.vstack([self.H_new, fresh])
+        self.H_new = np.vstack([self.H_new, fresh.astype(self.H.dtype)])
         self.velocity = np.zeros_like(self.H_new)
 
     def consolidate(self) -> None:
         """Freeze the in-training rows into the consolidated bank."""
         self.H = np.vstack([self.H, self.H_new])
-        self.H_new = np.zeros((0, self.n))
-        self.velocity = np.zeros((0, self.n))
+        self.H_new = np.zeros((0, self.n), self.H.dtype)
+        self.velocity = np.zeros_like(self.H_new)

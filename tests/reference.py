@@ -1,7 +1,8 @@
 """Test-side references: a relaxed spike step, channel-first pooling, a
 finite-difference gradient, rate-mode neuron constants, dense gradients of a
-packet, a streaming subspace run and the interference audit's first formula,
-none of which the system itself needs."""
+packet, a lateral circuit's full two-stage response, a streaming subspace run
+and the interference audit's first formula, none of which the system itself
+needs."""
 
 from __future__ import annotations
 
@@ -74,6 +75,22 @@ def dense_grads(packet) -> list[tuple[np.ndarray, np.ndarray]]:
     """Materialized (dW, db) per layer of a ``GradPacket``, batch-averaged."""
     return [(lg.delta.T @ lg.trace / packet.batch, lg.bias / packet.batch)
             for lg in packet.layers]
+
+
+def lateral_response(sub: LateralSubspace, x):
+    """A circuit's full response (y, x_minus, y_new, x_minus_new, x_tilde) to
+    rows ``x``, in the circuit's dtype.
+
+    y / x_minus come from the consolidated bank, y_new / x_minus_new from
+    the in-training bank, and x_tilde = x_minus + x_minus_new is the
+    integrated postsynaptic return signal of the two-stage Hebbian rule.
+    """
+    x = np.asarray(x, dtype=sub.H.dtype)
+    y = sub._out(x @ sub.H.T)
+    x_minus = -(y @ sub.H)
+    y_new = sub._out(x @ sub.H_new.T)
+    x_minus_new = -(y_new @ sub.H_new)
+    return y, x_minus, y_new, x_minus_new, x_minus + x_minus_new
 
 
 def streaming_subspace_demo(

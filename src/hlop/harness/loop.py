@@ -48,7 +48,7 @@ from ..training import (
     _run_steps,
     _stack_rows,
 )
-from .checkpoint import CIRCUIT_DTYPE, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CIRCUIT_DTYPES, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     ImageSizeError,
@@ -108,15 +108,15 @@ def subspace_schedule(cfg: ExperimentConfig, net: SpikingNet) -> list:
 
 
 def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralSubspace]:
-    """One lateral circuit per entry of the run's ``subspace_schedule``, in
-    ``CIRCUIT_DTYPE``: layer i of the trainable layers hosts the circuit of entry i."""
+    """One lateral circuit per entry of the run's ``subspace_schedule``, in its mode's
+    ``CIRCUIT_DTYPES`` entry: layer i of the trainable layers hosts the circuit of entry i."""
     if cfg.hlop == "off":
         return {}
     widths = [layer.in_dim for layer in net.trainable_layers(0)][: len(subspace_schedule(cfg, net))]
     quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
     return {
-        i: LateralSubspace(n, np.zeros((0, n), CIRCUIT_DTYPE), mode=mode, quant=quant)
+        i: LateralSubspace(n, np.zeros((0, n), CIRCUIT_DTYPES[mode]), mode=mode, quant=quant)
         for i, n in enumerate(widths)
     }
 
@@ -289,7 +289,10 @@ def _train_one_task(
                     x_hat, learn = (job.result() if job and not job.cancel()
                                     else subspaces[i].hebbian_update(grad.trace))
                     pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
-                    grad = replace(grad, trace=x_hat)
+                    if x_hat.dtype == grad.trace.dtype:
+                        grad = replace(grad, trace=x_hat)
+                    else:  # learn reads its own cast, so the rows take x_hat: sgd casts nothing
+                        np.copyto(grad.trace, x_hat)
                 with np.errstate(over="ignore", invalid="ignore"):  # named below instead
                     sgd_update(layer, grad, cfg.lr, packet.batch)
             for layer in layers:

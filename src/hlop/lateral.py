@@ -19,9 +19,7 @@ trace x_hat in the Hebbian term, dH' = eta (y' x_hat^T - y' y'^T H').
 
 In spiking mode the subspace neuron outputs are burst-rate quantized before
 the return path, emulating lateral neurons that communicate through short
-high-frequency bursts. A circuit computes in the float dtype of its banks,
-to which it casts its inputs and fresh rows: float32 as the harness builds it
-(``hlop.harness.CIRCUIT_DTYPE``), float64 when built from float64 banks.
+high-frequency bursts. A circuit computes in its banks' float dtype.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ class LateralSubspace:
 
     def __post_init__(self) -> None:
         if self.H is None:
-            self.H = np.zeros((0, self.n), getattr(self.H_new, "dtype", np.float64))
+            self.H = np.zeros((0, self.n))
         if self.H_new is None:
             self.H_new = np.zeros((0, self.n), self.H.dtype)
         if self.velocity is None:
@@ -117,9 +115,7 @@ class LateralSubspace:
         return self.H_new.shape[0]
 
     def _out(self, y: np.ndarray) -> np.ndarray:
-        if self.mode == "spiking":
-            return quantize_subspace_output(y, self.quant)
-        return y
+        return quantize_subspace_output(y, self.quant) if self.mode == "spiking" else y
 
     def project_trace(self, x: np.ndarray) -> np.ndarray:
         """Project activity traces off the consolidated subspace.
@@ -165,8 +161,8 @@ class LateralSubspace:
         exceeds the budget cap = 4 * (1-momentum) / eta, which keeps wide,
         high-activity layers such as conv patch spaces inside the stable
         region without touching the signal scale the burst quantizer sees.
-        Below the cap the rule runs undamped. Every array stays in the circuit's
-        dtype: the constants and the gain are Python floats, which never widen it.
+        Below the cap the rule runs undamped. The constants and the gain are
+        Python floats, which never widen the circuit's dtype.
         """
         x = np.atleast_2d(np.asarray(x_batch, dtype=self.H.dtype))
         if x.shape[1] != self.n:

@@ -400,9 +400,9 @@ class TestRunCommand:
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_from_a_float64_run_exit_3(self, run_env, capsys):
-        # Circuits compute in float32, so their float64 copies in a checkpoint are
-        # exact. A float64 run's circuit holds values float32 cannot: resuming it
-        # would silently continue another trajectory.
+        # Linear circuits compute in float32, so their float64 copies in a checkpoint
+        # are exact. A float64 linear circuit holds values float32 cannot: resuming
+        # it would silently continue another trajectory.
         def float64_circuit(p):
             ckpt = load_checkpoint(str(p))
             sub = ckpt.subspaces[0]
@@ -413,7 +413,8 @@ class TestRunCommand:
 
         line = self._refused_resume(run_env, capsys, {}, {}, corrupt=float64_circuit)
         assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: subspace 0: "
-                        "holds values float32 cannot hold exactly, as a float64 run writes them")
+                        "holds values float32 cannot hold exactly, "
+                        "as a float64 linear circuit writes them")
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):

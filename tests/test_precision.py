@@ -1,16 +1,17 @@
 """The precision contract: lateral circuits compute in the dtype of their banks.
 
-The harness builds every circuit in ``CIRCUIT_DTYPE`` (float32); the trainers,
-weights and ``sgd_update`` stay float64, and checkpoints hold exact float64
-copies of the banks. A circuit built from float64 banks computes in float64,
-as every circuit did before the harness chose float32.
+The harness builds linear circuits in float32 and spiking ones in float64
+(``CIRCUIT_DTYPES``); the trainers, weights and ``sgd_update`` stay float64,
+and checkpoints hold exact float64 copies of the banks. A circuit built from
+float64 banks computes in float64, as every circuit did before linear ones
+turned float32.
 """
 
 import numpy as np
 import pytest
 
 from hlop.config import config_from_dict
-from hlop.harness import CIRCUIT_DTYPE, loop
+from hlop.harness import CIRCUIT_DTYPES, Checkpoint, load_checkpoint, loop, save_checkpoint
 from hlop.harness.loop import run_continual
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
@@ -40,7 +41,7 @@ def _recording_class(seen):
     return Recorded
 
 
-def _circuit(mode, dtype=CIRCUIT_DTYPE, n=16, k=4, k_new=3, seed=50):
+def _circuit(mode, dtype=F32, n=16, k=4, k_new=3, seed=50):
     """A circuit as the run builds it: consolidated rows learned on one task,
     then ``k_new`` fresh rows."""
     sub = LateralSubspace(n, np.zeros((0, n), dtype), mode=mode)
@@ -65,7 +66,8 @@ def test_the_recorder_sees_a_float64_scalar():
 def test_float32_circuit_forms_no_float64_operand(mode, scale):
     # The trainers hand float64 rows; the circuit casts them once and every
     # later product, quantization and in-place step sees float32 operands only.
-    # One float64 operand would widen the products back to float64.
+    # One float64 operand would widen the products back to float64. The harness
+    # keeps spiking circuits float64, but the one implementation takes either dtype.
     sub = _circuit(mode)
     seen = []
     recorded = _recording_class(seen)
@@ -93,10 +95,20 @@ def test_mixed_or_non_float_banks_are_refused(banks):
         LateralSubspace(n=3, **banks)
 
 
-def test_left_out_banks_take_the_given_dtype():
-    sub = LateralSubspace(n=3, H_new=np.zeros((2, 3), np.float32))
-    assert {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {F32}
-    assert LateralSubspace(n=3).H.dtype == F64
+def test_harness_dtypes_by_mode():
+    assert CIRCUIT_DTYPES == {"linear": F32, "spiking": F64}
+
+
+@pytest.mark.parametrize("mode", ["linear", "spiking"])
+def test_checkpoint_loads_each_mode_in_its_dtype(tmp_path, mode):
+    sub = _circuit(mode, CIRCUIT_DTYPES[mode])
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=1, layers=[],
+                                     subspaces={0: sub}, acc_matrix=[[50.0]]))
+    back = load_checkpoint(path).subspaces[0]
+    for name in ("H", "H_new", "velocity"):
+        assert getattr(back, name).dtype == CIRCUIT_DTYPES[mode]
+        assert getattr(back, name).tobytes() == getattr(sub, name).tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
@@ -124,27 +136,39 @@ def test_float64_circuit_computes_in_float64_as_before(mode):
             assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
-@pytest.mark.parametrize("kw", [dict(), dict(task="split_mnist")], ids=["dense", "split-conv"])
-def test_runs_keep_circuits_and_their_traces_in_float32(data_pools, monkeypatch, kw):
-    # Every trace that reaches sgd_update on a circuit's layer is the circuit's
-    # float32 x_hat (the weight update promotes it); other layers' stay float64.
-    traces = {}
-    sgd_update = loop.sgd_update
+@pytest.mark.parametrize("hlop,kw", [("linear", dict()), ("linear", dict(task="split_mnist")),
+                                     ("spiking", dict())], ids=["dense", "split-conv", "spiking"])
+def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
+    # A circuit's x_hat comes back in its dtype. On a float32 circuit's layer the
+    # loop writes it into the float64 trace array, so on task 2, once the circuits
+    # hold rows, every trace sgd_update sees there holds float32 values exactly;
+    # a float64 circuit's x_hat does not.
+    returned, exact = {}, {}
+    hebbian_update, sgd_update = LateralSubspace.hebbian_update, loop.sgd_update
 
-    def recording(layer, grad, lr, batch):
-        traces.setdefault(layer.name, set()).add(grad.trace.dtype)
+    def recording_hebbian(sub, x):
+        x_hat, learn = hebbian_update(sub, x)
+        returned.setdefault(sub.n, set()).add(x_hat.dtype)
+        return x_hat, learn
+
+    def recording_sgd(layer, grad, lr, batch):
+        assert grad.trace.dtype == F64
+        if not np.array_equal(grad.trace, grad.trace.astype(F32)):
+            exact[layer.name] = False
+        exact.setdefault(layer.name, True)
         sgd_update(layer, grad, lr, batch)
 
-    monkeypatch.setattr(loop, "sgd_update", recording)
+    monkeypatch.setattr(LateralSubspace, "hebbian_update", recording_hebbian)
+    monkeypatch.setattr(loop, "sgd_update", recording_sgd)
     monkeypatch.setattr(loop, "_spare_cpu", lambda: True)
-    cfg = config_from_dict(dict(seed=99, hlop="linear", n_tasks=2, train_per_task=200,
+    cfg = config_from_dict(dict(seed=99, hlop=hlop, n_tasks=2, train_per_task=200,
                                 test_per_task=50, checkpoint_every_task=False,
                                 audit_samples=0, **kw))
     res = run_continual(cfg, data=data_pools)
-    hosts = {res.net.trainable_layers(0)[i].name for i in res.subspaces}
-    assert len(hosts) == len(res.subspaces) >= 2
-    assert {name: dtypes for name, dtypes in traces.items() if name in hosts} == {
-        name: {F32} for name in hosts}
-    assert all(dtypes == {F64} for name, dtypes in traces.items() if name not in hosts)
-    for sub in res.subspaces.values():
-        assert sub.k > 0 and {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {F32}
+    dtype = CIRCUIT_DTYPES[hlop]
+    layers = res.net.trainable_layers(0)
+    assert len(res.subspaces) >= 2
+    assert returned == {sub.n: {dtype} for sub in res.subspaces.values()}
+    for i, sub in res.subspaces.items():
+        assert sub.k > 0 and {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {dtype}
+        assert exact[layers[i].name] == (dtype == F32), layers[i].name

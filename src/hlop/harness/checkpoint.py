@@ -4,8 +4,8 @@ Each member is one little-endian array that ``np.load`` reads:
 
     meta                   int64 [3, master seed, tasks completed,
                            layers, circuits, accuracy rows]
-    layer/<name>/weight    float64 (out, in), members in the run's layer order
-    layer/<name>/bias      float64 (out,)
+    layer/<name>/weight    float64 copy of (out, in), in the run's layer order
+    layer/<name>/bias      float64 copy of (out,)
     subspace/<i>/H         float64 copy of the consolidated rows (k, n)
     subspace/<i>/H_new     float64 copy of the in-training rows (k', n)
     subspace/<i>/velocity  float64 copy of the momentum buffer (k', n)
@@ -42,6 +42,8 @@ from ..lateral import LateralSubspace, QuantConfig
 VERSION = 3
 # Circuit dtype by mode: the burst quantizer would turn a float32 rounding into another run.
 CIRCUIT_DTYPES = {"linear": np.dtype(np.float32), "spiking": np.dtype(np.float64)}
+# Layer dtype by kind: conv states are the widest arrays; dense ones carry the pmnist gate.
+LAYER_DTYPES = {"conv": np.dtype(np.float32), "dense": np.dtype(np.float64)}
 _FORMAT = np.lib.format
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 

@@ -48,7 +48,8 @@ from ..training import (
     _run_steps,
     _stack_rows,
 )
-from .checkpoint import CIRCUIT_DTYPES, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (CIRCUIT_DTYPES, LAYER_DTYPES, Checkpoint, CheckpointError,
+                         load_checkpoint, save_checkpoint)
 from .data import (
     Dataset,
     ImageSizeError,
@@ -84,7 +85,7 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
         lam=cfg.lam, v_th=cfg.v_th, T=cfg.T, a2=cfg.a2, delta_t=cfg.delta_t, tau=cfg.tau
     )
     if cfg.task == "split_mnist":
-        return build_conv_net(
+        net = build_conv_net(
             in_channels=1,
             in_hw=seq.image_hw,
             channels=cfg.conv_channels,
@@ -96,8 +97,13 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
             cfg=ncfg,
             rng=rng,
         )
-    in_dim = seq.image_hw[0] * seq.image_hw[1]
-    return build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
+    else:
+        in_dim = seq.image_hw[0] * seq.image_hw[1]
+        net = build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
+    for layer in [*net.blocks, *net.heads]:
+        dtype = LAYER_DTYPES[layer.kind]
+        layer.weight, layer.bias = (a.astype(dtype, copy=False) for a in (layer.weight, layer.bias))
+    return net
 
 
 def subspace_schedule(cfg: ExperimentConfig, net: SpikingNet) -> list:
@@ -143,7 +149,7 @@ def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[y]
 
 
-EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 1 MiB per state array
+EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 1 MiB per float64 array
 
 
 def eval_batch_rows(net: SpikingNet, n: int) -> int:
@@ -366,10 +372,12 @@ def run_continual(
         ckpt = load_checkpoint(resume_path)
         _check_resume_fits(ckpt, cfg, net, subspaces)
         by_name = {name: (w, b) for name, w, b in ckpt.layers}
-        for layer in layers_all:
-            w, b = by_name[layer.name]
-            layer.weight[...] = w
-            layer.bias[...] = b
+        for layer in layers_all:  # into the layer's dtype, which must hold the values exactly
+            for a, saved in zip((layer.weight, layer.bias), by_name[layer.name]):
+                a[...] = saved
+                if not np.array_equal(a, saved, equal_nan=True):
+                    why = f"cannot hold exactly, as a float64 {layer.kind} layer writes them"
+                    raise CheckpointError(f"layer {layer.name}: holds values {a.dtype} {why}")
         subspaces.update(ckpt.subspaces)
         matrix = [list(row) for row in ckpt.acc_matrix]
         start_task = ckpt.task_cursor

@@ -51,20 +51,25 @@ class QuantConfig:
             raise ValueError(f"burst steps T_l must be >= 1, got {self.T_l}")
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round rounds ties to even; the burst argument wants ties away from zero.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def quantize_subspace_output(y: np.ndarray, q: QuantConfig) -> np.ndarray:
+def quantize_subspace_output(y: np.ndarray, q: QuantConfig, out: np.ndarray | None = None,
+                             work: np.ndarray | None = None) -> np.ndarray:
     """Quantize subspace-neuron output onto the T_l-level burst-rate grid.
 
     y_hat = scale * round(clamp(y, -scale, scale) / scale * T_l) / T_l,
-    with ties rounded away from zero. As T_l grows this converges to the
-    plain clamp. A float ``y`` keeps its dtype.
+    with ties rounded away from zero (np.round rounds them to even). As T_l
+    grows this converges to the plain clamp. A float ``y`` keeps its dtype.
+    The result goes into ``out`` (``y`` itself may be given) and the signs
+    into ``work``, in the formula's steps and order.
     """
-    clipped = np.clip(y, -q.scale, q.scale)
-    return q.scale * _round_half_away(clipped / q.scale * q.T_l) / q.T_l
+    z = np.clip(y, -q.scale, q.scale, out=np.empty_like(y) if out is None else out)
+    z /= q.scale
+    z *= q.T_l
+    sign = np.sign(z, out=work)
+    np.floor(np.add(np.abs(z, out=z), 0.5, out=z), out=z)
+    z *= sign
+    z *= q.scale
+    z /= q.T_l
+    return z
 
 
 @dataclass
@@ -114,8 +119,8 @@ class LateralSubspace:
     def k_new(self) -> int:
         return self.H_new.shape[0]
 
-    def _out(self, y: np.ndarray) -> np.ndarray:
-        return quantize_subspace_output(y, self.quant) if self.mode == "spiking" else y
+    def _out(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        return quantize_subspace_output(y, self.quant, y, work) if self.mode == "spiking" else y
 
     def project_trace(self, x: np.ndarray) -> np.ndarray:
         """Project activity traces off the consolidated subspace.
@@ -176,8 +181,9 @@ class LateralSubspace:
             h, v = self.H_new, self.velocity
             y, yy = np.empty((rows, self.k_new), h.dtype), np.empty((self.k_new,) * 2, h.dtype)
             delta, step = np.empty_like(h), np.empty_like(h)
+            sign = np.empty_like(y) if self.mode == "spiking" else None
             for _ in range(self.K):
-                y_new = self._out(np.matmul(x, h.T, out=y))
+                y_new = self._out(np.matmul(x, h.T, out=y), sign)
                 np.matmul(y_new.T, x_hat, out=delta)
                 delta -= np.matmul(np.matmul(y_new.T, y_new, out=yy), h, out=step)
                 delta *= gain

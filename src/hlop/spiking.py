@@ -7,7 +7,8 @@ Discrete neuron update (subtraction reset, applied at the next step):
 
 Layers propagate within a time step (layer l sees layer l-1's spikes of the
 same step), while the leak carries state across steps. Static images enter
-as constant real-valued input currents at every step.
+as constant real-valued input currents at every step. Each function computes
+in the float dtype of the arrays it is handed (a layer's, in a walk).
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class LayerState:
     s: np.ndarray
 
     @classmethod
-    def zeros(cls, rows: int, n: int) -> "LayerState":
-        return cls(u=np.zeros((rows, n)), s=np.zeros((rows, n)))
+    def zeros(cls, rows: int, n: int, dtype: np.dtype = np.float64) -> "LayerState":
+        return cls(u=np.zeros((rows, n), dtype), s=np.zeros((rows, n), dtype))
 
 
 def lif_step(
@@ -86,7 +87,7 @@ def lif_step(
         ValueError: if the input current contains non-finite values.
         ShapeError: if the input width disagrees with the state.
     """
-    input_current = np.asarray(input_current, dtype=np.float64)
+    input_current = np.asarray(input_current, dtype=state.u.dtype)
     if input_current.shape != state.u.shape:
         raise ShapeError(
             f"input current shape {input_current.shape} does not match "
@@ -114,7 +115,7 @@ def surrogate_derivative(
     to 0 in both tails. The result goes into ``out`` and the denominator into
     ``work``, arrays of u's shape that a caller may pass to reuse.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.result_type(np.asarray(u), 1.0))  # a float u keeps its dtype
     # e = exp(-|u - v_th| / a2) underflows harmlessly to 0; no overflow possible.
     e = np.subtract(u, cfg.v_th, out=np.empty_like(u) if out is None else out)
     np.abs(e, out=e)
@@ -133,10 +134,10 @@ def rate_forward_transform(
     """Clamped linear map approximating one spiking layer in rate space.
 
     z = clamp((W z_prev + b) / tau, 0, v_th / delta_t), applied row-wise for
-    a (batch, in) input. Differentiable almost everywhere; the rate trainer
-    backpropagates through the interior region.
+    a (batch, in) input, in the weights' dtype. Differentiable almost
+    everywhere; the rate trainer backpropagates through the interior region.
     """
-    z_prev = np.asarray(z_prev, dtype=np.float64)
+    z_prev = np.asarray(z_prev, dtype=weight.dtype)
     pre = z_prev @ weight.T
     if bias is not None:
         pre = pre + bias
@@ -149,12 +150,12 @@ def unfold_patches(feature_map: np.ndarray, kernel: int) -> np.ndarray:
 
     Returns (B * oh * ow, kernel*kernel*C) with the batch axis outermost.
     Each row is one receptive field; lateral circuits treat rows as
-    independent samples.
+    independent samples. The patches keep the maps' dtype.
 
     Raises:
         ShapeError: if the maps are not 4-D or the kernel does not fit them.
     """
-    fm = np.asarray(feature_map, dtype=np.float64)
+    fm = np.asarray(feature_map)
     if fm.ndim != 4:
         raise ShapeError(f"expected (B,C,H,W) maps, got shape {fm.shape}")
     b, c, h, w = fm.shape
@@ -192,7 +193,7 @@ def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
     *lead, h, w, c = x.shape
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    total = np.zeros((*lead, h // size, w // size, c))
+    total = np.zeros((*lead, h // size, w // size, c), x.dtype)
     for i in range(size):
         for j in range(size):
             total += x[..., i::size, j::size, :]
@@ -208,7 +209,7 @@ def avg_pool_backward(
     is written into ``out``, a contiguous array of its size, when one is given."""
     *lead, h, w, c = grad.shape
     if out is None:
-        out = np.empty((*lead, h * size, w * size, c))
+        out = np.empty((*lead, h * size, w * size, c), grad.dtype)
     g = out.reshape(*lead, h, size, w, size, c)
     g[...] = (grad / (size * size))[..., :, None, :, None, :]
     return g.reshape(*lead, h * size, w * size, c)

@@ -39,7 +39,8 @@ states and errors share the row layout of its presynaptic rows: a conv
 layer's neurons live in patch rows, one per output position. Only the conv
 layer knows the image geometry, read by ``_presyn_rows`` (view the rows as
 maps, unfold), ``_post_block`` (pool, flatten) and ``_route_error_to_block``
-(unpool).
+(unpool). A layer computes in its weights' dtype (``_presyn_rows`` casts
+its rows, ``_route_error_to_block`` its errors); bias gradients sum in float64.
 
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
@@ -213,7 +214,7 @@ class LayerGrad:
 
     def __post_init__(self) -> None:
         if self.bias is None:
-            self.bias = self.delta.sum(axis=0)
+            self.bias = self.delta.sum(axis=0, dtype=np.float64)
 
 
 @dataclass
@@ -257,13 +258,13 @@ def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
 
 
 def _presyn_rows(layer: Layer, carry: np.ndarray) -> np.ndarray:
-    """Presynaptic rows feeding ``layer``: a conv layer views its carry,
-    (B, C*H*W) rows or (B, C, H, W) maps, as maps and unfolds their patches;
-    a dense layer takes its (B, in) rows as they are."""
+    """Presynaptic rows feeding ``layer``, in its weights' dtype: a conv layer
+    views its carry, (B, C*H*W) rows or (B, C, H, W) maps, as maps and unfolds
+    their patches; a dense layer takes its (B, in) rows as they are."""
     if layer.kind == "conv":
         maps = carry.reshape(len(carry), layer.in_channels, *layer.in_hw)
-        return unfold_patches(maps, layer.kernel)
-    return carry
+        return unfold_patches(maps.astype(layer.weight.dtype, copy=False), layer.kernel)
+    return np.asarray(carry, layer.weight.dtype)
 
 
 def _layer_current(layer: Layer, rows: np.ndarray) -> np.ndarray:
@@ -296,6 +297,7 @@ def _route_error_to_block(
     oh, ow = below.out_hw
     p, c = below.pool, below.out_dim
     g = delta_flat.reshape(-1, c, oh // p, ow // p).transpose(0, 2, 3, 1)
+    g = g.astype(below.weight.dtype, copy=False)
     if p > 1:
         g = avg_pool_backward(g, p, out)
     return g.reshape(-1, c)
@@ -342,14 +344,14 @@ def _run_steps(
     layers = net.trainable_layers(head)
     first_rows = _presyn_rows(layers[0], x)
     first_current = _layer_current(layers[0], first_rows)
-    states = [LayerState.zeros(len(first_rows), layers[0].out_dim)]
+    states = [LayerState.zeros(len(first_rows), layers[0].out_dim, layers[0].weight.dtype)]
     for _ in range(cfg.T):
         rows, first_rows = [first_rows], None
         lif_step(states[0], first_current, cfg)
         for i in range(1, len(layers)):
             rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
             if len(states) == i:
-                states.append(LayerState.zeros(len(rows[i]), layers[i].out_dim))
+                states.append(LayerState.zeros(len(rows[i]), layers[i].out_dim, rows[i].dtype))
             lif_step(states[i], _layer_current(layers[i], rows[i]), cfg)
         yield rows, states
 
@@ -361,7 +363,7 @@ def _stack_rows(
     rows: the constant input's rows once, from step 0, and every other
     layer's rows copied into block t of a (T * rows, in) array made at step 0."""
     if t == 0:
-        feeds[:] = [rows[0], *(np.empty((T * len(r), r.shape[1])) for r in rows[1:])]
+        feeds[:] = [rows[0], *(np.empty((T * len(r), r.shape[1]), r.dtype) for r in rows[1:])]
     for feed, r in zip(feeds[1:], rows[1:]):
         feed[t * len(r) : (t + 1) * len(r)] = r
 
@@ -507,7 +509,7 @@ def ottt_backward(
             on_trace(i, feeds[i])
         cs = ottt_step(net, states, y_onehot, epcfg, head, first)
         a = cfg.lam * a + 1.0
-        first_bias = first_bias + cs[0].sum(axis=0)
+        first_bias = first_bias + cs[0].sum(axis=0, dtype=np.float64)
         first_delta += np.multiply(cs[0], a, out=cs[0])
         step_errs.append(cs[1:])
         rate_sum += states[-1].s
@@ -572,7 +574,7 @@ def rate_backward(
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         z = outs[i]
-        gate = ((z > 0.0) & (z < cfg.rate_bound)).astype(np.float64)
+        gate = ((z > 0.0) & (z < cfg.rate_bound)).astype(z.dtype)
         c = err * gate / cfg.tau
         grads[i] = LayerGrad(delta=c, trace=pres[i])
         if i > 0:

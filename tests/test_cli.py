@@ -417,6 +417,34 @@ class TestRunCommand:
                         "as a float64 linear circuit writes them")
         assert not (run_env / "out" / "metrics.csv").exists()
 
+    def test_split_resume_reproduces_the_float32_conv_run(self, run_env):
+        # Checkpoints hold float64 copies of the float32 conv layer, exact both ways.
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), task="split_mnist", train_per_task=100, test_per_task=50)
+        assert main(["run", str(cfg)]) == 0
+        full = [(out / name).read_bytes() for name in ("metrics.csv", "task2.ckpt")]
+        assert main(["run", str(cfg), "--resume", str(out / "task1.ckpt")]) == 0
+        assert [(out / name).read_bytes() for name in ("metrics.csv", "task2.ckpt")] == full
+
+    def test_split_resume_from_a_float64_conv_layer_exit_3(self, run_env, capsys):
+        # A float64 run's conv weights hold values float32 cannot: resuming them
+        # in float32 would silently continue another trajectory.
+        def float64_conv(p):
+            ckpt = load_checkpoint(str(p))
+            name, w, b = ckpt.layers[0]
+            w = w.copy()
+            w[0, 0] += 2.0**-40
+            ckpt.layers[0] = (name, w, b)
+            save_checkpoint(str(p), ckpt)
+
+        split = {"task": "split_mnist"}  # one head per task: resume as a 1-task run
+        line = self._refused_resume(run_env, capsys, split, {**split, "n_tasks": 1},
+                                    corrupt=float64_conv)
+        assert line == ("checkpoint error: layer block0: holds values float32 cannot hold "
+                        "exactly, as a float64 conv layer writes them")
+        assert not (run_env / "out" / "metrics.csv").exists()
+
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):
         line = self._refused_resume(
             run_env, capsys, {"hidden_sizes": "[20, 20]"}, {"hidden_sizes": "[10, 20]"}

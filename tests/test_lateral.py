@@ -324,6 +324,28 @@ class TestQuantizer:
         assert quantize_subspace_output(np.array(0.25), q) == pytest.approx(0.5)
         assert quantize_subspace_output(np.array(-0.25), q) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_gives_the_out_of_place_bytes(self, dtype):
+        # Every half grid step is a tie; then signed zeros, the clip edges and
+        # their neighbours, far-out values and random ones.
+        q = QuantConfig(scale=20.0, T_l=40)
+        ties = (np.arange(-41, 41) + 0.5) * q.scale / q.T_l
+        edge = dtype(q.scale)
+        near = [np.nextafter(edge, dtype(0)), np.nextafter(edge, dtype(99))]
+        special = [0.0, -0.0, edge, -edge, *near, *(-v for v in near), 1e30, -1e30]
+        y = np.concatenate([ties, special, make_rng(53, 0).uniform(-25, 25, 88)])
+        y = y.astype(dtype).reshape(-1, 6)
+        clipped = np.clip(y, -q.scale, q.scale)
+        r = clipped / q.scale * q.T_l
+        want = q.scale * (np.sign(r) * np.floor(np.abs(r) + 0.5)) / q.T_l
+        assert want.dtype == dtype and np.signbit(want).any() and (want == 0).any()
+        fresh = quantize_subspace_output(y, q)
+        mine = y.copy()
+        work = np.empty_like(y)
+        assert quantize_subspace_output(mine, q, mine, work) is mine
+        for got in (fresh, mine):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_grid_refinement(self):
         for t_l, seed, span, size in ((10**8, 27, 25, 256), (10**7, 5, 30, 1000)):
             q = QuantConfig(scale=20.0, T_l=t_l)

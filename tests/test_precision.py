@@ -1,29 +1,36 @@
-"""The precision contract: lateral circuits compute in the dtype of their banks.
+"""The precision contract: lateral circuits compute in the dtype of their
+banks, and layers in the dtype of their weights.
 
 The harness builds linear circuits in float32 and spiking ones in float64
-(``CIRCUIT_DTYPES``); the trainers, weights and ``sgd_update`` stay float64,
-and checkpoints hold exact float64 copies of the banks. A circuit built from
-float64 banks computes in float64, as every circuit did before linear ones
-turned float32.
+(``CIRCUIT_DTYPES``), conv layers in float32 and dense ones in float64
+(``LAYER_DTYPES``), and checkpoints hold exact float64 copies of both. A
+circuit built from float64 banks, or a net from ``build_conv_net``, computes
+in float64, as every one did before.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hlop import spiking, training
 from hlop.config import config_from_dict
-from hlop.harness import CIRCUIT_DTYPES, Checkpoint, load_checkpoint, loop, save_checkpoint
-from hlop.harness.loop import run_continual
+from hlop.harness import (CIRCUIT_DTYPES, LAYER_DTYPES, Checkpoint, load_checkpoint, loop,
+                          save_checkpoint)
+from hlop.harness.loop import build_net, run_continual
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
+from hlop.training import ErrorPropConfig
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 def _recording_class(seen):
     """An ndarray subclass whose ufunc calls, ``@`` and in-place operators
-    included, append each array or numpy-scalar operand's dtype (outputs too) to
-    ``seen``; their results are recorded arrays again. Python scalars are not
-    recorded: under NEP 50 they take the other operand's dtype."""
+    included, append (ufunc name, dtype, shape) of each array or numpy-scalar
+    operand (outputs too) to ``seen``, one list per call; their results are
+    recorded arrays again. Python scalars are not recorded: under NEP 50 they
+    take the other operand's dtype."""
 
     class Recorded(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -31,8 +38,8 @@ def _recording_class(seen):
                 return a.view(np.ndarray) if isinstance(a, Recorded) else a
 
             outs = tuple(map(plain, out or ()))
-            seen.extend((ufunc.__name__, a.dtype) for a in (*inputs, *outs)
-                        if isinstance(a, (np.ndarray, np.generic)))
+            seen.append([(ufunc.__name__, a.dtype, a.shape) for a in (*inputs, *outs)
+                         if isinstance(a, (np.ndarray, np.generic))])
             result = getattr(ufunc, method)(*map(plain, inputs), **kwargs,
                                             **({"out": outs} if outs else {}))
             result = outs[0] if outs else result
@@ -58,7 +65,8 @@ def test_the_recorder_sees_a_float64_scalar():
     a = np.ones(3, np.float32).view(_recording_class(seen))
     a *= 0.5  # a Python float: not an operand dtype
     b = a / np.float64(2.0)
-    assert b.dtype == F64 and ("divide", F64) in seen and ("multiply", F32) in seen
+    ops = [(name, dtype) for call in seen for name, dtype, _ in call]
+    assert b.dtype == F64 and ("divide", F64) in ops and ("multiply", F32) in ops
 
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
@@ -77,10 +85,10 @@ def test_float32_circuit_forms_no_float64_operand(mode, scale):
         learn()
         assert x_hat.dtype == F32
     assert sub.project_trace(x).dtype == F32
-    names = {name for name, _ in seen}
+    names = {name for call in seen for name, *_ in call}
     assert {"matmul", "subtract", "multiply"} <= names
-    assert mode == "linear" or {"clip", "floor"} <= names
-    assert {dtype for _, dtype in seen} == {F32}
+    assert mode == "linear" or {"clip", "floor", "sign"} <= names
+    assert {dtype for call in seen for _, dtype, _ in call} == {F32}
     assert {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {F32}
 
 
@@ -97,6 +105,76 @@ def test_mixed_or_non_float_banks_are_refused(banks):
 
 def test_harness_dtypes_by_mode():
     assert CIRCUIT_DTYPES == {"linear": F32, "spiking": F64}
+    assert LAYER_DTYPES == {"conv": F32, "dense": F64}
+
+
+def test_spiking_helpers_keep_a_float_dtype():
+    # Pooling spike maps is exact in float32: a sum of at most four 0/1 values,
+    # divided by 4. A non-float input computes in float64.
+    rng, cfg = make_rng(55, 0), spiking.NeuronConfig()
+    maps = rng.uniform(size=(2, 4, 4, 3)) < 0.5
+    pooled = spiking.avg_pool(maps.astype(np.float32), 2)
+    assert pooled.dtype == F32 and np.array_equal(pooled, spiking.avg_pool(maps.astype(F64), 2))
+    grad = rng.normal(size=(2, 2, 2, 3))
+    assert spiking.avg_pool_backward(grad.astype(np.float32), 2).dtype == F32
+    out = spiking.avg_pool_backward(grad, 2, np.empty((2, 4, 4, 3), np.float32))
+    assert out.dtype == F32 and np.array_equal(out, spiking.avg_pool_backward(grad, 2).astype(F32))
+    assert spiking.unfold_patches(pooled.transpose(0, 3, 1, 2), 2).dtype == F32
+    assert spiking.surrogate_derivative(pooled, cfg).dtype == F32
+    assert spiking.surrogate_derivative(np.array([0, 1]), cfg).dtype == F64
+    state = spiking.LayerState.zeros(2, 3, np.float32)
+    assert spiking.lif_step(state, np.ones((2, 3)), cfg)[1].dtype == F32
+
+
+class _RecordingNumpy:
+    """numpy as ``hlop.training`` and ``hlop.spiking`` see it in the next test:
+    every array its constructors and casts make is a recorded array, so every
+    ufunc the walk and the trainers run on one is recorded."""
+
+    MAKERS = ("zeros", "empty", "zeros_like", "empty_like", "asarray", "ascontiguousarray")
+
+    def __init__(self, recorded):
+        self.recorded = recorded
+
+    def __getattr__(self, name):
+        make = getattr(np, name)
+        if name not in self.MAKERS:
+            return make
+        return lambda *args, **kwargs: make(*args, **kwargs).view(self.recorded)
+
+
+@pytest.mark.parametrize("trainer", ["ottt", "bptt", "rate"])
+def test_float32_conv_layer_forms_no_float64_conv_sized_operand(monkeypatch, trainer):
+    # On the harness's split net every ufunc call with an operand of the conv
+    # layer's size (one row per sample and output position, as rows or as
+    # maps) sees float32 operands only, numpy scalars included: under NEP 50
+    # one float64 operand would widen the call, and the array it makes, to
+    # float64. The dense layers above stay float64; only the conv layer's
+    # bias gradient is summed in float64.
+    cfg = config_from_dict(dict(task="split_mnist", trainer=trainer, seed=5))
+    batch, (oh, ow) = 4, (8, 8)
+    net = build_net(cfg, SimpleNamespace(image_hw=(10, 10), n_classes=2, tasks=[0, 0]))
+    assert [l.weight.dtype for l in net.trainable_layers(0)] == [F32, F64, F64]
+    seen = []
+    recorded = _recording_class(seen)
+    for module in (training, spiking):
+        monkeypatch.setattr(module, "np", _RecordingNumpy(recorded))
+    x = make_rng(54, 0).uniform(0.0, 1.0, size=(batch, 100))
+    y = np.eye(2)[[0, 1, 1, 0]]
+    packet, _ = loop._TRAINERS[trainer](net, x, y, ErrorPropConfig())
+
+    def conv_sized(shape):
+        return shape[:1] == (batch * oh * ow,) or shape[:3] == (batch, oh, ow)
+
+    conv_calls = [call for call in seen if any(conv_sized(shape) for *_, shape in call)]
+    wide = [call for call in conv_calls if any(d.kind == "f" and d != F32 for _, d, _ in call)]
+    assert wide == []
+    names = {name for call in conv_calls for name, *_ in call}
+    assert {"matmul", "add", "multiply"} <= names
+    assert trainer == "rate" or {"greater_equal", "exp"} <= names
+    conv, *dense = packet.layers
+    assert (conv.delta.dtype, conv.trace.dtype, conv.bias.dtype) == (F32, F32, F64)
+    assert {a.dtype for lg in dense for a in (lg.delta, lg.trace, lg.bias)} == {F64}
 
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
@@ -139,10 +217,11 @@ def test_float64_circuit_computes_in_float64_as_before(mode):
 @pytest.mark.parametrize("hlop,kw", [("linear", dict()), ("linear", dict(task="split_mnist")),
                                      ("spiking", dict())], ids=["dense", "split-conv", "spiking"])
 def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
-    # A circuit's x_hat comes back in its dtype. On a float32 circuit's layer the
-    # loop writes it into the float64 trace array, so on task 2, once the circuits
-    # hold rows, every trace sgd_update sees there holds float32 values exactly;
-    # a float64 circuit's x_hat does not.
+    # A circuit's x_hat comes back in its dtype. On a float32 circuit's layer of
+    # float64 weights the loop writes it into the float64 trace array, so on
+    # task 2, once the circuits hold rows, every trace sgd_update sees there
+    # holds float32 values exactly; a float64 circuit's x_hat does not. A float32
+    # (conv) layer's trace rows are float32 already and take x_hat as it is.
     returned, exact = {}, {}
     hebbian_update, sgd_update = LateralSubspace.hebbian_update, loop.sgd_update
 
@@ -152,7 +231,7 @@ def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
         return x_hat, learn
 
     def recording_sgd(layer, grad, lr, batch):
-        assert grad.trace.dtype == F64
+        assert grad.trace.dtype == layer.weight.dtype == LAYER_DTYPES[layer.kind]
         if not np.array_equal(grad.trace, grad.trace.astype(F32)):
             exact[layer.name] = False
         exact.setdefault(layer.name, True)

@@ -1,11 +1,11 @@
-"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 3).
+"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 4).
 
 Each member is one little-endian array that ``np.load`` reads:
 
-    meta                   int64 [3, master seed, tasks completed,
+    meta                   int64 [4, master seed, tasks completed, BLAS threads,
                            layers, circuits, accuracy rows]
-    layer/<name>/weight    float64 copy of (out, in), in the run's layer order
-    layer/<name>/bias      float64 copy of (out,)
+    layer/<name>/weight    float64 copy of the float32 (out, in), in layer order
+    layer/<name>/bias      float64 copy of the float32 (out,)
     subspace/<i>/H         float64 copy of the consolidated rows (k, n)
     subspace/<i>/H_new     float64 copy of the in-training rows (k', n)
     subspace/<i>/velocity  float64 copy of the momentum buffer (k', n)
@@ -16,15 +16,17 @@ A circuit is stored as its state only: the Hebbian step size, momentum and
 repeats are constants of ``LateralSubspace``, and every random stream derives
 per task from the master seed, so neither is stored. Banks load in their mode's
 ``CIRCUIT_DTYPES`` entry, and must hold only values that dtype holds exactly.
+The BLAS thread count is stored because float32 products round by it: a run
+resumes only under the count that wrote its checkpoint (``blas_threads``).
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
 always complete, and every member carries the zip's fixed 1980 timestamp, so
 one run writes byte-identical files. The reader checks each member's CRC-32
 and accepts exactly the member set that ``meta`` counts, so a damaged,
 truncated or older file (versions 1 and 2 were a hand-laid binary starting
-``HLOPCKP1``) raises ``CheckpointError`` and nothing else. Reloading a
-mid-sequence checkpoint and continuing the run reproduces the uninterrupted
-run bit for bit.
+``HLOPCKP1``; version 3 stored no thread count) raises ``CheckpointError``
+and nothing else. Reloading a mid-sequence checkpoint and continuing the run
+under the same BLAS thread count reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import zipfile
 from dataclasses import dataclass, field
 
@@ -39,17 +42,28 @@ import numpy as np
 
 from ..lateral import LateralSubspace, QuantConfig
 
-VERSION = 3
+VERSION = 4
 # Circuit dtype by mode: the burst quantizer would turn a float32 rounding into another run.
 CIRCUIT_DTYPES = {"linear": np.dtype(np.float32), "spiking": np.dtype(np.float64)}
-# Layer dtype by kind: conv states are the widest arrays; dense ones carry the pmnist gate.
-LAYER_DTYPES = {"conv": np.dtype(np.float32), "dense": np.dtype(np.float64)}
+# Every layer's dtype, and the net's input's: the acceptance gate holds in float32.
+LAYER_DTYPE = np.dtype(np.float32)
 _FORMAT = np.lib.format
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed, or does not fit the run resuming it."""
+
+
+def blas_threads() -> int:
+    """The BLAS thread count as OpenBLAS reads it: the first positive pin (read as
+    C's ``atoi`` reads it) among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+    ``OMP_NUM_THREADS``, else the CPUs this process may run on."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        pin = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+        if pin and int(pin[1]) > 0:
+            return int(pin[1])
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass
@@ -59,11 +73,12 @@ class Checkpoint:
     layers: list[tuple[str, np.ndarray, np.ndarray]]  # (name, weight, bias)
     subspaces: dict[int, LateralSubspace] = field(default_factory=dict)
     acc_matrix: list[list[float]] = field(default_factory=list)
+    blas_threads: int = field(default_factory=blas_threads)  # this process's, when written
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    members = [("meta", [VERSION, ckpt.master_seed, ckpt.task_cursor, len(ckpt.layers),
-                         len(ckpt.subspaces), len(ckpt.acc_matrix)])]
+    members = [("meta", [VERSION, ckpt.master_seed, ckpt.task_cursor, ckpt.blas_threads,
+                         len(ckpt.layers), len(ckpt.subspaces), len(ckpt.acc_matrix)])]
     for name, w, b in ckpt.layers:
         members += [(f"layer/{name}/weight", w), (f"layer/{name}/bias", b)]
     for i in sorted(ckpt.subspaces):
@@ -95,9 +110,10 @@ def _array(zf: zipfile.ZipFile, name: str, ndim: int) -> np.ndarray:
 
 
 def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
-    version, seed, cursor, *counts = (int(v) for v in _array(zf, "meta", 1))
+    version, *meta = (int(v) for v in _array(zf, "meta", 1))
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    seed, cursor, threads, *counts = meta
     names = zf.namelist()
     layers = [n[6:-7] for n in names if n.startswith("layer/") and n.endswith("/weight")]
     subs = sorted({int(n.split("/")[1]) for n in names if n.startswith("subspace/")})
@@ -139,6 +155,7 @@ def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
         ],
         subspaces=subspaces,
         acc_matrix=[list(_array(zf, f"acc/{k}", 1)) for k in range(n_acc)],
+        blas_threads=threads,
     )
 
 

@@ -20,7 +20,6 @@ counts half of each task's evaluation batches; no result byte changes.
 from __future__ import annotations
 
 import os
-import re
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -31,7 +30,7 @@ import numpy as np
 
 from ..config import ExperimentConfig, default_subspace_schedule
 from ..lateral import LateralSubspace, QuantConfig
-from ..linalg import make_rng, rowspace_projector
+from ..linalg import make_rng, rowspace_projector  # noqa: F401 (a perfbench trace site)
 from ..spiking import NeuronConfig, conv_output_hw
 from ..training import (
     ErrorPropConfig,
@@ -48,8 +47,8 @@ from ..training import (
     _run_steps,
     _stack_rows,
 )
-from .checkpoint import (CIRCUIT_DTYPES, LAYER_DTYPES, Checkpoint, CheckpointError,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import (CIRCUIT_DTYPES, LAYER_DTYPE, Checkpoint, CheckpointError,
+                         blas_threads, load_checkpoint, save_checkpoint)
 from .data import (
     Dataset,
     ImageSizeError,
@@ -101,8 +100,7 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
         in_dim = seq.image_hw[0] * seq.image_hw[1]
         net = build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
     for layer in [*net.blocks, *net.heads]:
-        dtype = LAYER_DTYPES[layer.kind]
-        layer.weight, layer.bias = (a.astype(dtype, copy=False) for a in (layer.weight, layer.bias))
+        layer.weight, layer.bias = (a.astype(LAYER_DTYPE) for a in (layer.weight, layer.bias))
     return net
 
 
@@ -140,16 +138,16 @@ def make_task_sequence(
 
 
 def _net_input(x: np.ndarray) -> np.ndarray:
-    """Scale a uint8 pixel batch to the net's float64 input rows in [0, 1]:
-    the only pixel scaling."""
-    return x.astype(np.float64) / 255.0
+    """Scale a uint8 pixel batch to the net's input rows in [0, 1], in
+    ``LAYER_DTYPE``: the only pixel scaling."""
+    return x.astype(LAYER_DTYPE) / 255.0
 
 
 def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes)[y]
+    return np.eye(n_classes, dtype=LAYER_DTYPE)[y]
 
 
-EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 1 MiB per float64 array
+EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 0.5 MiB per float32 array
 
 
 def eval_batch_rows(net: SpikingNet, n: int) -> int:
@@ -228,15 +226,8 @@ class ScheduleError(ValueError):
 
 def _spare_cpu() -> bool:
     """Whether a CPU is left for the worker that runs the Hebbian repeats and half
-    of the evaluation batches: more CPUs than BLAS threads.
-    OpenBLAS takes the first positive pin (read as C's ``atoi`` reads it) among
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, else every CPU."""
-    cpus = len(os.sched_getaffinity(0))
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        pin = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
-        if pin and int(pin[1]) > 0:
-            return cpus > int(pin[1])
-    return False
+    of the evaluation batches: more CPUs than BLAS threads (``blas_threads``)."""
+    return len(os.sched_getaffinity(0)) > blas_threads()
 
 
 def _train_one_task(
@@ -452,11 +443,14 @@ def _check_resume_fits(
     net: SpikingNet,
     subspaces: dict[int, LateralSubspace],
 ) -> None:
-    """Refuse a checkpoint whose seed, task cursor, accuracy rows (row k holds
-    k entries), layer shapes or lateral circuits (width, mode, quantizer scale
-    and steps) differ from the run built from ``cfg``."""
+    """Refuse a checkpoint whose seed, BLAS thread count, task cursor, accuracy
+    rows (row k holds k entries), layer shapes or lateral circuits (width, mode,
+    quantizer scale and steps) differ from the run built from ``cfg``."""
     if ckpt.master_seed != cfg.seed:
         raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
+    if ckpt.blas_threads != blas_threads():
+        raise CheckpointError(f"checkpoint written under {ckpt.blas_threads} BLAS threads, "
+                              f"run has {blas_threads()}: float32 products round by the count")
     if ckpt.task_cursor > cfg.n_tasks:
         raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
     lengths = [len(row) for row in ckpt.acc_matrix]
@@ -493,10 +487,10 @@ def interference_audit(net: SpikingNet, store: dict) -> dict:
         if not np.any(keep):
             out[i] = 0.0
             continue
-        # (dW P) x on every row: one (out, n) product and (rows, out) results.
-        # The rows' norms come first, so their (rows, n) temporary is freed
-        # before the (n, n) projector is formed.
-        dw = layers[i].weight - entry["w"]
-        moved = np.linalg.norm(x @ (dw @ rowspace_projector(entry["h"])).T, axis=1)
+        # (dW P) x on every row, with P = pinv(h) h never formed: (dW pinv(h)) h
+        # is (out, k) then (out, n), in float64, and meets the rows in their dtype.
+        h = np.asarray(entry["h"], np.float64)
+        dw_p = (layers[i].weight - entry["w"]) @ np.linalg.pinv(h, rcond=1e-8) @ h
+        moved = np.linalg.norm(x @ dw_p.T.astype(x.dtype, copy=False), axis=1)
         out[i] = float(np.max(moved[keep] / norms[keep]))
     return out

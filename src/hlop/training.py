@@ -40,7 +40,8 @@ layer's neurons live in patch rows, one per output position. Only the conv
 layer knows the image geometry, read by ``_presyn_rows`` (view the rows as
 maps, unfold), ``_post_block`` (pool, flatten) and ``_route_error_to_block``
 (unpool). A layer computes in its weights' dtype (``_presyn_rows`` casts
-its rows, ``_route_error_to_block`` its errors); bias gradients sum in float64.
+its rows), which all of a net's layers share, so no error is cast on its
+way down; bias gradients sum in float64.
 
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
@@ -156,7 +157,8 @@ def init_feedback(net: SpikingNet, rng: np.random.Generator) -> dict[str, np.nda
     """Fixed feedback matrices for feedback alignment.
 
     Each layer gets F of shape (in, out) drawn from the same Kaiming-uniform
-    distribution as its forward weights, keyed by the layer's name.
+    distribution as its forward weights, then cast to their dtype, keyed by
+    the layer's name.
     """
     feedback = {}
     for layer in [*net.blocks, *net.heads]:
@@ -165,7 +167,7 @@ def init_feedback(net: SpikingNet, rng: np.random.Generator) -> dict[str, np.nda
         out_dim, in_dim = layer.weight.shape
         feedback[layer.name] = kaiming_uniform_init(
             in_dim, out_dim, fan_in=in_dim, rng=rng
-        )
+        ).astype(layer.weight.dtype, copy=False)
     return feedback
 
 
@@ -297,7 +299,6 @@ def _route_error_to_block(
     oh, ow = below.out_hw
     p, c = below.pool, below.out_dim
     g = delta_flat.reshape(-1, c, oh // p, ow // p).transpose(0, 2, 3, 1)
-    g = g.astype(below.weight.dtype, copy=False)
     if p > 1:
         g = avg_pool_backward(g, p, out)
     return g.reshape(-1, c)
@@ -519,7 +520,8 @@ def ottt_backward(
         e = c.reshape(cfg.T, -1, c.shape[1]).copy()
         for t in range(cfg.T - 2, -1, -1):
             e[t] += cfg.lam * e[t + 1]
-        grads.append(LayerGrad(delta=e.reshape(c.shape), trace=trace, bias=c.sum(axis=0)))
+        grads.append(LayerGrad(delta=e.reshape(c.shape), trace=trace,
+                               bias=c.sum(axis=0, dtype=np.float64)))
     return GradPacket(layers=grads, batch=x.shape[0]), rate_sum / cfg.T
 
 

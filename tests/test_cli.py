@@ -312,7 +312,8 @@ class TestRunCommand:
 
     def test_non_finite_weights_exit_1_without_traceback(self, run_env):
         # An SGD step that overflows the weights used to end in a traceback from
-        # lif_step ("non-finite input current") at the next batch.
+        # lif_step ("non-finite input current") at the next batch. In float32,
+        # lr * delta^T x overflows on the first layer already.
         out = run_env / "out"
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(out), lr="1e308")
@@ -320,7 +321,7 @@ class TestRunCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
-        assert line == "divergence: task 1, batch 1, layer head0: non-finite weights"
+        assert line == "divergence: task 1, batch 1, layer block0: non-finite weights"
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("case", list(_UNREADABLE_CONFIGS))
@@ -445,6 +446,37 @@ class TestRunCommand:
                         "exactly, as a float64 conv layer writes them")
         assert not (run_env / "out" / "metrics.csv").exists()
 
+    def test_resume_from_a_float64_dense_layer_exit_3(self, run_env, capsys):
+        # Dense layers compute in float32 too: a float64 run's dense weights hold
+        # values float32 cannot, and resuming them would continue another run.
+        def float64_dense(p):
+            ckpt = load_checkpoint(str(p))
+            name, w, b = ckpt.layers[1]
+            b = b.copy()
+            b[0] += 2.0**-40
+            ckpt.layers[1] = (name, w, b)
+            save_checkpoint(str(p), ckpt)
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=float64_dense)
+        assert line == ("checkpoint error: layer block1: holds values float32 cannot hold "
+                        "exactly, as a float64 dense layer writes them")
+        assert not (run_env / "out" / "metrics.csv").exists()
+
+    def test_resume_under_another_blas_thread_count_exit_3(self, run_env):
+        # Float32 products round by the BLAS thread count, so a checkpoint
+        # resumes only under the count that wrote it.
+        out, cfg = run_env / "out", run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), train_per_task=100, test_per_task=50)
+        threads = {"OPENBLAS_NUM_THREADS": "1"}
+        assert _run_cli("run", str(cfg), env=threads).returncode == 0
+        resumed = ("run", str(cfg), "--resume", str(out / "task1.ckpt"))
+        proc = _run_cli(*resumed, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "checkpoint error: checkpoint written under 1 BLAS threads, run has 2: "
+            "float32 products round by the count"]
+        assert _run_cli(*resumed, env=threads).returncode == 0
+
     def test_resume_with_other_layer_shapes_exit_3(self, run_env, capsys):
         line = self._refused_resume(
             run_env, capsys, {"hidden_sizes": "[20, 20]"}, {"hidden_sizes": "[10, 20]"}
@@ -469,11 +501,12 @@ def test_verify_is_not_a_command(capsys):
     assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
-def _run_cli(*args):
-    """``hlop`` in a fresh interpreter, as a shell would run it."""
+def _run_cli(*args, env=None):
+    """``hlop`` in a fresh interpreter, as a shell would run it, with ``env``
+    on top of this process's environment."""
     src = os.path.dirname(os.path.dirname(hlop.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", "hlop.cli", *args],
                           capture_output=True, text=True, env=env)
 

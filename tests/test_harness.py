@@ -212,7 +212,7 @@ class TestTaskSequences:
                              test_per_task=test_per_task)
 
     def test_pixels_stay_bytes(self, data_pools):
-        # The pools and every task hold uint8 pixels; only a batch is float64.
+        # The pools and every task hold uint8 pixels; only a batch is float32.
         assert all(ds.images.dtype == np.uint8 for ds in data_pools)
         pmnist = make_pmnist_tasks(*data_pools, n_tasks=3, seed=4,
                                    train_per_task=100, test_per_task=50)
@@ -228,9 +228,9 @@ class TestTaskSequences:
         rng = make_rng(9, 0)
         idx = rng.choice(len(train), size=64, replace=False)
         perm = rng.permutation(784) if task == "pmnist" else np.arange(784)
-        old = (train.images.astype(np.float64) / 255.0)[idx][:, perm]
+        old = (train.images.astype(np.float32) / 255.0)[idx][:, perm]
         x = loop._net_input(train.images[idx][:, perm])
-        assert x.dtype == np.float64 and np.array_equal(x, old)
+        assert x.dtype == np.float32 and np.array_equal(x, old)
 
     def test_split_tasks_classes_and_remap(self, data_pools):
         seq = make_split_tasks(*data_pools, seed=8, train_per_task=100,
@@ -393,6 +393,27 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[]))
         self._rewrite(path, "acc/0", self._npy([50.0]))
         with pytest.raises(CheckpointError, match=r"meta counts \[0, 0, 0\]"):
+            load_checkpoint(path)
+
+    def test_meta_stores_the_blas_thread_count(self, tmp_path, monkeypatch):
+        # Format 4's meta: [4, seed, cursor, BLAS threads, layers, circuits,
+        # accuracy rows]; a checkpoint takes the count of the process writing it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, Checkpoint(master_seed=7, task_cursor=1, layers=[],
+                                         acc_matrix=[[50.0]]))
+        with zipfile.ZipFile(path) as zf:
+            assert np.load(io.BytesIO(zf.read("meta"))).tolist() == [4, 7, 1, 3, 0, 0, 1]
+        assert load_checkpoint(path).blas_threads == 3
+
+    def test_rejects_version_3(self, tmp_path):
+        # Version 3 stored no BLAS thread count.
+        path = str(tmp_path / "x.ckpt")
+        save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[]))
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.array([3, 1, 0, 0, 0, 0], dtype="<i8"))
+        self._rewrite(path, "meta", buf.getvalue())
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
             load_checkpoint(path)
 
     def test_rejects_version_2(self, tmp_path):

@@ -2,10 +2,11 @@
 banks, and layers in the dtype of their weights.
 
 The harness builds linear circuits in float32 and spiking ones in float64
-(``CIRCUIT_DTYPES``), conv layers in float32 and dense ones in float64
-(``LAYER_DTYPES``), and checkpoints hold exact float64 copies of both. A
-circuit built from float64 banks, or a net from ``build_conv_net``, computes
-in float64, as every one did before.
+(``CIRCUIT_DTYPES``), every layer in float32 (``LAYER_DTYPE``), and hands the
+net float32 inputs, targets and feedback matrices; checkpoints hold exact
+float64 copies of banks and layers. A circuit built from float64 banks, or a
+net from ``build_mlp`` or ``build_conv_net``, computes in float64, as every
+one did before.
 """
 
 from types import SimpleNamespace
@@ -15,12 +16,12 @@ import pytest
 
 from hlop import spiking, training
 from hlop.config import config_from_dict
-from hlop.harness import (CIRCUIT_DTYPES, LAYER_DTYPES, Checkpoint, load_checkpoint, loop,
+from hlop.harness import (CIRCUIT_DTYPES, LAYER_DTYPE, Checkpoint, load_checkpoint, loop,
                           save_checkpoint)
 from hlop.harness.loop import build_net, run_continual
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
-from hlop.training import ErrorPropConfig
+from hlop.training import ErrorPropConfig, init_feedback
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
@@ -105,7 +106,7 @@ def test_mixed_or_non_float_banks_are_refused(banks):
 
 def test_harness_dtypes_by_mode():
     assert CIRCUIT_DTYPES == {"linear": F32, "spiking": F64}
-    assert LAYER_DTYPES == {"conv": F32, "dense": F64}
+    assert LAYER_DTYPE == F32
 
 
 def test_spiking_helpers_keep_a_float_dtype():
@@ -143,38 +144,44 @@ class _RecordingNumpy:
         return lambda *args, **kwargs: make(*args, **kwargs).view(self.recorded)
 
 
+@pytest.mark.parametrize("errorprop", ["bp", "fa", "ss"])
 @pytest.mark.parametrize("trainer", ["ottt", "bptt", "rate"])
-def test_float32_conv_layer_forms_no_float64_conv_sized_operand(monkeypatch, trainer):
-    # On the harness's split net every ufunc call with an operand of the conv
-    # layer's size (one row per sample and output position, as rows or as
-    # maps) sees float32 operands only, numpy scalars included: under NEP 50
-    # one float64 operand would widen the call, and the array it makes, to
-    # float64. The dense layers above stay float64; only the conv layer's
-    # bias gradient is summed in float64.
-    cfg = config_from_dict(dict(task="split_mnist", trainer=trainer, seed=5))
-    batch, (oh, ow) = 4, (8, 8)
+@pytest.mark.parametrize("task", ["pmnist", "split_mnist"])
+def test_float32_net_forms_no_float64_layer_sized_operand(monkeypatch, task, trainer, errorprop):
+    # On a harness-built net, with the harness's input rows, one-hot targets and
+    # feedback matrices, every ufunc call of a batch's walk, errors and updates
+    # with a 2-D operand (rows, maps, weights, feedback) sees float32 operands
+    # only, numpy scalars included: under NEP 50 one float64 operand would widen
+    # the call, and the array it makes, to float64. Only the 1-D bias gradients
+    # are summed in float64.
+    cfg = config_from_dict(dict(task=task, trainer=trainer, errorprop=errorprop, seed=5))
+    batch = 4
     net = build_net(cfg, SimpleNamespace(image_hw=(10, 10), n_classes=2, tasks=[0, 0]))
-    assert [l.weight.dtype for l in net.trainable_layers(0)] == [F32, F64, F64]
+    feedback = init_feedback(net, make_rng(cfg.seed, 1)) if errorprop == "fa" else {}
     seen = []
     recorded = _recording_class(seen)
+    for layer in net.trainable_layers(0):
+        layer.weight, layer.bias = layer.weight.view(recorded), layer.bias.view(recorded)
     for module in (training, spiking):
         monkeypatch.setattr(module, "np", _RecordingNumpy(recorded))
-    x = make_rng(54, 0).uniform(0.0, 1.0, size=(batch, 100))
-    y = np.eye(2)[[0, 1, 1, 0]]
-    packet, _ = loop._TRAINERS[trainer](net, x, y, ErrorPropConfig())
+    pixels = make_rng(54, 0).integers(0, 256, size=(batch, 100), dtype=np.uint8)
+    x = loop._net_input(pixels).view(recorded)
+    y = loop._onehot(np.array([0, 1, 1, 0]), 2).view(recorded)
+    feedback = {name: f.view(recorded) for name, f in feedback.items()}
+    epcfg = ErrorPropConfig(mode=errorprop, feedback=feedback)
+    packet, _ = loop._TRAINERS[trainer](net, x, y, epcfg)
+    for layer, grad in zip(net.trainable_layers(0), packet.layers):
+        training.sgd_update(layer, grad, cfg.lr, packet.batch)
 
-    def conv_sized(shape):
-        return shape[:1] == (batch * oh * ow,) or shape[:3] == (batch, oh, ow)
-
-    conv_calls = [call for call in seen if any(conv_sized(shape) for *_, shape in call)]
-    wide = [call for call in conv_calls if any(d.kind == "f" and d != F32 for _, d, _ in call)]
+    layer_sized = [call for call in seen if any(len(shape) >= 2 for *_, shape in call)]
+    wide = [call for call in layer_sized if any(d.kind == "f" and d != F32 for _, d, _ in call)]
     assert wide == []
-    names = {name for call in conv_calls for name, *_ in call}
-    assert {"matmul", "add", "multiply"} <= names
-    assert trainer == "rate" or {"greater_equal", "exp"} <= names
-    conv, *dense = packet.layers
-    assert (conv.delta.dtype, conv.trace.dtype, conv.bias.dtype) == (F32, F32, F64)
-    assert {a.dtype for lg in dense for a in (lg.delta, lg.trace, lg.bias)} == {F64}
+    names = {name for call in layer_sized for name, *_ in call}
+    assert {"matmul", "add", "multiply", "subtract", "exp"} <= names
+    assert trainer == "rate" or "greater_equal" in names
+    assert {a.dtype for lg in packet.layers for a in (lg.delta, lg.trace)} == {F32}
+    assert {lg.bias.dtype for lg in packet.layers} == {F64}
+    assert {a.dtype for l in net.trainable_layers(0) for a in (l.weight, l.bias)} == {F32}
 
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
@@ -217,24 +224,29 @@ def test_float64_circuit_computes_in_float64_as_before(mode):
 @pytest.mark.parametrize("hlop,kw", [("linear", dict()), ("linear", dict(task="split_mnist")),
                                      ("spiking", dict())], ids=["dense", "split-conv", "spiking"])
 def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
-    # A circuit's x_hat comes back in its dtype. On a float32 circuit's layer of
-    # float64 weights the loop writes it into the float64 trace array, so on
-    # task 2, once the circuits hold rows, every trace sgd_update sees there
-    # holds float32 values exactly; a float64 circuit's x_hat does not. A float32
-    # (conv) layer's trace rows are float32 already and take x_hat as it is.
-    returned, exact = {}, {}
+    # A circuit's x_hat comes back in its dtype. Every layer is float32, so a
+    # float32 circuit's x_hat replaces the trace rows it was handed, with no
+    # copy, and the loop rounds a float64 circuit's x_hat into those rows: on
+    # task 2, once the circuits hold rows, that rounding moves some values.
+    returned, handed, taken, rounded = {}, {}, {}, set()
     hebbian_update, sgd_update = LateralSubspace.hebbian_update, loop.sgd_update
 
     def recording_hebbian(sub, x):
         x_hat, learn = hebbian_update(sub, x)
         returned.setdefault(sub.n, set()).add(x_hat.dtype)
+        handed[id(x)] = (x, x_hat)  # holding x keeps its id unique
         return x_hat, learn
 
     def recording_sgd(layer, grad, lr, batch):
-        assert grad.trace.dtype == layer.weight.dtype == LAYER_DTYPES[layer.kind]
-        if not np.array_equal(grad.trace, grad.trace.astype(F32)):
-            exact[layer.name] = False
-        exact.setdefault(layer.name, True)
+        assert grad.trace.dtype == layer.weight.dtype == LAYER_DTYPE
+        for rows, x_hat in list(handed.values()):
+            if grad.trace is x_hat:
+                taken.setdefault(layer.name, set()).add("x_hat")
+            elif grad.trace is rows:
+                assert np.array_equal(rows, x_hat.astype(F32))
+                taken.setdefault(layer.name, set()).add("rounded rows")
+                if not np.array_equal(rows, x_hat):
+                    rounded.add(layer.name)
         sgd_update(layer, grad, lr, batch)
 
     monkeypatch.setattr(LateralSubspace, "hebbian_update", recording_hebbian)
@@ -245,9 +257,10 @@ def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
                                 audit_samples=0, **kw))
     res = run_continual(cfg, data=data_pools)
     dtype = CIRCUIT_DTYPES[hlop]
-    layers = res.net.trainable_layers(0)
+    names = [layer.name for layer in res.net.trainable_layers(0)[: len(res.subspaces)]]
     assert len(res.subspaces) >= 2
     assert returned == {sub.n: {dtype} for sub in res.subspaces.values()}
     for i, sub in res.subspaces.items():
         assert sub.k > 0 and {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {dtype}
-        assert exact[layers[i].name] == (dtype == F32), layers[i].name
+    assert taken == {name: {"x_hat" if dtype == F32 else "rounded rows"} for name in names}
+    assert rounded == (set() if dtype == F32 else set(names))

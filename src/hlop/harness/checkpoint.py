@@ -1,32 +1,35 @@
-"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 4).
+"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 5).
 
 Each member is one little-endian array that ``np.load`` reads:
 
-    meta                   int64 [4, master seed, tasks completed, BLAS threads,
+    meta                   int64 [5, master seed, tasks completed, BLAS threads,
                            layers, circuits, accuracy rows]
-    layer/<name>/weight    float64 copy of the float32 (out, in), in layer order
-    layer/<name>/bias      float64 copy of the float32 (out,)
-    subspace/<i>/H         float64 copy of the consolidated rows (k, n)
-    subspace/<i>/H_new     float64 copy of the in-training rows (k', n)
-    subspace/<i>/velocity  float64 copy of the momentum buffer (k', n)
+    layer/<name>/weight    (out, in), in layer order
+    layer/<name>/bias      (out,)
+    subspace/<i>/H         the consolidated rows (k, n)
+    subspace/<i>/H_new     the in-training rows (k', n)
+    subspace/<i>/velocity  the momentum buffer (k', n)
     subspace/<i>/circuit   float64 [n, spiking (0 or 1), quantizer scale, T_l]
     acc/<k>                float64 accuracies after task k + 1
 
-A circuit is stored as its state only: the Hebbian step size, momentum and
-repeats are constants of ``LateralSubspace``, and every random stream derives
-per task from the master seed, so neither is stored. Banks load in their mode's
-``CIRCUIT_DTYPES`` entry, and must hold only values that dtype holds exactly.
-The BLAS thread count is stored because float32 products round by it: a run
-resumes only under the count that wrote its checkpoint (``blas_threads``).
+Layers and banks are stored, and load, in their own dtype, float32 (``<f4``)
+or float64 (``<f8``), so every value round-trips exactly; a resume refuses a
+dtype other than the run's (``_check_resume_fits``). A circuit is stored as
+its state only: the Hebbian step size, momentum and repeats are constants of
+``LateralSubspace``, and every random stream derives per task from the master
+seed, so neither is stored. The BLAS thread count is stored because float32
+products round by it: a run resumes only under the count that wrote its
+checkpoint (``blas_threads``).
 
 Files are written to a temp path and renamed, so a checkpoint on disk is
 always complete, and every member carries the zip's fixed 1980 timestamp, so
 one run writes byte-identical files. The reader checks each member's CRC-32
 and accepts exactly the member set that ``meta`` counts, so a damaged,
 truncated or older file (versions 1 and 2 were a hand-laid binary starting
-``HLOPCKP1``; version 3 stored no thread count) raises ``CheckpointError``
-and nothing else. Reloading a mid-sequence checkpoint and continuing the run
-under the same BLAS thread count reproduces the uninterrupted run bit for bit.
+``HLOPCKP1``; version 3 stored no thread count; version 4 stored float64
+copies of every layer and bank) raises ``CheckpointError`` and nothing else.
+Reloading a mid-sequence checkpoint and continuing the run under the same
+BLAS thread count reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -42,12 +45,9 @@ import numpy as np
 
 from ..lateral import LateralSubspace, QuantConfig
 
-VERSION = 4
-# Circuit dtype by mode: the burst quantizer would turn a float32 rounding into another run.
-CIRCUIT_DTYPES = {"linear": np.dtype(np.float32), "spiking": np.dtype(np.float64)}
-# Every layer's dtype, and the net's input's: the acceptance gate holds in float32.
-LAYER_DTYPE = np.dtype(np.float32)
+VERSION = 5
 _FORMAT = np.lib.format
+_FLOATS = ("<f4", "<f8")  # the dtypes of every member but meta
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
 
 
@@ -90,9 +90,11 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     tmp = path + ".tmp"
     with zipfile.ZipFile(tmp, "w") as zf:
         for name, a in members:
+            a, want = np.asarray(a), ("<i8",) if name == "meta" else _FLOATS
+            own = a.dtype.newbyteorder("<")  # kept where the format allows it, else widened
             with zf.open(zipfile.ZipInfo(name), "w") as f:
-                dtype = "<i8" if name == "meta" else "<f8"
-                _FORMAT.write_array(f, np.asarray(a, dtype=dtype), allow_pickle=False)
+                _FORMAT.write_array(f, np.asarray(a, own if own.str in want else want[-1]),
+                                    allow_pickle=False)
     os.replace(tmp, path)
 
 
@@ -102,8 +104,8 @@ def _array(zf: zipfile.ZipFile, name: str, ndim: int) -> np.ndarray:
     shape, _, dtype = _FORMAT.read_array_header_1_0(buf)
     # Check the size the header claims before read_array allocates it.
     size = len(buf.getbuffer()) - buf.tell()
-    want = "<i8" if name == "meta" else "<f8"
-    if dtype != want or len(shape) != ndim or math.prod(shape) * 8 != size:
+    want = ("<i8",) if name == "meta" else _FLOATS
+    if dtype.str not in want or len(shape) != ndim or math.prod(shape) * dtype.itemsize != size:
         raise ValueError(f"{name}: a {dtype} array of shape {shape} does not fit {size} bytes")
     buf.seek(0)
     return _FORMAT.read_array(buf, allow_pickle=False)
@@ -112,7 +114,7 @@ def _array(zf: zipfile.ZipFile, name: str, ndim: int) -> np.ndarray:
 def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
     version, *meta = (int(v) for v in _array(zf, "meta", 1))
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     seed, cursor, threads, *counts = meta
     names = zf.namelist()
     layers = [n[6:-7] for n in names if n.startswith("layer/") and n.endswith("/weight")]
@@ -133,11 +135,7 @@ def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
         if not (n.is_integer() and t_l.is_integer() and spiking in (0, 1)):
             raise ValueError(f"subspace {i}: bad circuit {[n, spiking, scale, t_l]}")
         mode = "spiking" if spiking else "linear"
-        saved = [_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3]]
-        h, h_new, vel = (a.astype(CIRCUIT_DTYPES[mode]) for a in saved)
-        if not all(np.array_equal(a, b, equal_nan=True) for a, b in zip((h, h_new, vel), saved)):
-            raise CheckpointError(f"subspace {i}: holds values {CIRCUIT_DTYPES[mode]} cannot hold "
-                                  f"exactly, as a float64 {mode} circuit writes them")
+        h, h_new, vel = (_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3])
         subspaces[i] = LateralSubspace(
             n=int(n),
             H=h,
@@ -174,7 +172,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 return _from_zip(zf)
         except CheckpointError as e:
             raise CheckpointError(f"{path}: {e}") from e
-        except (zipfile.BadZipFile, ValueError, KeyError, EOFError, RuntimeError,
-                NotImplementedError, OSError) as e:
+        except (zipfile.BadZipFile, ValueError, TypeError, KeyError, EOFError, RuntimeError,
+                NotImplementedError, OSError) as e:  # TypeError: banks of mixed dtypes
             why = str(e) or type(e).__name__  # zipfile raises some errors without text
             raise CheckpointError(f"{path}: damaged or truncated checkpoint: {why}") from e

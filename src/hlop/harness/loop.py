@@ -47,8 +47,8 @@ from ..training import (
     _run_steps,
     _stack_rows,
 )
-from .checkpoint import (CIRCUIT_DTYPES, LAYER_DTYPE, Checkpoint, CheckpointError,
-                         blas_threads, load_checkpoint, save_checkpoint)
+from .checkpoint import (Checkpoint, CheckpointError, blas_threads, load_checkpoint,
+                         save_checkpoint)
 from .data import (
     Dataset,
     ImageSizeError,
@@ -64,6 +64,9 @@ from .data import (
 )
 
 SEED_SHUFFLE = 7
+# Every layer's and circuit's dtype, and that of what the loop hands the net: the
+# acceptance gate holds in float32, whose products run about twice as fast.
+DTYPE = np.dtype(np.float32)
 
 _TRAINERS = {"rate": rate_backward, "bptt": bptt_sg_backward, "ottt": ottt_backward}
 
@@ -100,7 +103,7 @@ def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
         in_dim = seq.image_hw[0] * seq.image_hw[1]
         net = build_mlp(in_dim, list(cfg.hidden_sizes), seq.n_classes, 1, ncfg, rng)
     for layer in [*net.blocks, *net.heads]:
-        layer.weight, layer.bias = (a.astype(LAYER_DTYPE) for a in (layer.weight, layer.bias))
+        layer.weight, layer.bias = (a.astype(DTYPE) for a in (layer.weight, layer.bias))
     return net
 
 
@@ -112,15 +115,15 @@ def subspace_schedule(cfg: ExperimentConfig, net: SpikingNet) -> list:
 
 
 def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralSubspace]:
-    """One lateral circuit per entry of the run's ``subspace_schedule``, in its mode's
-    ``CIRCUIT_DTYPES`` entry: layer i of the trainable layers hosts the circuit of entry i."""
+    """One lateral circuit per entry of the run's ``subspace_schedule``, in ``DTYPE``:
+    layer i of the trainable layers hosts the circuit of entry i."""
     if cfg.hlop == "off":
         return {}
     widths = [layer.in_dim for layer in net.trainable_layers(0)][: len(subspace_schedule(cfg, net))]
     quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
     return {
-        i: LateralSubspace(n, np.zeros((0, n), CIRCUIT_DTYPES[mode]), mode=mode, quant=quant)
+        i: LateralSubspace(n, np.zeros((0, n), DTYPE), mode=mode, quant=quant)
         for i, n in enumerate(widths)
     }
 
@@ -139,12 +142,12 @@ def make_task_sequence(
 
 def _net_input(x: np.ndarray) -> np.ndarray:
     """Scale a uint8 pixel batch to the net's input rows in [0, 1], in
-    ``LAYER_DTYPE``: the only pixel scaling."""
-    return x.astype(LAYER_DTYPE) / 255.0
+    ``DTYPE``: the only pixel scaling."""
+    return x.astype(DTYPE) / 255.0
 
 
 def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes, dtype=LAYER_DTYPE)[y]
+    return np.eye(n_classes, dtype=DTYPE)[y]
 
 
 EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 0.5 MiB per float32 array
@@ -286,10 +289,7 @@ def _train_one_task(
                     x_hat, learn = (job.result() if job and not job.cancel()
                                     else subspaces[i].hebbian_update(grad.trace))
                     pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
-                    if x_hat.dtype == grad.trace.dtype:
-                        grad = replace(grad, trace=x_hat)
-                    else:  # learn reads its own cast, so the rows take x_hat: sgd casts nothing
-                        np.copyto(grad.trace, x_hat)
+                    grad = replace(grad, trace=x_hat)
                 with np.errstate(over="ignore", invalid="ignore"):  # named below instead
                     sgd_update(layer, grad, cfg.lr, packet.batch)
             for layer in layers:
@@ -363,12 +363,8 @@ def run_continual(
         ckpt = load_checkpoint(resume_path)
         _check_resume_fits(ckpt, cfg, net, subspaces)
         by_name = {name: (w, b) for name, w, b in ckpt.layers}
-        for layer in layers_all:  # into the layer's dtype, which must hold the values exactly
-            for a, saved in zip((layer.weight, layer.bias), by_name[layer.name]):
-                a[...] = saved
-                if not np.array_equal(a, saved, equal_nan=True):
-                    why = f"cannot hold exactly, as a float64 {layer.kind} layer writes them"
-                    raise CheckpointError(f"layer {layer.name}: holds values {a.dtype} {why}")
+        for layer in layers_all:
+            layer.weight[...], layer.bias[...] = by_name[layer.name]
         subspaces.update(ckpt.subspaces)
         matrix = [list(row) for row in ckpt.acc_matrix]
         start_task = ckpt.task_cursor
@@ -444,8 +440,8 @@ def _check_resume_fits(
     subspaces: dict[int, LateralSubspace],
 ) -> None:
     """Refuse a checkpoint whose seed, BLAS thread count, task cursor, accuracy
-    rows (row k holds k entries), layer shapes or lateral circuits (width, mode,
-    quantizer scale and steps) differ from the run built from ``cfg``."""
+    rows (row k holds k entries), layer shapes and dtypes or lateral circuits (width,
+    mode, quantizer scale and steps, dtype) differ from the run built from ``cfg``."""
     if ckpt.master_seed != cfg.seed:
         raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
     if ckpt.blas_threads != blas_threads():
@@ -457,12 +453,16 @@ def _check_resume_fits(
     if lengths != list(range(1, ckpt.task_cursor + 1)):
         raise CheckpointError(f"checkpoint accuracy rows hold {lengths} entries; after "
                               f"task {ckpt.task_cursor}, row k must hold k")
-    saved = {name: (w.shape, b.shape) for name, w, b in ckpt.layers}
-    built = {l.name: (l.weight.shape, l.bias.shape) for l in [*net.blocks, *net.heads]}
+    saved, built = {}, {}
     circuit = ("n", "mode", "quant.scale", "quant.T_l")
-    for table, subs in ((saved, ckpt.subspaces), (built, subspaces)):
+    own = [(l.name, l.weight, l.bias) for l in [*net.blocks, *net.heads]]
+    for table, layers, subs in ((saved, ckpt.layers, ckpt.subspaces), (built, own, subspaces)):
+        for name, w, b in layers:
+            table[name] = (w.shape, b.shape)
+            table[f"{name} dtype"] = f"{w.dtype} weight, {b.dtype} bias"
         for i, sub in subs.items():
             table.update((f"subspace {i} {k}", attrgetter(k)(sub)) for k in circuit)
+            table[f"subspace {i} dtype"] = sub.H.dtype.name
     for key in sorted(saved.keys() | built.keys()):
         if saved.get(key) != built.get(key):
             raise CheckpointError(

@@ -206,13 +206,15 @@ def avg_pool_backward(
 ) -> np.ndarray:
     """Adjoint of ``avg_pool``: spread each pooled gradient of channels-last
     (..., h, w, C) maps over its window. The (..., h*size, w*size, C) result
-    is written into ``out``, a contiguous array of its size, when one is given."""
+    is written into ``out``, a contiguous array of its size, when one is given.
+    The first of each window's rows is filled, then copied whole into the rest."""
     *lead, h, w, c = grad.shape
     if out is None:
         out = np.empty((*lead, h * size, w * size, c), grad.dtype)
-    g = out.reshape(*lead, h, size, w, size, c)
-    g[...] = (grad / (size * size))[..., :, None, :, None, :]
-    return g.reshape(*lead, h * size, w * size, c)
+    g = out.reshape(*lead, h, size, w * size * c)
+    g[..., 0, :] = np.repeat(grad / (size * size), size, axis=-2).reshape(*lead, h, -1)
+    g[..., 1:, :] = g[..., :1, :]
+    return out.reshape(*lead, h * size, w * size, c)
 
 
 @dataclass

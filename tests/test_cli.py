@@ -1,7 +1,9 @@
+import io
 import os
 import struct
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -401,25 +403,39 @@ class TestRunCommand:
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_from_a_float64_run_exit_3(self, run_env, capsys):
-        # Linear circuits compute in float32, so their float64 copies in a checkpoint
-        # are exact. A float64 linear circuit holds values float32 cannot: resuming
-        # it would silently continue another trajectory.
+        # Circuits compute in float32 in both modes. A float64 circuit, even one
+        # whose values float32 holds exactly, is refused by its dtype: resuming it
+        # would silently continue another trajectory.
         def float64_circuit(p):
             ckpt = load_checkpoint(str(p))
             sub = ckpt.subspaces[0]
-            h = sub.H.astype(np.float64)
-            h[0, 0] += 2.0**-40
-            ckpt.subspaces[0] = LateralSubspace(sub.n, h, mode=sub.mode, quant=sub.quant)
+            banks = (a.astype(np.float64) for a in (sub.H, sub.H_new, sub.velocity))
+            ckpt.subspaces[0] = LateralSubspace(sub.n, *banks, mode=sub.mode, quant=sub.quant)
             save_checkpoint(str(p), ckpt)
 
-        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=float64_circuit)
-        assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: subspace 0: "
-                        "holds values float32 cannot hold exactly, "
-                        "as a float64 linear circuit writes them")
+        spiking = {"hlop": "spiking"}
+        line = self._refused_resume(run_env, capsys, spiking, spiking, corrupt=float64_circuit)
+        assert line == ("checkpoint error: subspace 0 dtype: checkpoint has float64, "
+                        "run has float32")
         assert not (run_env / "out" / "metrics.csv").exists()
 
+    def test_version_4_resume_exit_3(self, run_env, capsys):
+        # Version 4 stored float64 copies of every layer and bank.
+        def version_4(p):
+            with zipfile.ZipFile(p) as zf:
+                members = {n: np.load(io.BytesIO(zf.read(n))) for n in zf.namelist()}
+            members["meta"][0] = 4
+            with zipfile.ZipFile(p, "w") as zf:
+                for name, a in members.items():
+                    with zf.open(zipfile.ZipInfo(name), "w") as f:
+                        np.save(f, a if name == "meta" else a.astype("<f8"))
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=version_4)
+        assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: "
+                        "unsupported checkpoint version 4")
+
     def test_split_resume_reproduces_the_float32_conv_run(self, run_env):
-        # Checkpoints hold float64 copies of the float32 conv layer, exact both ways.
+        # Checkpoints hold the float32 conv layer in float32, exact both ways.
         out = run_env / "out"
         cfg = run_env / "exp.cfg"
         _write_cfg(str(cfg), str(out), task="split_mnist", train_per_task=100, test_per_task=50)
@@ -428,38 +444,45 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--resume", str(out / "task1.ckpt")]) == 0
         assert [(out / name).read_bytes() for name in ("metrics.csv", "task2.ckpt")] == full
 
+    def test_spiking_resume_reproduces_the_run(self, run_env):
+        # The burst quantizer works in float32 too: a spiking run resumed from
+        # its first checkpoint writes the uninterrupted run's bytes.
+        out = run_env / "out"
+        cfg = run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), hlop="spiking", train_per_task=200, test_per_task=50)
+        names = ("metrics.csv", "summary.csv", "task2.ckpt")
+        assert main(["run", str(cfg)]) == 0
+        full = [(out / name).read_bytes() for name in names]
+        assert main(["run", str(cfg), "--resume", str(out / "task1.ckpt")]) == 0
+        assert [(out / name).read_bytes() for name in names] == full
+
     def test_split_resume_from_a_float64_conv_layer_exit_3(self, run_env, capsys):
-        # A float64 run's conv weights hold values float32 cannot: resuming them
-        # in float32 would silently continue another trajectory.
+        # A float64 conv layer is refused by its dtype: resuming it in float32
+        # would silently continue another trajectory.
         def float64_conv(p):
             ckpt = load_checkpoint(str(p))
             name, w, b = ckpt.layers[0]
-            w = w.copy()
-            w[0, 0] += 2.0**-40
-            ckpt.layers[0] = (name, w, b)
+            ckpt.layers[0] = (name, w.astype(np.float64), b)
             save_checkpoint(str(p), ckpt)
 
         split = {"task": "split_mnist"}  # one head per task: resume as a 1-task run
         line = self._refused_resume(run_env, capsys, split, {**split, "n_tasks": 1},
                                     corrupt=float64_conv)
-        assert line == ("checkpoint error: layer block0: holds values float32 cannot hold "
-                        "exactly, as a float64 conv layer writes them")
+        assert line == ("checkpoint error: block0 dtype: checkpoint has float64 weight, "
+                        "float32 bias, run has float32 weight, float32 bias")
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_from_a_float64_dense_layer_exit_3(self, run_env, capsys):
-        # Dense layers compute in float32 too: a float64 run's dense weights hold
-        # values float32 cannot, and resuming them would continue another run.
+        # Dense layers compute in float32 too: a float64 dense bias is refused.
         def float64_dense(p):
             ckpt = load_checkpoint(str(p))
             name, w, b = ckpt.layers[1]
-            b = b.copy()
-            b[0] += 2.0**-40
-            ckpt.layers[1] = (name, w, b)
+            ckpt.layers[1] = (name, w, b.astype(np.float64))
             save_checkpoint(str(p), ckpt)
 
         line = self._refused_resume(run_env, capsys, {}, {}, corrupt=float64_dense)
-        assert line == ("checkpoint error: layer block1: holds values float32 cannot hold "
-                        "exactly, as a float64 dense layer writes them")
+        assert line == ("checkpoint error: block1 dtype: checkpoint has float32 weight, "
+                        "float64 bias, run has float32 weight, float32 bias")
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_resume_under_another_blas_thread_count_exit_3(self, run_env):

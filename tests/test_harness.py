@@ -271,34 +271,44 @@ class TestMetrics:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
+        # Layers and banks load in the dtype they were saved in, float32 as a
+        # run writes them or float64 as tests build them, with the same bytes.
         rng = np.random.default_rng(0)
-        sub = LateralSubspace(
-            n=4,
-            H=rng.normal(size=(2, 4)),
-            H_new=rng.normal(size=(1, 4)),
-            velocity=rng.normal(size=(1, 4)),
-            mode="spiking",
-            quant=QuantConfig(scale=20.0, T_l=40),
-        )
+        subs = {
+            i: LateralSubspace(
+                n=4,
+                H=rng.normal(size=(2, 4)).astype(dtype),
+                H_new=rng.normal(size=(1, 4)).astype(dtype),
+                velocity=rng.normal(size=(1, 4)).astype(dtype),
+                mode=mode,
+                quant=QuantConfig(scale=20.0, T_l=40),
+            )
+            for i, (dtype, mode) in enumerate([(np.float64, "spiking"), (np.float32, "spiking"),
+                                               (np.float32, "linear")])
+        }
+        layers = [(f"block{i}", rng.normal(size=(3, 5)).astype(dtype),
+                   rng.normal(size=3).astype(dtype))
+                  for i, dtype in enumerate((np.float64, np.float32))]
         ckpt = Checkpoint(
             master_seed=2022,
             task_cursor=3,
-            layers=[("block0", rng.normal(size=(3, 5)), rng.normal(size=3))],
-            subspaces={0: sub},
+            layers=layers,
+            subspaces=subs,
             acc_matrix=[[90.0], [85.0, 92.0]],
         )
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
         assert back.master_seed == 2022 and back.task_cursor == 3
-        name, w, b = back.layers[0]
-        assert name == "block0"
-        assert np.array_equal(w, ckpt.layers[0][1])
-        assert np.array_equal(b, ckpt.layers[0][2])
-        bs = back.subspaces[0]
-        assert np.array_equal(bs.H, sub.H) and np.array_equal(bs.H_new, sub.H_new)
-        assert np.array_equal(bs.velocity, sub.velocity)
-        assert bs.mode == "spiking" and bs.quant.T_l == 40
+        assert [name for name, _, _ in back.layers] == ["block0", "block1"]
+        saved = [a for _, w, b in layers for a in (w, b)]
+        saved += [a for s in subs.values() for a in (s.H, s.H_new, s.velocity)]
+        loaded = [a for _, w, b in back.layers for a in (w, b)]
+        loaded += [a for s in back.subspaces.values() for a in (s.H, s.H_new, s.velocity)]
+        assert [(a.dtype, a.shape, a.tobytes()) for a in loaded] == [
+            (a.dtype, a.shape, a.tobytes()) for a in saved]
+        assert [(s.mode, s.quant.T_l) for s in back.subspaces.values()] == [
+            ("spiking", 40), ("spiking", 40), ("linear", 40)]
         assert back.acc_matrix == [[90.0], [85.0, 92.0]]
 
     def test_loaded_circuit_learns_like_the_saved_one(self, tmp_path):
@@ -396,14 +406,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_meta_stores_the_blas_thread_count(self, tmp_path, monkeypatch):
-        # Format 4's meta: [4, seed, cursor, BLAS threads, layers, circuits,
+        # Format 5's meta: [5, seed, cursor, BLAS threads, layers, circuits,
         # accuracy rows]; a checkpoint takes the count of the process writing it.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, Checkpoint(master_seed=7, task_cursor=1, layers=[],
                                          acc_matrix=[[50.0]]))
         with zipfile.ZipFile(path) as zf:
-            assert np.load(io.BytesIO(zf.read("meta"))).tolist() == [4, 7, 1, 3, 0, 0, 1]
+            assert np.load(io.BytesIO(zf.read("meta"))).tolist() == [5, 7, 1, 3, 0, 0, 1]
         assert load_checkpoint(path).blas_threads == 3
 
     def test_rejects_version_3(self, tmp_path):
@@ -432,11 +442,12 @@ class TestCheckpoint:
 
     def test_every_cut_and_bit_flip_is_refused_or_harmless(self, tmp_path):
         # Cut the file at every byte offset, and flip one bit in every byte:
-        # each damaged file must raise CheckpointError or load the same state
-        # (a flip in a timestamp changes nothing the reader returns).
+        # each damaged file must raise CheckpointError or load the same state,
+        # dtypes included (a flip in a timestamp changes nothing the reader
+        # returns). The file holds a float32 circuit and a float64 layer.
         rng = np.random.default_rng(0)
-        sub = LateralSubspace(n=4, H=rng.normal(size=(2, 4)), H_new=rng.normal(size=(1, 4)),
-                              velocity=rng.normal(size=(1, 4)), mode="spiking")
+        banks = (rng.normal(size=shape).astype(np.float32) for shape in [(2, 4), (1, 4), (1, 4)])
+        sub = LateralSubspace(4, *banks, mode="spiking")
         ckpt = Checkpoint(master_seed=2022, task_cursor=2,
                           layers=[("block0", rng.normal(size=(3, 4)), rng.normal(size=3))],
                           subspaces={0: sub}, acc_matrix=[[90.0], [85.0, 92.0]])

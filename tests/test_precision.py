@@ -1,12 +1,13 @@
 """The precision contract: lateral circuits compute in the dtype of their
 banks, and layers in the dtype of their weights.
 
-The harness builds linear circuits in float32 and spiking ones in float64
-(``CIRCUIT_DTYPES``), every layer in float32 (``LAYER_DTYPE``), and hands the
-net float32 inputs, targets and feedback matrices; checkpoints hold exact
-float64 copies of banks and layers. A circuit built from float64 banks, or a
-net from ``build_mlp`` or ``build_conv_net``, computes in float64, as every
-one did before.
+The harness builds every layer and every circuit, linear or spiking, in
+float32 (``DTYPE``), and hands the net float32 inputs, targets and feedback
+matrices; checkpoints hold banks and layers in their own dtype. A circuit
+built from float64 banks, or a net from ``build_mlp`` or ``build_conv_net``,
+computes in float64, as every one did before. The value checks at the end
+hold float32 circuits to their float64 twins within bounds derived from
+float32's unit roundoff.
 """
 
 from types import SimpleNamespace
@@ -14,10 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hlop import spiking, training
+from hlop import lateral, spiking, training
 from hlop.config import config_from_dict
-from hlop.harness import (CIRCUIT_DTYPES, LAYER_DTYPE, Checkpoint, load_checkpoint, loop,
-                          save_checkpoint)
+from hlop.harness import DTYPE, Checkpoint, load_checkpoint, loop, save_checkpoint
 from hlop.harness.loop import build_net, run_continual
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
@@ -75,8 +75,7 @@ def test_the_recorder_sees_a_float64_scalar():
 def test_float32_circuit_forms_no_float64_operand(mode, scale):
     # The trainers hand float64 rows; the circuit casts them once and every
     # later product, quantization and in-place step sees float32 operands only.
-    # One float64 operand would widen the products back to float64. The harness
-    # keeps spiking circuits float64, but the one implementation takes either dtype.
+    # One float64 operand would widen the products back to float64.
     sub = _circuit(mode)
     seen = []
     recorded = _recording_class(seen)
@@ -105,8 +104,14 @@ def test_mixed_or_non_float_banks_are_refused(banks):
 
 
 def test_harness_dtypes_by_mode():
-    assert CIRCUIT_DTYPES == {"linear": F32, "spiking": F64}
-    assert LAYER_DTYPE == F32
+    # One dtype for every layer and for the circuits of every mode.
+    assert DTYPE == F32
+    for hlop in ("linear", "spiking"):
+        cfg = config_from_dict(dict(hlop=hlop))
+        net = build_net(cfg, SimpleNamespace(image_hw=(10, 10), n_classes=2, tasks=[0]))
+        subs = loop.make_subspaces(cfg, net).values()
+        assert {a.dtype for l in net.trainable_layers(0) for a in (l.weight, l.bias)} == {F32}
+        assert {a.dtype for s in subs for a in (s.H, s.H_new, s.velocity)} == {F32}
 
 
 def test_spiking_helpers_keep_a_float_dtype():
@@ -186,14 +191,17 @@ def test_float32_net_forms_no_float64_layer_sized_operand(monkeypatch, task, tra
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
 def test_checkpoint_loads_each_mode_in_its_dtype(tmp_path, mode):
-    sub = _circuit(mode, CIRCUIT_DTYPES[mode])
+    # Banks are stored in their own dtype, float32 as a run writes them or
+    # float64 as a test builds them, and load in it with the same bytes.
+    subs = {i: _circuit(mode, dtype) for i, dtype in enumerate((F32, F64))}
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=1, layers=[],
-                                     subspaces={0: sub}, acc_matrix=[[50.0]]))
-    back = load_checkpoint(path).subspaces[0]
-    for name in ("H", "H_new", "velocity"):
-        assert getattr(back, name).dtype == CIRCUIT_DTYPES[mode]
-        assert getattr(back, name).tobytes() == getattr(sub, name).tobytes(), name
+                                     subspaces=subs, acc_matrix=[[50.0]]))
+    back = load_checkpoint(path).subspaces
+    for i, dtype in enumerate((F32, F64)):
+        for name in ("H", "H_new", "velocity"):
+            assert getattr(back[i], name).dtype == dtype
+            assert getattr(back[i], name).tobytes() == getattr(subs[i], name).tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ["linear", "spiking"])
@@ -224,11 +232,10 @@ def test_float64_circuit_computes_in_float64_as_before(mode):
 @pytest.mark.parametrize("hlop,kw", [("linear", dict()), ("linear", dict(task="split_mnist")),
                                      ("spiking", dict())], ids=["dense", "split-conv", "spiking"])
 def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
-    # A circuit's x_hat comes back in its dtype. Every layer is float32, so a
-    # float32 circuit's x_hat replaces the trace rows it was handed, with no
-    # copy, and the loop rounds a float64 circuit's x_hat into those rows: on
-    # task 2, once the circuits hold rows, that rounding moves some values.
-    returned, handed, taken, rounded = {}, {}, {}, set()
+    # A circuit's x_hat comes back in its dtype. Every layer and circuit is
+    # float32, so each circuit's x_hat replaces the trace rows it was handed,
+    # with no copy, in both modes.
+    returned, handed, taken = {}, {}, {}
     hebbian_update, sgd_update = LateralSubspace.hebbian_update, loop.sgd_update
 
     def recording_hebbian(sub, x):
@@ -238,15 +245,12 @@ def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
         return x_hat, learn
 
     def recording_sgd(layer, grad, lr, batch):
-        assert grad.trace.dtype == layer.weight.dtype == LAYER_DTYPE
+        assert grad.trace.dtype == layer.weight.dtype == DTYPE
         for rows, x_hat in list(handed.values()):
             if grad.trace is x_hat:
                 taken.setdefault(layer.name, set()).add("x_hat")
             elif grad.trace is rows:
-                assert np.array_equal(rows, x_hat.astype(F32))
-                taken.setdefault(layer.name, set()).add("rounded rows")
-                if not np.array_equal(rows, x_hat):
-                    rounded.add(layer.name)
+                taken.setdefault(layer.name, set()).add("rows")
         sgd_update(layer, grad, lr, batch)
 
     monkeypatch.setattr(LateralSubspace, "hebbian_update", recording_hebbian)
@@ -256,11 +260,133 @@ def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
                                 test_per_task=50, checkpoint_every_task=False,
                                 audit_samples=0, **kw))
     res = run_continual(cfg, data=data_pools)
-    dtype = CIRCUIT_DTYPES[hlop]
     names = [layer.name for layer in res.net.trainable_layers(0)[: len(res.subspaces)]]
     assert len(res.subspaces) >= 2
-    assert returned == {sub.n: {dtype} for sub in res.subspaces.values()}
+    assert returned == {sub.n: {DTYPE} for sub in res.subspaces.values()}
     for i, sub in res.subspaces.items():
-        assert sub.k > 0 and {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {dtype}
-    assert taken == {name: {"x_hat" if dtype == F32 else "rounded rows"} for name in names}
-    assert rounded == (set() if dtype == F32 else set(names))
+        assert sub.k > 0 and {a.dtype for a in (sub.H, sub.H_new, sub.velocity)} == {DTYPE}
+    assert taken == {name: {"x_hat"} for name in names}
+
+
+# Value checks: a float32 circuit against its float64 twin, the same banks cast
+# up, on float32 rows. Each bound is fixed before measuring, from float32's unit
+# roundoff u = 2**-24 and each product's length m: a length-m dot product
+# computed in any order, with or without FMA, is off by at most
+# gamma_m = m u / (1 - m u) times the dot product of the absolute values
+# (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and each
+# elementwise step by u times its result. The twin's own errors obey the same
+# bounds with 2**-53, and gamma is superadditive, so one gamma with
+# U = 2**-24 + 2**-53 bounds the gap between the two sides. Errors carried
+# into a step are propagated to first order; their products are O(u**2).
+U = 2.0**-24 + 2.0**-53
+
+
+def _gamma(m):
+    return m * U / (1 - m * U)
+
+
+def _recording_outputs(sub):
+    """The subspace-neuron outputs ``sub`` forms, in call order: project_trace's
+    y (when it holds rows), then one per Hebbian repeat."""
+    outs, out = [], sub._out
+
+    def recording(y, work=None):
+        outs.append(out(y, work).copy())
+        return outs[-1]
+
+    sub._out = recording
+    return outs
+
+
+def _quantized_twin(q32, y, ey, quant):
+    """The float64 quantizer output for y, whose float32 counterpart is off by at
+    most ey, checked against the float32 output q32. z = clip(y)/scale*T_l is
+    off by at most E_z = T_l/scale*ey + 3u(|z| + 1/2) (the division, the product
+    and the half added before the floor), so the level round(z) may differ only
+    where z lies within E_z of a half-integer. Returns the twin's output with
+    the float32 level at each such flip, and the number of flips; a level both
+    sides share gives outputs within u|q|, the rounding of the last division."""
+    scale, steps = quant.scale, quant.T_l
+    z = np.clip(y, -scale, scale) / scale * steps
+    ez = steps / scale * ey + 3 * U * (np.abs(z) + 0.5)
+    level32 = np.rint(q32.astype(F64) * steps / scale)
+    level = np.rint(lateral.quantize_subspace_output(y, quant) * steps / scale)
+    flips = level32 != level
+    near = np.abs(np.abs(z) - np.floor(np.abs(z)) - 0.5) <= ez
+    assert not (flips & ~near).any(), "a level flipped away from any rounding boundary"
+    q = np.where(flips, level32, level) * scale / steps
+    assert np.all(np.abs(q32 - q) <= U * np.abs(q))
+    return q, int(flips.sum())
+
+
+_SHAPES = {  # n, k, k', rows, row maker: uniform rates undamped, 30% spikes damped
+    "n16": (16, 4, 3, 24, lambda rng, r, n: rng.uniform(size=(r, n))),
+    "n200": (200, 40, 30, 64, lambda rng, r, n: rng.uniform(size=(r, n)) < 0.3),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("mode", ["linear", "spiking"])
+def test_float32_circuit_values_stay_within_roundoff_of_float64(mode, shape):
+    n, k, k_new, rows, make = _SHAPES[shape]
+    sub = _circuit(mode, F32, n=n, k=k, k_new=k_new)
+    x = make(make_rng(56, 0), rows, n).astype(np.float32)
+    h_old, h, v = (a.astype(F64) for a in (sub.H, sub.H_new, sub.velocity))
+    outs = _recording_outputs(sub)
+    x_hat, learn = sub.hebbian_update(x)
+    learn()
+    flips = 0
+    ax = np.abs(x)
+
+    def subspace_output(q32, y, ey):  # the twin's output and its bound
+        nonlocal flips
+        if mode == "linear":
+            return y, ey
+        q, n_flips = _quantized_twin(q32, y, ey, sub.quant)
+        flips += n_flips
+        return q, U * np.abs(q)
+
+    # project_trace: y = x H^T (length n), x_hat = x - y H (length k), then
+    # the subtraction.
+    y = x @ h_old.T
+    q, eq = subspace_output(outs[0], y, _gamma(n) * (ax @ np.abs(h_old).T))
+    ref = x - q @ h_old
+    bound = eq @ np.abs(h_old) + _gamma(k) * (np.abs(q) @ np.abs(h_old)) + U * np.abs(ref)
+    margins = {"project": np.max(np.abs(x_hat - ref) / bound)}
+
+    # One learn on the x_hat it was handed: K repeats of the products
+    # y' = x H'^T (length n), y'^T x_hat and y'^T y' (length rows) and
+    # (y'^T y') H' (length k'), then the elementwise steps in their order. The
+    # subtraction, the gain's product and the division by rows add 4u|delta|
+    # (the gain rounds to float32 before its product: u more); the momentum's
+    # product 2u|m v| (m rounds too) and its sum u|v|; the step's product
+    # 2u|eta v| and its sum u|H'|. The float32 energy sums n squares and
+    # averages the rows, so the damping gain may differ by
+    # gamma_n + gamma_rows + 2u relative.
+    xh = x_hat.astype(F64)
+    energy = float(np.mean(np.sum(x.astype(F64) ** 2, axis=1)))
+    cap = 4.0 * (1.0 - sub.momentum) / sub.eta
+    gain = cap / energy if energy > cap else 1.0
+    e_gain = _gamma(n) + _gamma(rows) + 2 * U
+    e_gain = e_gain if energy * (1 + e_gain) > cap else 0.0
+    eh, ev = np.zeros_like(h), np.zeros_like(v)
+    for q32 in outs[1:]:
+        y = x @ h.T
+        q, eq = subspace_output(q32, y, ax @ eh.T + _gamma(n) * (ax @ np.abs(h).T))
+        aq = np.abs(q)
+        a, ea = q.T @ xh, eq.T @ np.abs(xh) + _gamma(rows) * (aq.T @ np.abs(xh))
+        c, ec = q.T @ q, 2 * eq.T @ aq + _gamma(rows) * (aq.T @ aq)
+        d = c @ h
+        ed = ec @ np.abs(h) + np.abs(c) @ eh + _gamma(k_new) * (np.abs(c) @ np.abs(h))
+        delta = gain * (a - d) / rows
+        e_delta = gain * (ea + ed) / rows + (4 * U + e_gain) * np.abs(delta)
+        v_old, v = v, sub.momentum * v + delta
+        ev = sub.momentum * ev + e_delta + 2 * U * sub.momentum * np.abs(v_old) + U * np.abs(v)
+        h = h + sub.eta * v
+        eh = eh + sub.eta * ev + 2 * U * sub.eta * np.abs(v) + U * np.abs(h)
+    assert len(outs) == 1 + sub.K
+    margins["H_new"] = np.max(np.abs(sub.H_new - h) / eh)
+    margins["velocity"] = np.max(np.abs(sub.velocity - v) / ev)
+    print(f"{mode} {shape}: flips {flips}, "
+          + ", ".join(f"{key} {m:.3g} of its bound" for key, m in margins.items()))
+    assert all(m <= 1.0 for m in margins.values()), margins

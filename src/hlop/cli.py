@@ -1,13 +1,14 @@
 """Command-line entry point.
 
     hlop run <config>            execute a task-sequence experiment
-    hlop oracle <csv> --k K      extract top-k principal directions
     hlop synth-data --out DIR    generate the offline IDX dataset
 
 Exit codes: 0 success, 1 failed run (divergence), 2 invalid configuration
-or arguments (including a config file that cannot be read or is not UTF-8),
-3 missing, unopenable or malformed dataset, sample or checkpoint files
-(including a checkpoint that does not fit the resuming run, and a subspace
+or arguments (including a config file that cannot be read or is not UTF-8)
+or an output file that cannot be written (a CSV, resolved_config.cfg, an IDX
+file), 3 missing, unopenable or malformed dataset or checkpoint files
+(including a checkpoint that cannot be written, one that does not fit the
+resuming run or whose task cursor is outside 1..n_tasks, and a subspace
 schedule that overfills a layer of the net built from the data).
 """
 
@@ -17,14 +18,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, echo_config, load_config
 from .harness.checkpoint import CheckpointError
-from .harness.data import DatasetError, write_idx_dataset
+from .harness.data import DatasetError, atomic_path, write_idx_dataset
 from .harness.loop import DivergenceError, ScheduleError, run_continual
 from .harness.metrics import write_metrics_csv, write_summary_csv
-from .linalg import topk_principal
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,53 +73,16 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
         worst = max(result.audit.values()) if result.audit else 0.0
         print(f"interference audit: worst protected-direction drift {worst:.3e}")
 
-    echo_path = os.path.join(cfg.output_dir, "resolved_config.cfg")
-    tmp = echo_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(echo_config(cfg))
-    os.replace(tmp, echo_path)
-    write_metrics_csv(os.path.join(cfg.output_dir, "metrics.csv"), result.matrix)
-    write_summary_csv(os.path.join(cfg.output_dir, "summary.csv"), result.matrix)
-    print(f"wrote metrics.csv, summary.csv, resolved_config.cfg to {cfg.output_dir}")
-    return EXIT_OK
-
-
-def cmd_oracle(data_path: str, k: int, out_path: str | None = None) -> int:
     try:
-        data = np.loadtxt(data_path, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError:
-        print(f"error: cannot read {data_path}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
-        print(f"error: {data_path} is not a numeric CSV matrix: {e}", file=sys.stderr)
-        return EXIT_DATA
-    if not np.isfinite(data).all():
-        print(f"error: {data_path} holds nan or inf samples", file=sys.stderr)
-        return EXIT_DATA
-    if k < 1 or k > data.shape[1]:
-        print(
-            f"error: k={k} out of range for {data.shape[1]}-dimensional samples",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if data.shape[0] < k:
-        print(f"error: need at least k={k} samples, got {data.shape[0]}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_path = out_path or (data_path + ".components.csv")
-    tmp = out_path + ".tmp"
-    if os.path.isdir(out_path):
-        print(f"error: cannot create --out {out_path!r}: Is a directory", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        f = open(tmp, "w", encoding="ascii")
+        echo_path = os.path.join(cfg.output_dir, "resolved_config.cfg")
+        with atomic_path(echo_path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+            f.write(echo_config(cfg))
+        write_metrics_csv(os.path.join(cfg.output_dir, "metrics.csv"), result.matrix)
+        write_summary_csv(os.path.join(cfg.output_dir, "summary.csv"), result.matrix)
     except OSError as e:
-        print(f"error: cannot create --out {out_path!r}: {e.strerror}", file=sys.stderr)
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    with f:
-        m = topk_principal(data, k)
-        np.savetxt(f, m, delimiter=",")
-    os.replace(tmp, out_path)
-    print(f"wrote {k} principal directions to {out_path}")
+    print(f"wrote metrics.csv, summary.csv, resolved_config.cfg to {cfg.output_dir}")
     return EXIT_OK
 
 
@@ -138,7 +99,11 @@ def cmd_synth_data(out_dir: str, n_train: int, n_test: int, seed: int) -> int:
     except OSError as e:
         print(f"error: cannot create --out {out_dir!r}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    write_idx_dataset(out_dir, n_train=n_train, n_test=n_test, seed=seed)
+    try:
+        write_idx_dataset(out_dir, n_train=n_train, n_test=n_test, seed=seed)
+    except OSError as e:
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote IDX dataset ({n_train} train / {n_test} test) to {out_dir}")
     return EXIT_OK
 
@@ -150,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a task-sequence experiment from a config file")
     run_p.add_argument("config", help="flat-key config file")
     run_p.add_argument("--resume", default=None, help="checkpoint to continue from")
-
-    ora_p = sub.add_parser("oracle", help="top-k principal directions of a CSV sample matrix")
-    ora_p.add_argument("csv", help="CSV matrix, one sample per row")
-    ora_p.add_argument("--k", type=int, required=True, help="number of directions")
-    ora_p.add_argument("--out", default=None, help="output CSV (default <csv>.components.csv)")
 
     syn_p = sub.add_parser("synth-data", help="generate the deterministic offline dataset")
     syn_p.add_argument("--out", required=True, help="output directory for the IDX files")
@@ -168,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, resume=args.resume)
-    if args.command == "oracle":
-        return cmd_oracle(args.csv, args.k, args.out)
     if args.command == "synth-data":
         return cmd_synth_data(args.out, args.train, args.test, args.seed)
     return EXIT_CONFIG

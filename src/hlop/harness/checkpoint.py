@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..lateral import LateralSubspace, QuantConfig
+from .data import atomic_path
 
 VERSION = 5
 _FORMAT = np.lib.format
@@ -87,15 +88,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         for part, a in zip(_SUBSPACE_PARTS, (sub.H, sub.H_new, sub.velocity, circuit)):
             members.append((f"subspace/{i}/{part}", a))
     members += [(f"acc/{k}", row) for k, row in enumerate(ckpt.acc_matrix)]
-    tmp = path + ".tmp"
-    with zipfile.ZipFile(tmp, "w") as zf:
-        for name, a in members:
-            a, want = np.asarray(a), ("<i8",) if name == "meta" else _FLOATS
-            own = a.dtype.newbyteorder("<")  # kept where the format allows it, else widened
-            with zf.open(zipfile.ZipInfo(name), "w") as f:
-                _FORMAT.write_array(f, np.asarray(a, own if own.str in want else want[-1]),
-                                    allow_pickle=False)
-    os.replace(tmp, path)
+    try:
+        with atomic_path(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
+            for name, a in members:
+                a, want = np.asarray(a), ("<i8",) if name == "meta" else _FLOATS
+                own = a.dtype.newbyteorder("<")  # kept where the format allows it, else widened
+                with zf.open(zipfile.ZipInfo(name), "w") as f:
+                    _FORMAT.write_array(f, np.asarray(a, own if own.str in want else want[-1]),
+                                        allow_pickle=False)
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot write checkpoint: {e.strerror}") from e
 
 
 def _array(zf: zipfile.ZipFile, name: str, ndim: int) -> np.ndarray:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,22 +153,35 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(images=flat, labels=labels.astype(np.int64), image_hw=(rows, cols))
 
 
+@contextmanager
+def atomic_path(path: str) -> Iterator[str]:
+    """Yield a temp path to write ``path``'s content to, then rename it onto ``path``,
+    so no reader sees a partial file. On a failure the temp file is removed, and an
+    ``OSError`` is raised again with ``path`` as its ``filename``."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException as e:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror or str(e), path) from e
+        raise
+
+
 def write_idx_images(path: str, images: np.ndarray) -> None:
     """Write a (count, rows, cols) uint8 array in IDX image format."""
     count, rows, cols = images.shape
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(struct.pack(">iiii", IMAGE_MAGIC, count, rows, cols))
         f.write(np.ascontiguousarray(images, dtype=np.uint8).tobytes())
-    os.replace(tmp, path)
 
 
 def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(struct.pack(">ii", LABEL_MAGIC, labels.shape[0]))
         f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,8 @@ def _train_one_task(
                 # The circuit learns from the raw rows and returns them projected.
                 if i in subspaces:
                     join(i)
+                    # Kept for speed: a projection the worker has not begun runs here,
+                    # not behind the learns queued before it.
                     job = early.pop(i, None)
                     x_hat, learn = (job.result() if job and not job.cancel()
                                     else subspaces[i].hebbian_update(grad.trace))
@@ -447,8 +449,9 @@ def _check_resume_fits(
     if ckpt.blas_threads != blas_threads():
         raise CheckpointError(f"checkpoint written under {ckpt.blas_threads} BLAS threads, "
                               f"run has {blas_threads()}: float32 products round by the count")
-    if ckpt.task_cursor > cfg.n_tasks:
-        raise CheckpointError(f"checkpoint task cursor {ckpt.task_cursor} does not fit the run")
+    if not 1 <= ckpt.task_cursor <= cfg.n_tasks:
+        raise CheckpointError(
+            f"checkpoint task cursor {ckpt.task_cursor} is outside 1..{cfg.n_tasks}")
     lengths = [len(row) for row in ckpt.acc_matrix]
     if lengths != list(range(1, ckpt.task_cursor + 1)):
         raise CheckpointError(f"checkpoint accuracy rows hold {lengths} entries; after "

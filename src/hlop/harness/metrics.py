@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
+
+from .data import atomic_path
 
 AccuracyMatrix = list  # list of rows; row k holds accuracies on tasks 0..k
 
@@ -29,19 +29,10 @@ def compute_acc_bwt(matrix: AccuracyMatrix, k: int) -> tuple[float, float | None
 
 
 def _atomic_write_rows(path: str, header: list[str], rows: list[list]) -> None:
-    # Write-temp-then-rename so consumers never observe a partial CSV.
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def format_pct(v: float) -> str:

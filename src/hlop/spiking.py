@@ -104,24 +104,21 @@ def lif_step(
     return state, s
 
 
-def surrogate_derivative(
-    u: np.ndarray, cfg: NeuronConfig, out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
+def surrogate_derivative(u: np.ndarray, cfg: NeuronConfig) -> np.ndarray:
     """Sigmoid-shaped stand-in for the spike step's derivative.
 
     (1/a2) * exp((v_th-u)/a2) / (1 + exp((v_th-u)/a2))^2, evaluated in the
     overflow-safe symmetric form. Peaks at 1/(4*a2) for u = v_th and decays
-    to 0 in both tails. The result goes into ``out`` and the denominator into
-    ``work``, arrays of u's shape that a caller may pass to reuse.
+    to 0 in both tails. Returns a new array of u's shape and float dtype
+    (0-d for a 0-d u).
     """
     u = np.asarray(u, dtype=np.result_type(np.asarray(u), 1.0))  # a float u keeps its dtype
     # e = exp(-|u - v_th| / a2) underflows harmlessly to 0; no overflow possible.
-    e = np.subtract(u, cfg.v_th, out=np.empty_like(u) if out is None else out)
+    e = np.subtract(u, cfg.v_th, out=np.empty_like(u))  # out: a 0-d u gives a 0-d array
     np.abs(e, out=e)
     e /= -cfg.a2  # exactly -(e / a2): rounding is symmetric about zero
     np.exp(e, out=e)
-    d = np.add(e, 1.0, out=np.empty_like(e) if work is None else work)
+    d = np.add(e, 1.0, out=np.empty_like(e))
     np.square(d, out=d)
     d *= cfg.a2
     e /= d
@@ -201,16 +198,12 @@ def avg_pool(x: np.ndarray, size: int) -> np.ndarray:
     return total
 
 
-def avg_pool_backward(
-    grad: np.ndarray, size: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Adjoint of ``avg_pool``: spread each pooled gradient of channels-last
-    (..., h, w, C) maps over its window. The (..., h*size, w*size, C) result
-    is written into ``out``, a contiguous array of its size, when one is given.
-    The first of each window's rows is filled, then copied whole into the rest."""
+def avg_pool_backward(grad: np.ndarray, size: int) -> np.ndarray:
+    """Adjoint of ``avg_pool``: spread each pooled gradient of channels-last (..., h, w, C)
+    maps over its window, into a new (..., h*size, w*size, C) array: the first of
+    each window's rows is filled, then copied whole into the rest."""
     *lead, h, w, c = grad.shape
-    if out is None:
-        out = np.empty((*lead, h * size, w * size, c), grad.dtype)
+    out = np.empty((*lead, h * size, w * size, c), grad.dtype)
     g = out.reshape(*lead, h, size, w * size * c)
     g[..., 0, :] = np.repeat(grad / (size * size), size, axis=-2).reshape(*lead, h, -1)
     g[..., 1:, :] = g[..., :1, :]

@@ -39,9 +39,9 @@ states and errors share the row layout of its presynaptic rows: a conv
 layer's neurons live in patch rows, one per output position. Only the conv
 layer knows the image geometry, read by ``_presyn_rows`` (view the rows as
 maps, unfold), ``_post_block`` (pool, flatten) and ``_route_error_to_block``
-(unpool). A layer computes in its weights' dtype (``_presyn_rows`` casts
-its rows), which all of a net's layers share, so no error is cast on its
-way down; bias gradients sum in float64.
+(unpool). A net's layers and its input share one float dtype, in which every
+layer computes, so no row or error is cast on its way down; bias gradients
+sum in float64.
 
 Error signals can travel by plain backprop, feedback alignment (fixed random
 matrices), or sign symmetry.
@@ -260,13 +260,13 @@ def sgd_update(layer: Layer, grad: LayerGrad, lr: float, batch: int) -> None:
 
 
 def _presyn_rows(layer: Layer, carry: np.ndarray) -> np.ndarray:
-    """Presynaptic rows feeding ``layer``, in its weights' dtype: a conv layer
-    views its carry, (B, C*H*W) rows or (B, C, H, W) maps, as maps and unfolds
-    their patches; a dense layer takes its (B, in) rows as they are."""
+    """Presynaptic rows feeding ``layer``: a conv layer views its carry, (B, C*H*W)
+    rows or (B, C, H, W) maps, as maps and unfolds their patches; a dense layer
+    takes its (B, in) rows as they are."""
     if layer.kind == "conv":
         maps = carry.reshape(len(carry), layer.in_channels, *layer.in_hw)
-        return unfold_patches(maps.astype(layer.weight.dtype, copy=False), layer.kernel)
-    return np.asarray(carry, layer.weight.dtype)
+        return unfold_patches(maps, layer.kernel)
+    return carry
 
 
 def _layer_current(layer: Layer, rows: np.ndarray) -> np.ndarray:
@@ -288,31 +288,25 @@ def _post_block(layer: Layer, s: np.ndarray) -> np.ndarray:
     return pooled.transpose(0, 3, 1, 2).reshape(len(pooled), -1)
 
 
-def _route_error_to_block(
-    delta_flat: np.ndarray, below: Layer, out: np.ndarray | None = None
-) -> np.ndarray:
-    """An error on a block's (flattened, pooled) output, as error rows at its
-    spikes: conv errors are unpooled straight into patch rows, one per output
-    position, and into ``out`` (an array of those rows) when one is given."""
+def _route_error_to_block(delta_flat: np.ndarray, below: Layer) -> np.ndarray:
+    """An error on a block's (flattened, pooled) output as error rows at its spikes:
+    conv errors are unpooled straight into patch rows, one per output position."""
     if below.kind != "conv":
         return delta_flat
     oh, ow = below.out_hw
     p, c = below.pool, below.out_dim
     g = delta_flat.reshape(-1, c, oh // p, ow // p).transpose(0, 2, 3, 1)
     if p > 1:
-        g = avg_pool_backward(g, p, out)
+        g = avg_pool_backward(g, p)
     return g.reshape(-1, c)
 
 
-def _error_below(
-    layers: list[Layer], i: int, c: np.ndarray, epcfg: ErrorPropConfig,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Carry layer i's error rows ``c`` down to the spikes of layer i - 1
-    (into ``out``, see ``_route_error_to_block``)."""
+def _error_below(layers: list[Layer], i: int, c: np.ndarray,
+                 epcfg: ErrorPropConfig) -> np.ndarray:
+    """Carry layer i's error rows ``c`` down to the spikes of layer i - 1."""
     if layers[i].kind == "conv":
         raise ShapeError("error propagation below a conv layer is not supported")
-    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1], out)
+    return _route_error_to_block(backprop_error(c, layers[i], epcfg), layers[i - 1])
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -435,14 +429,8 @@ def bptt_sg_backward(
 # trainer: online training through time with eligibility traces
 
 
-def ottt_step(
-    net: SpikingNet,
-    states: list[LayerState],
-    y_onehot: np.ndarray,
-    epcfg: ErrorPropConfig,
-    head: int = 0,
-    first: Sequence[np.ndarray] = (),
-) -> list[np.ndarray]:
+def ottt_step(net: SpikingNet, states: list[LayerState], y_onehot: np.ndarray,
+              epcfg: ErrorPropConfig, head: int = 0) -> list[np.ndarray]:
     """The learning half of one forward-in-time step, on the layer states the
     walk has just advanced: the step's instantaneous per-layer errors.
 
@@ -450,24 +438,16 @@ def ottt_step(
     at past steps. No eligibility trace is advanced here: ``ottt_backward``
     regroups the trace sum by the step each presynaptic row entered.
 
-    ``first`` may hold two arrays of the first layer's state shape, owned by
-    the caller: they receive its error c_t and the surrogate's denominator,
-    then the error routed down to it, so a step allocates no conv-sized array.
-
     Returns the step's per-layer errors c_t, in the row layout of the
     states and of the presynaptic rows.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    out, work = first or (None, None)
-    # Every surrogate first: the first layer's denominator buffer is then
-    # free to take the error routed down to it.
-    cs = [surrogate_derivative(states[0].u, cfg, out, work)]
-    cs += [surrogate_derivative(st.u, cfg) for st in states[1:]]
+    cs = [surrogate_derivative(st.u, cfg) for st in states]
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
     for i in range(len(layers) - 1, 0, -1):
         cs[i] *= err
-        err = _error_below(layers, i, cs[i], epcfg, work if i == 1 else None)
+        err = _error_below(layers, i, cs[i], epcfg)
     cs[0] *= err
     return cs
 
@@ -502,13 +482,12 @@ def ottt_backward(
     for t, (rows, states) in enumerate(_run_steps(net, x, head)):
         if t == 0:  # 0.0 + x, as in a sum from 0.0: -0.0 becomes +0.0
             first_delta, rate_sum = np.zeros_like(states[0].u), np.zeros_like(states[-1].s)
-            first = [np.empty_like(first_delta) for _ in range(2)]  # ottt_step's buffers
         _stack_rows(feeds, t, rows, cfg.T)
         if on_trace and t == 0:  # the input's rows are final at once
             on_trace(0, feeds[0])
         for i in range(1, len(feeds)) if on_trace and t == cfg.T - 1 else ():
             on_trace(i, feeds[i])
-        cs = ottt_step(net, states, y_onehot, epcfg, head, first)
+        cs = ottt_step(net, states, y_onehot, epcfg, head)
         a = cfg.lam * a + 1.0
         first_bias = first_bias + cs[0].sum(axis=0, dtype=np.float64)
         first_delta += np.multiply(cs[0], a, out=cs[0])

@@ -24,7 +24,6 @@ from hlop.harness.data import (
 )
 from hlop.harness.metrics import read_summary_csv
 from hlop.lateral import LateralSubspace
-from hlop.linalg import make_rng
 
 
 def _write_cfg(path, out_dir, **kw):
@@ -516,12 +515,41 @@ class TestRunCommand:
         )
         assert "subspace 0 quant.T_l" in line and "has 40" in line and "has 7" in line
 
+    @pytest.mark.parametrize("cursor", [-1, 0])
+    def test_resume_with_a_task_cursor_below_1_exit_3(self, run_env, capsys, cursor):
+        # -1 used to end in a traceback from make_rng; 0 silently trained every
+        # task again on top of the checkpoint's weights and banks.
+        def cursor_below_1(p):
+            ckpt = load_checkpoint(str(p))
+            ckpt.task_cursor, ckpt.acc_matrix = cursor, []
+            save_checkpoint(str(p), ckpt)
+
+        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=cursor_below_1)
+        assert line == f"checkpoint error: checkpoint task cursor {cursor} is outside 1..2"
+        assert not (run_env / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("name", ["task1.ckpt", "metrics.csv", "summary.csv",
+                                      "resolved_config.cfg"])
+    def test_output_blocked_by_a_directory(self, run_env, capsys, name):
+        # Each used to end in an IsADirectoryError traceback and exit 1; the
+        # checkpoint writer also left its .tmp file behind.
+        out, cfg = run_env / "out", run_env / "exp.cfg"
+        _write_cfg(str(cfg), str(out), n_tasks=1, train_per_task=100, test_per_task=50)
+        (out / name).mkdir(parents=True)
+        ckpt = name.endswith(".ckpt")
+        assert main(["run", str(cfg)]) == (3 if ckpt else 2)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"checkpoint error: {out / name}: cannot write checkpoint: Is a directory"
+                        if ckpt else f"error: cannot write {out / name}: Is a directory")
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
 
 def test_verify_is_not_a_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "algebra"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'verify'" in capsys.readouterr().err
+    for command in ("verify", "oracle"):  # oracle was a PCA tool for CSV files
+        with pytest.raises(SystemExit) as exc:
+            main([command, "algebra"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def _run_cli(*args, env=None):
@@ -532,73 +560,6 @@ def _run_cli(*args, env=None):
     env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", "hlop.cli", *args],
                           capture_output=True, text=True, env=env)
-
-
-class TestOracleCommand:
-    def test_rank_one_data(self, tmp_path, capsys):
-        x = np.zeros((40, 3))
-        x[:, 1] = np.linspace(1, 2, 40)
-        p = tmp_path / "rank1.csv"
-        np.savetxt(p, x, delimiter=",")
-        out = tmp_path / "m.csv"
-        assert main(["oracle", str(p), "--k", "1", "--out", str(out)]) == 0
-        row = np.loadtxt(out, delimiter=",")
-        assert abs(abs(row[1]) - 1.0) < 1e-8
-
-    def test_anisotropic_gaussian_direction(self, tmp_path):
-        # diag(4, 1) covariance: leading direction within 5 degrees of e1.
-        rng = make_rng(42, 0)
-        x = rng.normal(size=(4000, 2)) * np.array([2.0, 1.0])
-        p = tmp_path / "g.csv"
-        np.savetxt(p, x, delimiter=",")
-        out = tmp_path / "m.csv"
-        assert main(["oracle", str(p), "--k", "1", "--out", str(out)]) == 0
-        row = np.loadtxt(out, delimiter=",")
-        angle = np.degrees(np.arccos(min(1.0, abs(row[0]) / np.linalg.norm(row))))
-        assert angle < 5.0
-
-    def test_k_out_of_range_exit_2(self, tmp_path):
-        p = tmp_path / "d.csv"
-        np.savetxt(p, np.eye(3), delimiter=",")
-        assert main(["oracle", str(p), "--k", "4"]) == 2
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_samples_exit_3(self, tmp_path, capsys, bad):
-        # Such samples used to give nan components and exit 0.
-        p = tmp_path / "d.csv"
-        p.write_text(f"1,2\n3,{bad}\n5,7\n")
-        assert main(["oracle", str(p), "--k", "1"]) == 3
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: {p} holds nan or inf samples"
-        assert not (tmp_path / "d.csv.components.csv").exists()
-
-    def test_checkpoint_flag_is_refused(self, tmp_path, capsys):
-        # The checkpoint comparison is gone: no command writes the per-layer
-        # feed CSV it needed.
-        samples = tmp_path / "s.csv"
-        np.savetxt(samples, np.eye(3), delimiter=",")
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", str(samples), "--k", "1", "--checkpoint", "x"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --checkpoint x" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv.components.csv").exists()
-
-    @pytest.mark.parametrize("out", ["afile/x.csv", "adir"])
-    def test_out_that_cannot_be_created_exit_2(self, tmp_path, out):
-        # Below a regular file this used to end in a traceback from
-        # np.savetxt, after the eigendecomposition; onto a directory, in one
-        # from os.replace.
-        samples = tmp_path / "d.csv"
-        np.savetxt(samples, np.eye(3), delimiter=",")
-        (tmp_path / "afile").write_text("")
-        (tmp_path / "adir").mkdir()
-        proc = _run_cli("oracle", str(samples), "--k", "1", "--out", str(tmp_path / out))
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: cannot create --out ") and out in line
-        assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "d.csv"]
-        assert not os.listdir(tmp_path / "adir")
 
 
 class TestSynthDataCommand:
@@ -634,3 +595,14 @@ class TestSynthDataCommand:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: cannot create --out ") and "afile/x" in line
+
+    @pytest.mark.parametrize("name", [TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS])
+    def test_file_blocked_by_a_directory_exit_2(self, tmp_path, capsys, name):
+        # This used to end in an IsADirectoryError traceback and exit 1, with
+        # the .tmp file left behind.
+        out = tmp_path / "ds"
+        (out / name).mkdir(parents=True)
+        assert main(["synth-data", "--out", str(out), "--train", "20", "--test", "10"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot write {out / name}: Is a directory"
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]

@@ -383,17 +383,17 @@ def test_walk_arrays_die_with_the_walk():
 
 
 def test_ottt_buffers_die_with_the_batch(monkeypatch):
-    # The states and ottt_step's first-layer buffers belong to one batch.
+    # The walk's states belong to one batch.
     net, x, y, head = _split_case()
     step, held = training.ottt_step, {}
 
-    def holding(net, states, y_onehot, epcfg, head, first):
-        held.update((id(a), weakref.ref(a)) for a in [*first, *_walk_arrays(states)])
-        return step(net, states, y_onehot, epcfg, head, first)
+    def holding(net, states, y_onehot, epcfg, head):
+        held.update((id(a), weakref.ref(a)) for a in _walk_arrays(states))
+        return step(net, states, y_onehot, epcfg, head)
 
     monkeypatch.setattr(training, "ottt_step", holding)
     packet, _ = ottt_backward(net, x, y, ErrorPropConfig(), head)
-    assert len(held) == 2 + 6  # the same eight arrays at every step
+    assert len(held) == 6  # the same six arrays at every step
     del packet
     assert all(r() is None for r in held.values())
 

@@ -342,10 +342,9 @@ class TestCheckpoint:
     def test_rejects_truncated(self, tmp_path):
         ckpt = Checkpoint(master_seed=1, task_cursor=0,
                           layers=[("a", np.zeros((2, 2)), np.zeros(2))])
-        path = str(tmp_path / "t.ckpt")
-        save_checkpoint(path, ckpt)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-8])
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(str(path), ckpt)
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 

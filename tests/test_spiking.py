@@ -210,9 +210,6 @@ class TestKernelsKeepTheFormulaBits:
         u = _hard_values((self.ROWS, self.CH), cfg.v_th, 63)
         e = np.exp(-(np.abs(u - cfg.v_th) / cfg.a2))
         assert _same_bits(surrogate_derivative(u, cfg), e / (cfg.a2 * (1.0 + e) ** 2))
-        out, work = np.empty_like(u), np.empty_like(u)
-        assert surrogate_derivative(u, cfg, out, work) is out
-        assert _same_bits(out, e / (cfg.a2 * (1.0 + e) ** 2))
         for u0 in (np.array(cfg.v_th), np.array(-0.0), np.array(1e6)):  # 0-d arrays
             e0 = np.exp(-(np.abs(u0 - cfg.v_th) / cfg.a2))
             assert _same_bits(surrogate_derivative(u0, cfg), e0 / (cfg.a2 * (1.0 + e0) ** 2))
@@ -237,10 +234,6 @@ class TestKernelsKeepTheFormulaBits:
         expect = channel_first_avg_pool_backward(g, size).transpose(0, 2, 3, 1)
         spread = np.repeat(np.repeat(g, size, axis=-2), size, axis=-1) / (size * size)
         assert _same_bits(expect, spread.transpose(0, 2, 3, 1))
-        rows = np.full((64 * (13 * size) ** 2, self.CH), np.nan)
-        got = avg_pool_backward(g.transpose(0, 2, 3, 1), size, rows)
-        assert np.shares_memory(got, rows) and _same_bits(got, expect)
-        assert _same_bits(rows, expect.reshape(rows.shape))
         assert _same_bits(avg_pool_backward(g.transpose(0, 2, 3, 1), size), expect)
 
 

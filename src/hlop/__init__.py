@@ -6,7 +6,7 @@ activity traces off the consolidated subspace, so weight updates for new
 tasks cannot disturb directions earlier tasks relied on.
 """
 
-from .lateral import LateralSubspace, QuantConfig, quantize_subspace_output
+from .lateral import LateralSubspace, quantize_subspace_output
 from .linalg import (
     kaiming_uniform_init,
     make_rng,
@@ -47,7 +47,6 @@ __all__ = [
     "LayerState",
     "LateralSubspace",
     "NeuronConfig",
-    "QuantConfig",
     "SpikingNet",
     "backprop_error",
     "bptt_sg_backward",

@@ -49,11 +49,7 @@ def cmd_run(config_path: str, resume: str | None = None) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = run_continual(
-            cfg,
-            resume_path=resume,
-            checkpoint_dir=cfg.output_dir if cfg.checkpoint_every_task else None,
-        )
+        result = run_continual(cfg, resume_path=resume, checkpoint_dir=cfg.output_dir)
     except (FileNotFoundError, DatasetError) as e:
         print(f"dataset error: {e}", file=sys.stderr)
         return EXIT_DATA

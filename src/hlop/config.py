@@ -1,11 +1,12 @@
 """Experiment configuration: flat-key text files, validation, echo.
 
 The on-disk format is one ``key = value`` assignment per line (TOML-like):
-``#`` comments, integers, floats, booleans (``true``/``false``), quoted or
-bare strings, and (nested) lists. Every knob of a run lives here; a resolved
-copy of the config is echoed next to the results so any run can be
-reproduced from one file, its data and one master seed. Nothing here knows
-the image size: the training loop checks the geometry against the data.
+``#`` comments, integers, floats, booleans (``true``/``false``, which no key
+takes), quoted or bare strings, and (nested) lists. Every knob of a run
+lives here; a resolved copy of the config is echoed next to the results so
+any run can be reproduced from one file, its data and one master seed.
+Nothing here knows the image size: the training loop checks the geometry
+against the data.
 """
 
 from __future__ import annotations
@@ -41,17 +42,12 @@ class ExperimentConfig:
     epochs: int = 1
     hidden_sizes: list = field(default_factory=lambda: [200, 200])
     subspace_schedule: list = field(default_factory=list)  # per layer [first, expand]; [] = from the data
-    quant_scale: float = 20.0
-    quant_t_l: int = 40
     task: str = "pmnist"  # "pmnist" | "split_mnist"
     n_tasks: int = 5
     train_per_task: int = 2000
     test_per_task: int = 1000
     output_dir: str = "runs/out"
     data_dir: str = ""  # empty -> $HLOP_DATA_DIR
-    audit_samples: int = 200
-    checkpoint_every_task: bool = True
-    ss_scale: float = 0.0  # 0 -> per-layer mean |W|
     conv_channels: int = 8
     conv_kernel: int = 3
     conv_pool: int = 2
@@ -156,8 +152,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     p: list[str] = []
     if cfg.seed < 0:
         p.append(f"seed: must be >= 0, got {_shown(cfg.seed)}")
-    for name in ("T", "batch", "epochs", "n_tasks", "quant_t_l",
-                 "train_per_task", "test_per_task"):
+    for name in ("T", "batch", "epochs", "n_tasks", "train_per_task", "test_per_task"):
         if getattr(cfg, name) < 1:
             p.append(f"{name}: must be >= 1, got {_shown(getattr(cfg, name))}")
     for name, allowed in _ENUMS.items():
@@ -172,10 +167,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         p.append(f"a2: must be positive, got {cfg.a2}")
     if cfg.lr < 0:
         p.append(f"lr: must be >= 0, got {cfg.lr}")
-    if cfg.quant_scale <= 0:
-        p.append(f"quant_scale: must be positive, got {cfg.quant_scale}")
-    if cfg.ss_scale < 0:
-        p.append(f"ss_scale: must be >= 0, got {cfg.ss_scale}")
     for f in fields(cfg):
         if isinstance(v := getattr(cfg, f.name), float) and not math.isfinite(v):
             p.append(f"{_FIELD_TO_KEY.get(f.name, f.name)}: must be finite, got {v}")
@@ -216,11 +207,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             problems.append(f"unknown key {_shown(key)}")
             continue
         current = getattr(cfg, name)
-        if isinstance(current, bool):
-            if not isinstance(value, bool):
-                problems.append(f"{key}: expected a boolean, got {_shown(value)}")
-                continue
-        elif isinstance(current, int):
+        if isinstance(current, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 problems.append(f"{key}: expected an integer, got {_shown(value)}")
                 continue
@@ -259,8 +246,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, str):
         return f'"{v}"'
     if isinstance(v, list):

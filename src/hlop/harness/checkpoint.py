@@ -1,23 +1,24 @@
-"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 5).
+"""Single-file checkpoints: a zip of ``.npy`` arrays (format version 6).
 
 Each member is one little-endian array that ``np.load`` reads:
 
-    meta                   int64 [5, master seed, tasks completed, BLAS threads,
+    meta                   int64 [6, master seed, tasks completed, BLAS threads,
                            layers, circuits, accuracy rows]
     layer/<name>/weight    (out, in), in layer order
     layer/<name>/bias      (out,)
     subspace/<i>/H         the consolidated rows (k, n)
     subspace/<i>/H_new     the in-training rows (k', n)
     subspace/<i>/velocity  the momentum buffer (k', n)
-    subspace/<i>/circuit   float64 [n, spiking (0 or 1), quantizer scale, T_l]
+    subspace/<i>/circuit   float64 [n, spiking (0 or 1)]
     acc/<k>                float64 accuracies after task k + 1
 
 Layers and banks are stored, and load, in their own dtype, float32 (``<f4``)
 or float64 (``<f8``), so every value round-trips exactly; a resume refuses a
 dtype other than the run's (``_check_resume_fits``). A circuit is stored as
 its state only: the Hebbian step size, momentum and repeats are constants of
-``LateralSubspace``, and every random stream derives per task from the master
-seed, so neither is stored. The BLAS thread count is stored because float32
+``LateralSubspace``, the burst quantizer's range and steps constants of
+``hlop.lateral``, and every random stream derives per task from the master
+seed, so none is stored. The BLAS thread count is stored because float32
 products round by it: a run resumes only under the count that wrote its
 checkpoint (``blas_threads``).
 
@@ -27,9 +28,10 @@ one run writes byte-identical files. The reader checks each member's CRC-32
 and accepts exactly the member set that ``meta`` counts, so a damaged,
 truncated or older file (versions 1 and 2 were a hand-laid binary starting
 ``HLOPCKP1``; version 3 stored no thread count; version 4 stored float64
-copies of every layer and bank) raises ``CheckpointError`` and nothing else.
-Reloading a mid-sequence checkpoint and continuing the run under the same
-BLAS thread count reproduces the uninterrupted run bit for bit.
+copies of every layer and bank; version 5 stored each circuit's quantizer)
+raises ``CheckpointError`` and nothing else. Reloading a mid-sequence
+checkpoint and continuing the run under the same BLAS thread count
+reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lateral import LateralSubspace, QuantConfig
+from ..lateral import LateralSubspace
 from .data import atomic_path
 
-VERSION = 5
+VERSION = 6
 _FORMAT = np.lib.format
 _FLOATS = ("<f4", "<f8")  # the dtypes of every member but meta
 _SUBSPACE_PARTS = ("H", "H_new", "velocity", "circuit")
@@ -84,7 +86,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         members += [(f"layer/{name}/weight", w), (f"layer/{name}/bias", b)]
     for i in sorted(ckpt.subspaces):
         sub = ckpt.subspaces[i]
-        circuit = [sub.n, sub.mode == "spiking", sub.quant.scale, sub.quant.T_l]
+        circuit = [sub.n, sub.mode == "spiking"]
         for part, a in zip(_SUBSPACE_PARTS, (sub.H, sub.H_new, sub.velocity, circuit)):
             members.append((f"subspace/{i}/{part}", a))
     members += [(f"acc/{k}", row) for k, row in enumerate(ckpt.acc_matrix)]
@@ -133,19 +135,11 @@ def _from_zip(zf: zipfile.ZipFile) -> Checkpoint:
                          f"accuracy rows; meta counts {counts}")
     subspaces = {}
     for i in subs:
-        n, spiking, scale, t_l = _array(zf, f"subspace/{i}/circuit", 1)
-        if not (n.is_integer() and t_l.is_integer() and spiking in (0, 1)):
-            raise ValueError(f"subspace {i}: bad circuit {[n, spiking, scale, t_l]}")
-        mode = "spiking" if spiking else "linear"
-        h, h_new, vel = (_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3])
-        subspaces[i] = LateralSubspace(
-            n=int(n),
-            H=h,
-            H_new=h_new,
-            velocity=vel,
-            mode=mode,
-            quant=QuantConfig(scale=float(scale), T_l=int(t_l)),
-        )
+        n, spiking = _array(zf, f"subspace/{i}/circuit", 1)
+        if not (n.is_integer() and spiking in (0, 1)):
+            raise ValueError(f"subspace {i}: bad circuit {[n, spiking]}")
+        banks = (_array(zf, f"subspace/{i}/{p}", 2) for p in _SUBSPACE_PARTS[:3])
+        subspaces[i] = LateralSubspace(int(n), *banks, mode="spiking" if spiking else "linear")
     return Checkpoint(
         master_seed=seed,
         task_cursor=cursor,

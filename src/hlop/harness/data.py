@@ -40,39 +40,37 @@ TEST_LABELS = "t10k-labels-idx1-ubyte"
 class DatasetError(Exception):
     """Base class for dataset loading failures."""
 
-    code = "dataset-error"
-
 
 class IdxMagicError(DatasetError):
-    code = "bad-magic"
+    """An IDX file does not start with its kind's magic number."""
 
 
 class IdxTruncatedError(DatasetError):
-    code = "truncated"
+    """An IDX file ends before the bytes its header sizes."""
 
 
 class IdxCountMismatchError(DatasetError):
-    code = "count-mismatch"
+    """An image file and its label file hold different sample counts."""
 
 
 class IdxHeaderError(DatasetError):
-    code = "bad-header"
+    """An IDX header gives a negative dimension."""
 
 
 class IdxTrailingBytesError(DatasetError):
-    code = "trailing-bytes"
+    """An IDX file holds bytes after the payload its header sizes."""
 
 
 class IdxLabelError(DatasetError):
-    code = "bad-label"
+    """A label lies outside 0..9."""
 
 
 class PoolTooSmallError(DatasetError):
-    code = "pool-too-small"
+    """A pool holds fewer samples than the task plan draws."""
 
 
 class ImageSizeError(DatasetError):
-    code = "image-size"
+    """The conv kernel and pool do not tile the images."""
 
 
 def _read_exact(f, n: int, path: str) -> bytes:

@@ -24,12 +24,11 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
 from ..config import ExperimentConfig, default_subspace_schedule
-from ..lateral import LateralSubspace, QuantConfig
+from ..lateral import LateralSubspace
 from ..linalg import make_rng, rowspace_projector  # noqa: F401 (a perfbench trace site)
 from ..spiking import NeuronConfig, conv_output_hw
 from ..training import (
@@ -67,6 +66,7 @@ SEED_SHUFFLE = 7
 # Every layer's and circuit's dtype, and that of what the loop hands the net: the
 # acceptance gate holds in float32, whose products run about twice as fast.
 DTYPE = np.dtype(np.float32)
+AUDIT_SAMPLES = 200  # task-1 training samples the interference audit stores
 
 _TRAINERS = {"rate": rate_backward, "bptt": bptt_sg_backward, "ottt": ottt_backward}
 
@@ -120,12 +120,8 @@ def make_subspaces(cfg: ExperimentConfig, net: SpikingNet) -> dict[int, LateralS
     if cfg.hlop == "off":
         return {}
     widths = [layer.in_dim for layer in net.trainable_layers(0)][: len(subspace_schedule(cfg, net))]
-    quant = QuantConfig(scale=cfg.quant_scale, T_l=cfg.quant_t_l)
     mode = "spiking" if cfg.hlop == "spiking" else "linear"
-    return {
-        i: LateralSubspace(n, np.zeros((0, n), DTYPE), mode=mode, quant=quant)
-        for i, n in enumerate(widths)
-    }
+    return {i: LateralSubspace(n, np.zeros((0, n), DTYPE), mode=mode) for i, n in enumerate(widths)}
 
 
 def make_task_sequence(
@@ -318,8 +314,8 @@ def run_continual(
         resume_path: checkpoint to continue from (task boundary).
         checkpoint_dir: when set, a checkpoint is written after every task.
 
-    The interference audit (stored task-1 samples, weight snapshot, and the
-    consolidated subspace at task-1 end) is collected for uninterrupted runs
+    The interference audit (``AUDIT_SAMPLES`` stored task-1 samples, weight snapshot,
+    and the consolidated subspace at task-1 end) is collected for uninterrupted runs
     with lateral circuits enabled.
     """
     if data is None:
@@ -346,7 +342,6 @@ def run_continual(
             if cfg.errorprop == "fa"
             else {}
         ),
-        ss_scale=cfg.ss_scale,
     )
     subspaces = make_subspaces(cfg, net)
     for i, sub in subspaces.items():
@@ -397,8 +392,8 @@ def run_continual(
             for sub in subspaces.values():
                 sub.consolidate()
 
-            if t == 0 and start_task == 0 and cfg.hlop != "off" and cfg.audit_samples > 0:
-                n_pick = min(cfg.audit_samples, task.train_x.shape[0])
+            if t == 0 and start_task == 0 and cfg.hlop != "off":
+                n_pick = min(AUDIT_SAMPLES, task.train_x.shape[0])
                 pick = make_rng(cfg.seed, SEED_AUDIT, 0).choice(
                     task.train_x.shape[0], size=n_pick, replace=False
                 )
@@ -443,7 +438,7 @@ def _check_resume_fits(
 ) -> None:
     """Refuse a checkpoint whose seed, BLAS thread count, task cursor, accuracy
     rows (row k holds k entries), layer shapes and dtypes or lateral circuits (width,
-    mode, quantizer scale and steps, dtype) differ from the run built from ``cfg``."""
+    mode, dtype) differ from the run built from ``cfg``."""
     if ckpt.master_seed != cfg.seed:
         raise CheckpointError(f"checkpoint seed {ckpt.master_seed} != config seed {cfg.seed}")
     if ckpt.blas_threads != blas_threads():
@@ -457,14 +452,13 @@ def _check_resume_fits(
         raise CheckpointError(f"checkpoint accuracy rows hold {lengths} entries; after "
                               f"task {ckpt.task_cursor}, row k must hold k")
     saved, built = {}, {}
-    circuit = ("n", "mode", "quant.scale", "quant.T_l")
     own = [(l.name, l.weight, l.bias) for l in [*net.blocks, *net.heads]]
     for table, layers, subs in ((saved, ckpt.layers, ckpt.subspaces), (built, own, subspaces)):
         for name, w, b in layers:
             table[name] = (w.shape, b.shape)
             table[f"{name} dtype"] = f"{w.dtype} weight, {b.dtype} bias"
         for i, sub in subs.items():
-            table.update((f"subspace {i} {k}", attrgetter(k)(sub)) for k in circuit)
+            table.update((f"subspace {i} {k}", getattr(sub, k)) for k in ("n", "mode"))
             table[f"subspace {i} dtype"] = sub.H.dtype.name
     for key in sorted(saved.keys() | built.keys()):
         if saved.get(key) != built.get(key):

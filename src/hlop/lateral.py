@@ -24,7 +24,7 @@ high-frequency bursts. A circuit computes in its banks' float dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -36,38 +36,28 @@ from .linalg import ShapeError, kaiming_uniform_init
 # online epoch. Consolidated projections are unaffected by it either way.
 INIT_SCALE = 0.5
 
-
-@dataclass
-class QuantConfig:
-    """Burst-rate quantizer settings for spiking-mode subspace neurons."""
-
-    scale: float = 20.0
-    T_l: int = 40
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError(f"quantizer scale must be positive, got {self.scale}")
-        if self.T_l < 1:
-            raise ValueError(f"burst steps T_l must be >= 1, got {self.T_l}")
+# The burst quantizer's range and steps per sign: lateral outputs clamp to
+# [-QUANT_SCALE, QUANT_SCALE] on a grid of QUANT_SCALE / QUANT_T_L.
+QUANT_SCALE = 20.0
+QUANT_T_L = 40
 
 
-def quantize_subspace_output(y: np.ndarray, q: QuantConfig) -> np.ndarray:
+def quantize_subspace_output(y: np.ndarray) -> np.ndarray:
     """Quantize subspace-neuron output onto the T_l-level burst-rate grid.
 
-    y_hat = scale * round(clamp(y, -scale, scale) / scale * T_l) / T_l,
-    with ties rounded away from zero (np.round rounds them to even). As T_l
-    grows this converges to the plain clamp. Returns a new array in the
-    formula's steps and order; a float ``y`` keeps its dtype, a 0-d one its
-    shape.
+    y_hat = scale * round(clamp(y, -scale, scale) / scale * T_l) / T_l, with
+    scale ``QUANT_SCALE`` and T_l ``QUANT_T_L``, and ties rounded away from
+    zero (np.round rounds them to even). Returns a new array in the formula's
+    steps and order; a float ``y`` keeps its dtype, a 0-d one its shape.
     """
-    z = np.clip(y, -q.scale, q.scale, out=np.empty_like(y))  # out: a 0-d y gives a 0-d array
-    z /= q.scale
-    z *= q.T_l
+    z = np.clip(y, -QUANT_SCALE, QUANT_SCALE, out=np.empty_like(y))  # out: a 0-d y stays 0-d
+    z /= QUANT_SCALE
+    z *= QUANT_T_L
     sign = np.sign(z)
     np.floor(np.add(np.abs(z, out=z), 0.5, out=z), out=z)
     z *= sign
-    z *= q.scale
-    z /= q.T_l
+    z *= QUANT_SCALE
+    z /= QUANT_T_L
     return z
 
 
@@ -78,7 +68,8 @@ class LateralSubspace:
     ``H`` has shape (k, n), ``H_new`` (k', n), where n is the presynaptic
     width of the host layer. Hebbian learning only ever touches ``H_new``;
     projection only ever reads ``H``. The Hebbian step size, momentum and
-    repeats per batch are fixed constants of the rule, not per-circuit state.
+    repeats per batch are fixed constants of the rule, and the quantizer's
+    range and steps constants of the module, not per-circuit state.
     """
 
     eta: ClassVar[float] = 0.01
@@ -90,7 +81,6 @@ class LateralSubspace:
     H_new: np.ndarray = None  # type: ignore[assignment]
     velocity: np.ndarray = None  # type: ignore[assignment]
     mode: str = "linear"  # "linear" | "spiking"
-    quant: QuantConfig = field(default_factory=QuantConfig)
 
     def __post_init__(self) -> None:
         if self.H is None:
@@ -119,7 +109,7 @@ class LateralSubspace:
         return self.H_new.shape[0]
 
     def _out(self, y: np.ndarray) -> np.ndarray:
-        return quantize_subspace_output(y, self.quant) if self.mode == "spiking" else y
+        return quantize_subspace_output(y) if self.mode == "spiking" else y
 
     def project_trace(self, x: np.ndarray) -> np.ndarray:
         """Project activity traces off the consolidated subspace.

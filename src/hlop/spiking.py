@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, kaiming_uniform_init
 
 
 @dataclass
@@ -251,8 +251,6 @@ class Layer:
 
 def dense_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> Layer:
     """Dense layer with Kaiming-uniform weights and zero bias."""
-    from .linalg import kaiming_uniform_init
-
     w = kaiming_uniform_init(out_dim, in_dim, fan_in=in_dim, rng=rng)
     return Layer(weight=w, bias=np.zeros(out_dim))
 
@@ -266,8 +264,6 @@ def conv_layer(
     pool: int = 1,
 ) -> Layer:
     """Conv layer stored in patch form: weight (out_c, k*k*in_c), zero bias."""
-    from .linalg import kaiming_uniform_init
-
     fan_in = kernel * kernel * in_channels
     w = kaiming_uniform_init(out_channels, fan_in, fan_in=fan_in, rng=rng)
     return Layer(

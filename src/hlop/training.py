@@ -61,7 +61,10 @@ from .spiking import (
     NeuronConfig,
     avg_pool,
     avg_pool_backward,
+    conv_layer,
+    dense_layer,
     lif_step,
+    pooled_flat_width,
     rate_forward_transform,
     surrogate_derivative,
     unfold_patches,
@@ -98,8 +101,6 @@ def build_mlp(
     cfg: NeuronConfig,
     rng: np.random.Generator,
 ) -> SpikingNet:
-    from .spiking import dense_layer
-
     blocks = []
     prev = in_dim
     for i, h in enumerate(hidden):
@@ -121,8 +122,6 @@ def build_conv_net(
     cfg: NeuronConfig,
     rng: np.random.Generator,
 ) -> SpikingNet:
-    from .spiking import conv_layer, dense_layer, pooled_flat_width
-
     conv = replace(conv_layer(channels, in_channels, kernel, in_hw, rng, pool=pool), name="block0")
     flat = pooled_flat_width(channels, in_hw, kernel, pool)
     dense = replace(dense_layer(hidden, flat, rng), name="block1")
@@ -140,13 +139,12 @@ class ErrorPropConfig:
 
     ``bp`` uses transposed forward weights, ``fa`` fixed random feedback
     matrices (one per layer, frozen after init), ``ss`` the sign pattern of
-    the forward weights scaled to prevent explosion: by ``ss_scale``, or by
-    the layer's mean absolute forward weight when it is 0.
+    the forward weights scaled by the layer's mean absolute forward weight,
+    which keeps errors from exploding.
     """
 
     mode: str = "bp"  # "bp" | "fa" | "ss"
     feedback: dict[str, np.ndarray] = field(default_factory=dict)
-    ss_scale: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("bp", "fa", "ss"):
@@ -192,8 +190,7 @@ def backprop_error(
             raise ValueError(f"feedback alignment requires an F matrix for layer {layer.name!r}")
         return delta_out @ f.T
     # sign symmetric
-    scale = epcfg.ss_scale or float(np.mean(np.abs(layer.weight)))
-    return scale * (delta_out @ np.sign(layer.weight))
+    return float(np.mean(np.abs(layer.weight))) * (delta_out @ np.sign(layer.weight))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,6 @@ def _protocol_config(**overrides):
         n_tasks=5,
         train_per_task=2000,
         test_per_task=1000,
-        checkpoint_every_task=False,
-        audit_samples=200,
     )
     base.update(overrides)
     return config_from_dict(base)
@@ -65,7 +63,7 @@ def _protocol_config(**overrides):
 def protocol_runs(data_pools):
     """One run per experimental arm, shared across criteria 5-7."""
     arms = {
-        "baseline": _protocol_config(audit_samples=0),
+        "baseline": _protocol_config(),
         "hlop": _protocol_config(hlop="linear"),
         "hlop_fa": _protocol_config(hlop="linear", errorprop="fa"),
         "hlop_ss": _protocol_config(hlop="linear", errorprop="ss"),
@@ -272,7 +270,6 @@ def test_criterion_9_determinism(data_dir, tmp_path, monkeypatch):
             cfg_path.write_text(
                 "seed = 2022\ntrainer = ottt\nhlop = {}\n"
                 "n_tasks = 5\ntrain_per_task = 2000\ntest_per_task = 1000\n"
-                "audit_samples = 0\ncheckpoint_every_task = false\n"
                 'output_dir = "{}"\n'.format(hlop, out)
             )
             assert main(["run", str(cfg_path)]) == 0

@@ -34,8 +34,6 @@ def _write_cfg(path, out_dir, **kw):
         "n_tasks": 2,
         "train_per_task": 300,
         "test_per_task": 150,
-        "audit_samples": 0,
-        "checkpoint_every_task": "true",
         "output_dir": f'"{out_dir}"',
     }
     lines.update(kw)
@@ -57,7 +55,6 @@ _OUT_OF_RANGE = {
     "lr": dict(lr="1e999"),
     "lr=nan": dict(lr="nan"),
     "lr=1e400": dict(lr="1" + "0" * 400),
-    "ss_scale": dict(errorprop="ss", ss_scale=-1.0),
 }
 
 # Conv sizes the config accepts but 28x28 images do not tile, with the
@@ -409,7 +406,7 @@ class TestRunCommand:
             ckpt = load_checkpoint(str(p))
             sub = ckpt.subspaces[0]
             banks = (a.astype(np.float64) for a in (sub.H, sub.H_new, sub.velocity))
-            ckpt.subspaces[0] = LateralSubspace(sub.n, *banks, mode=sub.mode, quant=sub.quant)
+            ckpt.subspaces[0] = LateralSubspace(sub.n, *banks, mode=sub.mode)
             save_checkpoint(str(p), ckpt)
 
         spiking = {"hlop": "spiking"}
@@ -419,19 +416,27 @@ class TestRunCommand:
         assert not (run_env / "out" / "metrics.csv").exists()
 
     def test_version_4_resume_exit_3(self, run_env, capsys):
-        # Version 4 stored float64 copies of every layer and bank.
-        def version_4(p):
+        # Versions 4 and 5 stored each circuit as [n, spiking, quantizer scale, T_l];
+        # version 4 also stored float64 copies of every layer and bank.
+        def older(p, version):
             with zipfile.ZipFile(p) as zf:
                 members = {n: np.load(io.BytesIO(zf.read(n))) for n in zf.namelist()}
-            members["meta"][0] = 4
+            members["meta"][0] = version
+            for name, a in members.items():
+                if name.endswith("/circuit"):
+                    members[name] = np.append(a, [20.0, 40.0])
+                elif name != "meta" and version == 4:
+                    members[name] = a.astype("<f8")
             with zipfile.ZipFile(p, "w") as zf:
                 for name, a in members.items():
                     with zf.open(zipfile.ZipInfo(name), "w") as f:
-                        np.save(f, a if name == "meta" else a.astype("<f8"))
+                        np.save(f, a)
 
-        line = self._refused_resume(run_env, capsys, {}, {}, corrupt=version_4)
-        assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: "
-                        "unsupported checkpoint version 4")
+        for version in (4, 5):
+            line = self._refused_resume(run_env, capsys, {}, {},
+                                        corrupt=lambda p: older(p, version))
+            assert line == (f"checkpoint error: {run_env / 'first' / 'task1.ckpt'}: "
+                            f"unsupported checkpoint version {version}")
 
     def test_split_resume_reproduces_the_float32_conv_run(self, run_env):
         # Checkpoints hold the float32 conv layer in float32, exact both ways.
@@ -508,12 +513,6 @@ class TestRunCommand:
     def test_resume_with_other_lateral_mode_exit_3(self, run_env, capsys):
         line = self._refused_resume(run_env, capsys, {"hlop": "spiking"}, {"hlop": "linear"})
         assert "subspace 0 mode" in line and "spiking" in line and "linear" in line
-
-    def test_resume_with_other_quantizer_exit_3(self, run_env, capsys):
-        line = self._refused_resume(
-            run_env, capsys, {"hlop": "spiking"}, {"hlop": "spiking", "quant_t_l": 7}
-        )
-        assert "subspace 0 quant.T_l" in line and "has 40" in line and "has 7" in line
 
     @pytest.mark.parametrize("cursor", [-1, 0])
     def test_resume_with_a_task_cursor_below_1_exit_3(self, run_env, capsys, cursor):

@@ -32,7 +32,7 @@ def _search(n):
 # config text
 
 _KEYS = ["seed", "trainer", "hlop", "lr", "lambda", "T", "hidden_sizes",
-         "subspace_schedule", "checkpoint_every_task", "output_dir", "ss_scale",
+         "subspace_schedule", "v_th", "output_dir", "conv_kernel",
          "task", "n_tasks", "conv_pool", "mystery", ""]
 # ASCII plus line and paragraph separators, a NUL, a BOM and a non-Latin letter.
 _CHARS = [chr(c) for c in range(32, 127)] + ["\t", "\r", "\x00", "\x0b", "\x1c",

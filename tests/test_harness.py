@@ -15,11 +15,9 @@ from hlop.harness.data import (
     DatasetError,
     IdxCountMismatchError,
     IdxHeaderError,
-    IdxLabelError,
     IdxMagicError,
     IdxTrailingBytesError,
     IdxTruncatedError,
-    ImageSizeError,
     PoolTooSmallError,
     Task,
     load_idx_images,
@@ -38,7 +36,7 @@ from hlop.harness.metrics import (
     write_metrics_csv,
     write_summary_csv,
 )
-from hlop.lateral import LateralSubspace, QuantConfig
+from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng
 from hlop.spiking import Layer, NeuronConfig
 from hlop.training import (
@@ -59,8 +57,6 @@ def _small_cfg(**kw):
         n_tasks=2,
         train_per_task=300,
         test_per_task=200,
-        checkpoint_every_task=False,
-        audit_samples=0,
     )
     base.update(kw)
     return config_from_dict(base)
@@ -132,12 +128,6 @@ class TestIdxFormat:
         write_idx_labels(lp, np.zeros(3, dtype=np.uint8))
         with pytest.raises(IdxCountMismatchError):
             load_mnist_idx(ip, lp)
-
-    def test_error_codes_distinct(self):
-        codes = {IdxMagicError.code, IdxTruncatedError.code, IdxCountMismatchError.code,
-                 IdxHeaderError.code, IdxLabelError.code, PoolTooSmallError.code,
-                 ImageSizeError.code, IdxTrailingBytesError.code}
-        assert len(codes) == 8
 
 
 class TestSyntheticCorpus:
@@ -281,7 +271,6 @@ class TestCheckpoint:
                 H_new=rng.normal(size=(1, 4)).astype(dtype),
                 velocity=rng.normal(size=(1, 4)).astype(dtype),
                 mode=mode,
-                quant=QuantConfig(scale=20.0, T_l=40),
             )
             for i, (dtype, mode) in enumerate([(np.float64, "spiking"), (np.float32, "spiking"),
                                                (np.float32, "linear")])
@@ -307,8 +296,8 @@ class TestCheckpoint:
         loaded += [a for s in back.subspaces.values() for a in (s.H, s.H_new, s.velocity)]
         assert [(a.dtype, a.shape, a.tobytes()) for a in loaded] == [
             (a.dtype, a.shape, a.tobytes()) for a in saved]
-        assert [(s.mode, s.quant.T_l) for s in back.subspaces.values()] == [
-            ("spiking", 40), ("spiking", 40), ("linear", 40)]
+        assert [(s.n, s.mode) for s in back.subspaces.values()] == [
+            (4, "spiking"), (4, "spiking"), (4, "linear")]
         assert back.acc_matrix == [[90.0], [85.0, 92.0]]
 
     def test_loaded_circuit_learns_like_the_saved_one(self, tmp_path):
@@ -370,7 +359,7 @@ class TestCheckpoint:
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, Checkpoint(master_seed=1, task_cursor=0, layers=[],
                                          subspaces={0: sub}))
-        self._rewrite(path, "subspace/0/circuit", self._npy([5, 0, 20.0, 40]))
+        self._rewrite(path, "subspace/0/circuit", self._npy([5, 0]))
         with pytest.raises(CheckpointError, match="width 4 != presynaptic width 5"):
             load_checkpoint(path)
 
@@ -405,14 +394,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_meta_stores_the_blas_thread_count(self, tmp_path, monkeypatch):
-        # Format 5's meta: [5, seed, cursor, BLAS threads, layers, circuits,
+        # Format 6's meta: [6, seed, cursor, BLAS threads, layers, circuits,
         # accuracy rows]; a checkpoint takes the count of the process writing it.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(path, Checkpoint(master_seed=7, task_cursor=1, layers=[],
                                          acc_matrix=[[50.0]]))
         with zipfile.ZipFile(path) as zf:
-            assert np.load(io.BytesIO(zf.read("meta"))).tolist() == [5, 7, 1, 3, 0, 0, 1]
+            assert np.load(io.BytesIO(zf.read("meta"))).tolist() == [6, 7, 1, 3, 0, 0, 1]
         assert load_checkpoint(path).blas_threads == 3
 
     def test_rejects_version_3(self, tmp_path):
@@ -436,7 +425,7 @@ class TestCheckpoint:
         arrays = [a for _, w, b in c.layers for a in (w, b)]
         arrays += [a for s in c.subspaces.values() for a in (s.H, s.H_new, s.velocity)]
         return (c.master_seed, c.task_cursor, c.acc_matrix, [n for n, _, _ in c.layers],
-                {i: (s.n, s.mode, s.quant) for i, s in c.subspaces.items()},
+                {i: (s.n, s.mode) for i, s in c.subspaces.items()},
                 [(a.dtype, a.shape, a.tobytes()) for a in arrays])
 
     def test_every_cut_and_bit_flip_is_refused_or_harmless(self, tmp_path):
@@ -505,8 +494,7 @@ class TestRunContinual:
     def test_projection_contract_during_training(self, data_pools):
         # After task 1 consolidation, later weight updates leave responses to
         # protected directions nearly unchanged (audit ratio bound).
-        cfg = _small_cfg(hlop="linear", n_tasks=3, train_per_task=500,
-                         audit_samples=100)
+        cfg = _small_cfg(hlop="linear", n_tasks=3, train_per_task=500)
         res = run_continual(cfg, data=data_pools)
         assert res.audit is not None
         assert max(res.audit.values()) < 5e-2
@@ -515,7 +503,6 @@ class TestRunContinual:
         cfg = config_from_dict(dict(
             seed=99, task="split_mnist", hlop="linear",
             n_tasks=2, train_per_task=400, test_per_task=150,
-            checkpoint_every_task=False, audit_samples=40,
         ))
         res = run_continual(cfg, data=data_pools)
         assert len(res.matrix) == 2
@@ -687,8 +674,13 @@ class TestEvalBatchRows:
 
 class TestConfigValidation:
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            config_from_dict({"bogus": 1})
+        # The last five were keys once; each is refused like a key never known.
+        for key, value in [("bogus", 1), ("quant_scale", 20.0), ("quant_t_l", 40),
+                           ("ss_scale", 0.0), ("audit_samples", 200),
+                           ("checkpoint_every_task", True)]:
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict({key: value})
+            assert exc.value.problems == [f"unknown key '{key}'"]
 
     def test_enum_violation(self):
         with pytest.raises(ConfigError, match="trainer"):
@@ -701,7 +693,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_floats_are_refused(self, value):
         floats = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
-        assert "lr" in floats and "ss_scale" in floats
+        assert "lr" in floats and "tau" in floats
         for name in floats:
             key = "lambda" if name == "lam" else name
             with pytest.raises(ConfigError) as exc:

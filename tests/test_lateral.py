@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlop.lateral import LateralSubspace, QuantConfig, quantize_subspace_output
+from hlop.lateral import QUANT_SCALE, QUANT_T_L, LateralSubspace, quantize_subspace_output
 from hlop.linalg import ShapeError, make_rng, subspace_alignment_error, topk_principal
 from reference import lateral_response
 
@@ -309,59 +309,56 @@ class TestExpandConsolidate:
 
 class TestQuantizer:
     def test_clamp_saturation(self):
-        q = QuantConfig(scale=20.0, T_l=40)
-        assert quantize_subspace_output(np.array(25.0), q) == 20.0
-        assert quantize_subspace_output(np.array(-31.0), q) == -20.0
+        assert quantize_subspace_output(np.array(25.0)) == 20.0
+        assert quantize_subspace_output(np.array(-31.0)) == -20.0
 
     def test_direct_evaluation(self):
         # 3.27/20*40 = 6.54 -> 7 -> 7/40*20 = 3.5
-        q = QuantConfig(scale=20.0, T_l=40)
-        assert abs(float(quantize_subspace_output(np.array(3.27), q)) - 3.5) < 1e-12
+        assert abs(float(quantize_subspace_output(np.array(3.27))) - 3.5) < 1e-12
 
     def test_ties_away_from_zero(self):
         # 0.25/20*40 = 0.5 exactly: away-from-zero gives grid step 1 -> 0.5.
-        q = QuantConfig(scale=20.0, T_l=40)
-        assert quantize_subspace_output(np.array(0.25), q) == pytest.approx(0.5)
-        assert quantize_subspace_output(np.array(-0.25), q) == pytest.approx(-0.5)
+        assert quantize_subspace_output(np.array(0.25)) == pytest.approx(0.5)
+        assert quantize_subspace_output(np.array(-0.25)) == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gives_the_formula_bytes(self, dtype):
         # Every half grid step is a tie; then signed zeros, the clip edges and
         # their neighbours, far-out values and random ones.
-        q = QuantConfig(scale=20.0, T_l=40)
-        ties = (np.arange(-41, 41) + 0.5) * q.scale / q.T_l
-        edge = dtype(q.scale)
+        scale, t_l = QUANT_SCALE, QUANT_T_L
+        ties = (np.arange(-41, 41) + 0.5) * scale / t_l
+        edge = dtype(scale)
         near = [np.nextafter(edge, dtype(0)), np.nextafter(edge, dtype(99))]
         special = [0.0, -0.0, edge, -edge, *near, *(-v for v in near), 1e30, -1e30]
         y = np.concatenate([ties, special, make_rng(53, 0).uniform(-25, 25, 88)])
         y = y.astype(dtype).reshape(-1, 6)
-        clipped = np.clip(y, -q.scale, q.scale)
-        r = clipped / q.scale * q.T_l
-        want = q.scale * (np.sign(r) * np.floor(np.abs(r) + 0.5)) / q.T_l
+        clipped = np.clip(y, -scale, scale)
+        r = clipped / scale * t_l
+        want = scale * (np.sign(r) * np.floor(np.abs(r) + 0.5)) / t_l
         assert want.dtype == dtype and np.signbit(want).any() and (want == 0).any()
         before = y.copy()
-        got = quantize_subspace_output(y, q)
+        got = quantize_subspace_output(y)
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
         assert y.tobytes() == before.tobytes()  # a new array; the input is left as it was
 
     def test_grid_refinement(self):
-        for t_l, seed, span, size in ((10**8, 27, 25, 256), (10**7, 5, 30, 1000)):
-            q = QuantConfig(scale=20.0, T_l=t_l)
-            y = make_rng(seed, 0).uniform(-span, span, size=size)
-            assert np.max(np.abs(quantize_subspace_output(y, q) - np.clip(y, -20, 20))) < 1e-5
+        # Every output is a level of the 40-step grid, within half a step of the
+        # plain clamp, and random inputs reach all 2 * 40 + 1 levels.
+        step = QUANT_SCALE / QUANT_T_L
+        y = make_rng(27, 0).uniform(-25, 25, size=4096)
+        levels = quantize_subspace_output(y) / step
+        assert np.array_equal(levels, np.round(levels))
+        assert np.max(np.abs(levels * step - np.clip(y, -20, 20))) <= step / 2 + 1e-12
+        assert np.unique(levels).size == 2 * QUANT_T_L + 1
 
     def test_spiking_projection_close_to_linear_at_fine_grid(self):
+        # Inside the clamp each of the k = 3 outputs moves by at most half a
+        # step, and H's rows are orthonormal, so a row of norm 17 moves by at
+        # most sqrt(3) half steps (2.5% of its norm).
         h = _orthonormal_rows(10, 3, seed=28)
         x = make_rng(29, 0).normal(size=(50, 10))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x *= 17.0 / np.linalg.norm(x, axis=1, keepdims=True)
         lin = LateralSubspace(n=10, H=h.copy())
-        spk = LateralSubspace(n=10, H=h.copy(), mode="spiking",
-                              quant=QuantConfig(scale=20.0, T_l=1000))
-        dev = np.max(np.abs(lin.project_trace(x) - spk.project_trace(x)))
-        assert dev < 1e-2
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            QuantConfig(scale=0.0, T_l=40)
-        with pytest.raises(ValueError):
-            QuantConfig(scale=20.0, T_l=0)
+        spk = LateralSubspace(n=10, H=h.copy(), mode="spiking")
+        dev = np.linalg.norm(lin.project_trace(x) - spk.project_trace(x), axis=1)
+        assert 0 < np.max(dev) <= np.sqrt(3) * QUANT_SCALE / QUANT_T_L / 2 + 1e-12

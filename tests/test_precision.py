@@ -255,8 +255,7 @@ def test_runs_keep_each_circuit_in_its_dtype(data_pools, monkeypatch, hlop, kw):
     monkeypatch.setattr(loop, "sgd_update", recording_sgd)
     monkeypatch.setattr(loop, "_spare_cpu", lambda: True)
     cfg = config_from_dict(dict(seed=99, hlop=hlop, n_tasks=2, train_per_task=200,
-                                test_per_task=50, checkpoint_every_task=False,
-                                audit_samples=0, **kw))
+                                test_per_task=50, **kw))
     res = run_continual(cfg, data=data_pools)
     names = [layer.name for layer in res.net.trainable_layers(0)[: len(res.subspaces)]]
     assert len(res.subspaces) >= 2
@@ -296,7 +295,7 @@ def _recording_outputs(sub):
     return outs
 
 
-def _quantized_twin(q32, y, ey, quant):
+def _quantized_twin(q32, y, ey):
     """The float64 quantizer output for y, whose float32 counterpart is off by at
     most ey, checked against the float32 output q32. z = clip(y)/scale*T_l is
     off by at most E_z = T_l/scale*ey + 3u(|z| + 1/2) (the division, the product
@@ -304,11 +303,11 @@ def _quantized_twin(q32, y, ey, quant):
     where z lies within E_z of a half-integer. Returns the twin's output with
     the float32 level at each such flip, and the number of flips; a level both
     sides share gives outputs within u|q|, the rounding of the last division."""
-    scale, steps = quant.scale, quant.T_l
+    scale, steps = lateral.QUANT_SCALE, lateral.QUANT_T_L
     z = np.clip(y, -scale, scale) / scale * steps
     ez = steps / scale * ey + 3 * U * (np.abs(z) + 0.5)
     level32 = np.rint(q32.astype(F64) * steps / scale)
-    level = np.rint(lateral.quantize_subspace_output(y, quant) * steps / scale)
+    level = np.rint(lateral.quantize_subspace_output(y) * steps / scale)
     flips = level32 != level
     near = np.abs(np.abs(z) - np.floor(np.abs(z)) - 0.5) <= ez
     assert not (flips & ~near).any(), "a level flipped away from any rounding boundary"
@@ -340,7 +339,7 @@ def test_float32_circuit_values_stay_within_roundoff_of_float64(mode, shape):
         nonlocal flips
         if mode == "linear":
             return y, ey
-        q, n_flips = _quantized_twin(q32, y, ey, sub.quant)
+        q, n_flips = _quantized_twin(q32, y, ey)
         flips += n_flips
         return q, U * np.abs(q)
 

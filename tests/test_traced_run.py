@@ -44,7 +44,6 @@ def _traced_run(cfg_kw, data_pools, tmp_path):
 def test_two_task_linear_run_hits_every_traced_site(data_pools, tmp_path):
     sites, ran, tr, missing, res = _traced_run(dict(
         seed=99, hlop="linear", n_tasks=2, train_per_task=128, test_per_task=64,
-        audit_samples=16,
     ), data_pools, tmp_path)
     assert missing == []
     # No trainer merges packets any more, so the merge hook alone stays idle.
@@ -59,7 +58,7 @@ def test_two_task_split_run_records_the_conv_spans(data_pools, tmp_path):
     # tracer wraps in hlop.training.
     _, _, tr, missing, res = _traced_run(dict(
         seed=99, task="split_mnist", hlop="linear", n_tasks=2, train_per_task=128,
-        test_per_task=64, audit_samples=16,
+        test_per_task=64,
     ), data_pools, tmp_path)
     assert missing == []
     spans = {name for name, *_ in tr.spans}
@@ -74,7 +73,6 @@ def test_two_task_spiking_run_with_the_worker_on(data_pools, tmp_path, monkeypat
     monkeypatch.setattr(loop, "_spare_cpu", lambda: True)
     _, ran, tr, missing, res = _traced_run(dict(
         seed=99, hlop="spiking", n_tasks=2, train_per_task=128, test_per_task=64,
-        audit_samples=16,
     ), data_pools, tmp_path)
     assert missing == []
     assert {"_count_hebbian", "_count_project"} <= ran

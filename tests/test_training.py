@@ -44,11 +44,9 @@ class TestBackpropError:
         assert np.array_equal(out, delta)
 
     def test_ss_hand_example(self):
-        # W = [[2, -3]], s = 1, delta = [1]: sign(W)^T delta = [1, -1].
-        layer = Layer(weight=np.array([[2.0, -3.0]]), bias=np.zeros(1))
-        out = backprop_error(
-            np.array([[1.0]]), layer, ErrorPropConfig(mode="ss", ss_scale=1.0)
-        )
+        # W = [[0.5, -1.5]], s = mean |W| = 1, delta = [1]: sign(W)^T delta = [1, -1].
+        layer = Layer(weight=np.array([[0.5, -1.5]]), bias=np.zeros(1))
+        out = backprop_error(np.array([[1.0]]), layer, ErrorPropConfig(mode="ss"))
         assert np.allclose(out, [[1.0, -1.0]])
 
     def test_ss_default_scale_is_mean_abs_weight(self):

@@ -26,7 +26,6 @@ def _write_cfg(path, out_dir, **kw):
         "n_tasks": 2,
         "train_per_task": 300,
         "test_per_task": 150,
-        "audit_samples": 16,
         "output_dir": f'"{out_dir}"',
         **kw,
     }

@@ -32,6 +32,7 @@ from ..lateral import LateralSubspace
 from ..linalg import make_rng, rowspace_projector  # noqa: F401 (a perfbench trace site)
 from ..spiking import NeuronConfig, conv_output_hw
 from ..training import (
+    EVAL_STATES,
     ErrorPropConfig,
     SpikingNet,
     bptt_sg_backward,
@@ -43,8 +44,7 @@ from ..training import (
     rate_backward,
     rate_chain_forward,
     sgd_update,
-    _run_steps,
-    _stack_rows,
+    _walk,
 )
 from .checkpoint import (Checkpoint, CheckpointError, blas_threads, load_checkpoint,
                          save_checkpoint)
@@ -146,12 +146,9 @@ def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes, dtype=DTYPE)[y]
 
 
-EVAL_STATES = 2**17  # first-layer neuron states per evaluation batch: 0.5 MiB per float32 array
-
-
 def eval_batch_rows(net: SpikingNet, n: int) -> int:
-    """Samples per evaluation batch of an ``n``-row test set: as many as keep the
-    first trainable layer's state (rows per sample times width) within
+    """Samples per evaluation batch of an ``n``-row test set: as many as keep one step
+    of the first trainable layer's state (rows per sample times width) within
     ``EVAL_STATES``, and at most half the set, so that both threads get rows."""
     first = net.trainable_layers(0)[0]
     states = first.out_dim * (int(np.prod(first.out_hw)) if first.kind == "conv" else 1)
@@ -202,11 +199,7 @@ def collect_feeds(
     if cfg.trainer == "rate":
         pres, _ = rate_chain_forward(net, x, head)
         return pres
-    # Keep the rows only: the walk reuses its layer states' arrays.
-    feeds: list[np.ndarray] = []
-    for t, (rows, _) in enumerate(_run_steps(net, x, head)):
-        _stack_rows(feeds, t, rows, net.cfg.T)
-    return feeds
+    return [rows for rows, _ in _walk(net, x, head)]
 
 
 # The Oja fixed point has unit rows, and healthy runs keep H_new's row norms
@@ -240,8 +233,8 @@ def _train_one_task(
     pool: ThreadPoolExecutor | None = None,
 ) -> None:
     """Train on one task. With a ``pool``, the trainer hands each circuit's rows to the
-    worker mid-walk for ``hebbian_update`` (run here if the worker has not begun it),
-    and every ``learn`` runs there too. A circuit's ``learn`` is joined, and its state
+    worker mid-walk for ``hebbian_update``, and every ``learn`` runs there too. A
+    circuit's ``learn`` is joined, and its state
     checked finite with rows no longer than ``MAX_HEBBIAN_ROW_NORM``, before its next
     update and before this returns; every trained layer's weights and biases are checked
     finite after each batch's update. On an error the pool's owner joins what is left."""
@@ -281,11 +274,8 @@ def _train_one_task(
                 # The circuit learns from the raw rows and returns them projected.
                 if i in subspaces:
                     join(i)
-                    # Kept for speed: a projection the worker has not begun runs here,
-                    # not behind the learns queued before it.
                     job = early.pop(i, None)
-                    x_hat, learn = (job.result() if job and not job.cancel()
-                                    else subspaces[i].hebbian_update(grad.trace))
+                    x_hat, learn = job.result() if job else subspaces[i].hebbian_update(grad.trace)
                     pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
                     grad = replace(grad, trace=x_hat)
                 with np.errstate(over="ignore", invalid="ignore"):  # named below instead

@@ -60,47 +60,59 @@ class LayerState:
     Arrays are (rows, neurons), in the row layout of the layer's presynaptic
     rows: one row per sample for a dense layer, one per sample and output
     position for a conv layer, whose neurons are its channels. Between
-    layers every carry is flat rows, one per sample. ``lif_step`` writes
-    into the arrays, so a walk allocates them once, with the state.
+    layers every carry is flat rows, one per sample. An array may instead be
+    a (slots, rows, neurons) history: step t reads slot t - 1 and writes slot
+    t, modulo the slots. ``t`` counts the steps taken.
     """
 
     u: np.ndarray
     s: np.ndarray
+    t: int = 0
 
     @classmethod
     def zeros(cls, rows: int, n: int, dtype: np.dtype = np.float64) -> "LayerState":
         return cls(u=np.zeros((rows, n), dtype), s=np.zeros((rows, n), dtype))
 
 
+def _slots(a: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step t's (read, write) arrays of a state array: itself twice, or two slots."""
+    return (a, a) if a.ndim == 2 else (a[(t - 1) % len(a)], a[t % len(a)])
+
+
 def lif_step(
     state: LayerState, input_current: np.ndarray, cfg: NeuronConfig
 ) -> tuple[LayerState, np.ndarray]:
-    """Advance membrane potentials one step and emit spikes.
+    """Advance membrane potentials and emit spikes, one step per current block.
 
-    Writes the new potentials and spikes into ``state.u`` and ``state.s``, in
-    the formula's order and so with its bytes (the spike array holds v_th * s
-    on the way), and returns the state with its spike array. The arrays belong
-    to whoever walks the layer: a caller that keeps a step's ``u`` or ``s``
-    copies it before the next step.
+    ``input_current`` is one step's (rows, n) current, or (steps, rows, n)
+    blocks of consecutive steps. Each step reads the last step's potentials
+    and spikes from ``state`` and writes the new ones into it (see
+    ``LayerState``: in place, or into the next slot of a history), in the
+    formula's order and so with its bytes (the spike array holds v_th * s on
+    the way). Returns the state and the last step's spike array. The arrays
+    belong to whoever walks the layer.
 
     Raises:
         ValueError: if the input current contains non-finite values.
         ShapeError: if the input width disagrees with the state.
     """
     input_current = np.asarray(input_current, dtype=state.u.dtype)
-    if input_current.shape != state.u.shape:
+    steps = input_current if input_current.ndim == 3 else input_current[None]
+    if steps.shape[1:] != state.u.shape[-2:]:
         raise ShapeError(
             f"input current shape {input_current.shape} does not match "
             f"state shape {state.u.shape}"
         )
     if not np.isfinite(input_current).all():
         raise ValueError("non-finite input current")
-    u, s = state.u, state.s
-    np.multiply(s, cfg.v_th, out=s)
-    np.subtract(u, s, out=u)
-    u *= cfg.lam
-    u += input_current
-    np.greater_equal(u, cfg.v_th, out=s)
+    for current in steps:
+        (u_prev, u), (s_prev, s) = _slots(state.u, state.t), _slots(state.s, state.t)
+        np.multiply(s_prev, cfg.v_th, out=s)
+        np.subtract(u_prev, s, out=u)
+        u *= cfg.lam
+        u += current
+        np.greater_equal(u, cfg.v_th, out=s)
+        state.t += 1
     return state, s
 
 

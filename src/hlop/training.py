@@ -11,9 +11,11 @@ Three trainers are provided:
   (trace[t+1] = lam * trace[t] + s[t+1]) and instantaneous per-step errors,
   no stored computational graph.
 
-The spiking trainers and the inference readout all read one T-step LIF layer
-walk, ``_run_steps``, on a static input; ``ottt_backward`` hands each step of
-it to ``ottt_step``, which forms the step's instantaneous errors.
+The spiking trainers and the inference readout all read one layer-major
+walk, ``_walk``, on a static input: each layer runs its T steps in one pass,
+with one current product over its rows of every step, before the layer above
+starts. ``ottt_backward`` hands the walked states to ``ottt_step``, which
+forms every step's instantaneous errors with one product per layer.
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
 trainable layer, and every weight update is formed as delta^T @ x_hat — the
@@ -49,8 +51,9 @@ matrices), or sign symmetry.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -312,69 +315,58 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _run_steps(
-    net: SpikingNet, x: np.ndarray, head: int = 0
-) -> Iterator[tuple[list[np.ndarray], list[LayerState]]]:
-    """Walk the layers for T steps on a static input, yielding after each step.
+# Neuron states per block of batched work, 0.5 MiB per float32 array: evaluation
+# batches and the chunks of OTTT's first-layer backward are sized by it.
+EVAL_STATES = 2**17
 
-    Each step yields the per-layer presynaptic rows and per-layer states, a
-    state in the row layout of its rows: (batch * oh * ow, channels) on a
-    conv layer. Layers propagate within a step; the input is injected as a
-    constant current at every step. The input and the weights are fixed for
-    the batch, so the first layer's rows and current are computed once, and
-    the rows are yielded at step 0 only (None after): the walk lets them go
-    once a caller has had them.
 
-    The walk owns what it yields. Each state's arrays are allocated once,
-    when its layer's first rows are known, and every step writes into them;
-    a dense layer's rows are the spike array of the layer below. So a
-    caller that keeps a step's arrays past the next step copies them
-    (``_stack_rows``). In-place updates keep their operands' shapes and
-    order, and so the bytes.
+def _walk(
+    net: SpikingNet, x: np.ndarray, head: int = 0, every_u: bool = False,
+    every_s: bool = False, on_trace: OnTrace | None = None,
+) -> Iterator[tuple[np.ndarray, LayerState]]:
+    """Walk the layers for T steps on a static input, one layer at a time.
+
+    Yields each layer's presynaptic rows and its ``LayerState`` once the layer
+    has run all T steps. Its rows are the static input's once, and above it
+    the T step blocks of the layer below's output stacked step-major, (T *
+    rows, in): its trace rows, and one current product. Its state holds
+    (slots, rows, n) histories (see ``LayerState``): a dense layer's spikes
+    keep all T steps, which are the next layer's rows; a conv layer's one
+    slot, pooled step by step, or all T with ``every_s``. ``every_u`` keeps
+    every step's potentials (the trainers' surrogates read them), else one.
+    ``on_trace(i, rows)`` gets each layer's rows as soon as they are formed.
+    The walk holds a layer only while it forms the next one.
     """
-    cfg = net.cfg
-    layers = net.trainable_layers(head)
-    first_rows = _presyn_rows(layers[0], x)
-    first_current = _layer_current(layers[0], first_rows)
-    states = [LayerState.zeros(len(first_rows), layers[0].out_dim, layers[0].weight.dtype)]
-    for _ in range(cfg.T):
-        rows, first_rows = [first_rows], None
-        lif_step(states[0], first_current, cfg)
-        for i in range(1, len(layers)):
-            rows.append(_presyn_rows(layers[i], _post_block(layers[i - 1], states[i - 1].s)))
-            if len(states) == i:
-                states.append(LayerState.zeros(len(rows[i]), layers[i].out_dim, rows[i].dtype))
-            lif_step(states[i], _layer_current(layers[i], rows[i]), cfg)
-        yield rows, states
-
-
-def _stack_rows(
-    feeds: list[np.ndarray], t: int, rows: Sequence[np.ndarray | None], T: int
-) -> None:
-    """Keep step t of a T-step walk's presynaptic rows in ``feeds``, its trace
-    rows: the constant input's rows once, from step 0, and every other
-    layer's rows copied into block t of a (T * rows, in) array made at step 0."""
-    if t == 0:
-        feeds[:] = [rows[0], *(np.empty((T * len(r), r.shape[1]), r.dtype) for r in rows[1:])]
-    for feed, r in zip(feeds[1:], rows[1:]):
-        feed[t * len(r) : (t + 1) * len(r)] = r
+    cfg, layers = net.cfg, net.trainable_layers(head)
+    carry = x
+    for i, layer in enumerate(layers):
+        rows = _presyn_rows(layer, carry)
+        if on_trace:
+            on_trace(i, rows)
+        current = _layer_current(layer, rows)
+        r, n = len(current) // (cfg.T if i else 1), layer.out_dim
+        slots_s = cfg.T if every_s or layer.kind != "conv" else 1
+        state = LayerState(np.zeros((cfg.T if every_u else 1, r, n), current.dtype),
+                           np.zeros((slots_s, r, n), current.dtype))
+        currents = np.broadcast_to(current.reshape(-1, r, n), (cfg.T, r, n))
+        if slots_s == cfg.T:
+            lif_step(state, currents, cfg)
+            carry = _post_block(layer, state.s.reshape(-1, n))
+        else:  # pool a conv layer's spikes one step at a time
+            carry = np.empty((cfg.T, len(x), layers[i + 1].in_dim), current.dtype)
+            for t, c in enumerate(currents):
+                carry[t] = _post_block(layer, lif_step(state, c, cfg)[1])
+            carry = carry.reshape(-1, carry.shape[2])
+        yield rows, state
 
 
 def _spiking_forward_pass(
-    net: SpikingNet, x: np.ndarray, head: int
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[np.ndarray]]:
-    """Run T steps, returning per-layer per-step copies of (u, s) and the
-    per-layer trace rows of ``_stack_rows``."""
-    n_layers = len(net.trainable_layers(head))
-    us: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    ss: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    feeds: list[np.ndarray] = []
-    for t, (rows, states) in enumerate(_run_steps(net, x, head)):
-        _stack_rows(feeds, t, rows, net.cfg.T)
-        for i, state in enumerate(states):
-            us[i].append(state.u.copy())
-            ss[i].append(state.s.copy())
-    return us, ss, feeds
+    net: SpikingNet, x: np.ndarray, head: int, on_trace: OnTrace | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Run T steps, returning per-layer (T, rows, n) potentials and spikes of
+    every step and the per-layer trace rows of ``_walk``."""
+    feeds, states = zip(*_walk(net, x, head, every_u=True, every_s=True, on_trace=on_trace))
+    return [st.u for st in states], [st.s for st in states], list(feeds)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +393,23 @@ def bptt_sg_backward(
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    us, ss, traces = _spiking_forward_pass(net, x, head)
-    for i, rows in enumerate(traces if on_trace else ()):
-        on_trace(i, rows)
+    us, ss, traces = _spiking_forward_pass(net, x, head, on_trace)
 
     rate = np.mean(ss[-1], axis=0)
     # External error at the current layer's spikes at each step, top-down.
-    ext = [(softmax(rate) - y_onehot) / cfg.T] * cfg.T
+    ext = np.broadcast_to((softmax(rate) - y_onehot) / cfg.T, (cfg.T, *rate.shape))
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
+        sg = surrogate_derivative(us[i], cfg)
         cs: list[np.ndarray] = [None] * cfg.T  # type: ignore[list-item]
-        c_next = np.zeros_like(us[i][0])
+        c_next = np.zeros_like(sg[0])
         for t in range(cfg.T - 1, -1, -1):
             ds = ext[t] - cfg.lam * cfg.v_th * c_next
-            cs[t] = c_next = ds * surrogate_derivative(us[i][t], cfg) + cfg.lam * c_next
+            cs[t] = c_next = ds * sg[t] + cfg.lam * c_next
         grads[i] = LayerGrad(delta=sum(cs) if i == 0 else np.concatenate(cs), trace=traces[i])
         if i > 0:
-            ext = [_error_below(layers, i, c, epcfg) for c in cs]
+            ext = _error_below(layers, i, grads[i].delta, epcfg).reshape(us[i - 1].shape)
     return GradPacket(layers=grads, batch=x.shape[0]), rate
 
 
@@ -428,25 +419,31 @@ def bptt_sg_backward(
 
 def ottt_step(net: SpikingNet, states: list[LayerState], y_onehot: np.ndarray,
               epcfg: ErrorPropConfig, head: int = 0) -> list[np.ndarray]:
-    """The learning half of one forward-in-time step, on the layer states the
-    walk has just advanced: the step's instantaneous per-layer errors.
+    """The learning half of OTTT on the layer states of a whole walk: every
+    step's instantaneous errors, with one surrogate, one output error and one
+    error-below product per layer.
 
-    The error uses the per-step loss L[t] = CE(s_out[t], y)/T and never looks
-    at past steps. No eligibility trace is advanced here: ``ottt_backward``
-    regroups the trace sum by the step each presynaptic row entered.
+    Step t's error uses the per-step loss L[t] = CE(s_out[t], y)/T and never
+    looks at other steps. No eligibility trace is advanced here:
+    ``ottt_backward`` regroups the trace sum by the step each presynaptic row
+    entered.
 
-    Returns the step's per-layer errors c_t, in the row layout of the
-    states and of the presynaptic rows.
+    Returns, per trainable layer, (T, rows, n) step blocks: first the error
+    at the first layer's output, one row per sample, neither routed into its
+    row layout nor gated by its surrogate (``ottt_backward`` does both, a
+    few steps at a time), then the errors c_t of every layer above the first,
+    in the row layout of its states and presynaptic rows.
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    cs = [surrogate_derivative(st.u, cfg) for st in states]
     err = (softmax(states[-1].s) - y_onehot) / cfg.T
+    cs = []
     for i in range(len(layers) - 1, 0, -1):
-        cs[i] *= err
-        err = _error_below(layers, i, cs[i], epcfg)
-    cs[0] *= err
-    return cs
+        c = surrogate_derivative(states[i].u, cfg)
+        c *= err.reshape(c.shape)
+        cs.insert(0, c)
+        err = backprop_error(c.reshape(-1, c.shape[2]), layers[i], epcfg)
+    return [err.reshape(cfg.T, -1, err.shape[-1]), *cs]
 
 
 def ottt_backward(
@@ -466,39 +463,35 @@ def ottt_backward(
     its T step rows and its bias gradient sum_t c_t explicitly; no trace is
     formed. The first layer's rows are the static input at every step, so
     its trace is a_t x with a_1 = 1 and a_{t+1} = lam * a_t + 1, and its
-    factor is one block, (sum_t a_t c_t, x), folded forward in time so that
-    no T error blocks of the (conv-sized) first layer are held.
+    factor is one block, (sum_t a_t c_t, x), folded forward in time in chunks
+    of as many steps as keep the chunk within ``EVAL_STATES`` neuron states,
+    so that no T error blocks of a conv-sized first layer are held.
 
     Returns the grad packet, whose trace factors are the raw presynaptic rows
     (per-step spikes; the constant input once), and the output firing rate.
     """
     cfg = net.cfg
-    feeds: list[np.ndarray] = []
-    step_errs = []  # per step: the errors of the layers above the first
-    a = first_bias = 0.0
-    for t, (rows, states) in enumerate(_run_steps(net, x, head)):
-        if t == 0:  # 0.0 + x, as in a sum from 0.0: -0.0 becomes +0.0
-            first_delta, rate_sum = np.zeros_like(states[0].u), np.zeros_like(states[-1].s)
-        _stack_rows(feeds, t, rows, cfg.T)
-        if on_trace and t == 0:  # the input's rows are final at once
-            on_trace(0, feeds[0])
-        for i in range(1, len(feeds)) if on_trace and t == cfg.T - 1 else ():
-            on_trace(i, feeds[i])
-        cs = ottt_step(net, states, y_onehot, epcfg, head)
-        a = cfg.lam * a + 1.0
-        first_bias = first_bias + cs[0].sum(axis=0, dtype=np.float64)
-        first_delta += np.multiply(cs[0], a, out=cs[0])
-        step_errs.append(cs[1:])
-        rate_sum += states[-1].s
+    feeds, states = zip(*_walk(net, x, head, every_u=True, on_trace=on_trace))
+    err, *cs = ottt_step(net, states, y_onehot, epcfg, head)
+    first, u = net.trainable_layers(head)[0], states[0].u
+    a = accumulate(range(cfg.T - 1), lambda a_t, _: cfg.lam * a_t + 1.0, initial=1.0)
+    weights = np.array(list(a), u.dtype)[:, None, None]  # a_1 = 1, a_{t+1} = lam a_t + 1
+    first_delta, first_bias = np.zeros_like(u[0]), np.zeros(u.shape[2])
+    chunk = max(1, EVAL_STATES // (u.shape[1] * u.shape[2]))
+    for t in range(0, cfg.T, chunk):
+        c = surrogate_derivative(u[t : t + chunk], cfg)
+        c *= _route_error_to_block(err[t : t + chunk], first).reshape(c.shape)
+        first_bias += c.reshape(-1, c.shape[2]).sum(axis=0, dtype=np.float64)
+        c *= weights[t : t + chunk]
+        for c_t in c:
+            first_delta += c_t
     grads = [LayerGrad(delta=first_delta, trace=feeds[0], bias=first_bias)]
-    for trace, errs in zip(feeds[1:], zip(*step_errs)):
-        c = np.concatenate(errs)
-        e = c.reshape(cfg.T, -1, c.shape[1]).copy()
+    for trace, c in zip(feeds[1:], cs):
+        bias = c.reshape(-1, c.shape[2]).sum(axis=0, dtype=np.float64)
         for t in range(cfg.T - 2, -1, -1):
-            e[t] += cfg.lam * e[t + 1]
-        grads.append(LayerGrad(delta=e.reshape(c.shape), trace=trace,
-                               bias=c.sum(axis=0, dtype=np.float64)))
-    return GradPacket(layers=grads, batch=x.shape[0]), rate_sum / cfg.T
+            c[t] += cfg.lam * c[t + 1]
+        grads.append(LayerGrad(delta=c.reshape(-1, c.shape[2]), trace=trace, bias=bias))
+    return GradPacket(layers=grads, batch=x.shape[0]), states[-1].s.sum(axis=0) / cfg.T
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +559,9 @@ def rate_backward(
 
 def spiking_rate_readout(net: SpikingNet, x: np.ndarray, head: int = 0) -> np.ndarray:
     """Output firing rate over T steps (no learning, no lateral traffic)."""
-    return sum(states[-1].s for _, states in _run_steps(net, x, head)) / net.cfg.T
+    for _, state in _walk(net, x, head):
+        pass
+    return state.s.sum(axis=0) / net.cfg.T
 
 
 def predict(net: SpikingNet, x: np.ndarray, trainer: str, head: int = 0) -> np.ndarray:

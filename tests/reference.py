@@ -10,19 +10,23 @@ import numpy as np
 
 from hlop.lateral import LateralSubspace
 from hlop.linalg import make_rng, rowspace_projector, subspace_alignment_error, topk_principal
-from hlop.spiking import NeuronConfig
+from hlop.spiking import NeuronConfig, _slots
 
 
 def smooth_step(state, input_current, cfg):
-    """``lif_step`` with the spike step replaced by its sigmoid relaxation.
+    """``lif_step`` with the spike step replaced by its sigmoid relaxation,
+    reading and writing the same state slots (see ``hlop.spiking.LayerState``).
 
     The relaxation's derivative is exactly the surrogate, which makes
     finite-difference checks of the surrogate backward pass exact. Installed
     over ``hlop.training.lif_step`` by the ``smooth_forward`` fixture.
     """
-    state.u = cfg.lam * (state.u - cfg.v_th * state.s) + input_current
-    state.s = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - state.u) / cfg.a2, -500.0, 500.0)))
-    return state, state.s
+    for current in input_current if np.ndim(input_current) == 3 else [input_current]:
+        (u_prev, u), (s_prev, s) = _slots(state.u, state.t), _slots(state.s, state.t)
+        u[...] = cfg.lam * (u_prev - cfg.v_th * s_prev) + current
+        s[...] = 1.0 / (1.0 + np.exp(np.clip((cfg.v_th - u) / cfg.a2, -500.0, 500.0)))
+        state.t += 1
+    return state, s
 
 
 def channel_first_avg_pool(x, size):

@@ -3,14 +3,15 @@
 Each reference below is the straightforward form of its rule: the two-stage
 Hebbian loop over full circuit responses, row-space trace projection, and
 self-contained T-step loops that recompute every per-step value (the first
-layer's rows and current included) without the shared layer walk
-``_run_steps``. The optimized code must reproduce them exactly (bit for bit
+layer's rows and current included) step by step, without the shared
+layer-major walk ``_walk``. The optimized code must reproduce them exactly (bit for bit
 where the arithmetic is unchanged, to 1e-12 where it is reassociated).
 Last, a row's scores do not depend on how many rows share its batch, which
 let evaluation move from 256-row to 128-row batches without changing a byte.
 """
 
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -38,8 +39,8 @@ from hlop.training import (
     _post_block,
     _presyn_rows,
     _route_error_to_block,
-    _run_steps,
     _spiking_forward_pass,
+    _walk,
     backprop_error,
     build_conv_net,
     bptt_sg_backward,
@@ -341,29 +342,46 @@ class TestStaticInputHoisting:
 
 
 @pytest.mark.parametrize("case", [_mlp_case, _conv_case], ids=["mlp", "conv"])
-def test_walk_reuses_its_state_arrays(case):
-    # Across the T steps each layer's u cycles among at most two buffers and
-    # s stays in one: a step allocates no state. Holding every array keeps
-    # the addresses of distinct buffers distinct.
+def test_walk_reuses_its_state_arrays(case, monkeypatch):
+    # Each layer's u and s are one (slots, rows, n) array each for all T
+    # steps, and the LIF writes every step into their slots: a step allocates
+    # no state. A dense layer steps through its T current blocks in one call,
+    # keeps every step's spikes and hands them on as the next layer's rows; a
+    # conv layer steps one call at a time, keeps one step's spikes and pools
+    # them as they come.
     net, x, _, head = case()
-    held = [[(st.u, st.s) for st in states] for _, states in _run_steps(net, x, head)]
-    assert len(held) == net.cfg.T
-    for layer_steps in zip(*held):
-        assert len({u.ctypes.data for u, _ in layer_steps}) <= 2
-        assert len({s.ctypes.data for _, s in layer_steps}) == 1
+    written = []
+
+    def recording(state, current, cfg):
+        state, s = lif_step(state, current, cfg)
+        written.append((state, s, current.shape))
+        return state, s
+
+    monkeypatch.setattr(training, "lif_step", recording)
+    walked = list(_walk(net, x, head, every_u=True))
+    T, layers = net.cfg.T, net.trainable_layers(head)
+    for i, ((rows, st), layer) in enumerate(zip(walked, layers)):
+        calls = [(s, shape) for w, s, shape in written if w is st]
+        conv = layer.kind == "conv"
+        assert [shape[:-2] for _, shape in calls] == ([()] * T if conv else [(T,)])
+        assert st.t == T and st.u.shape[0] == T and st.s.shape[0] == (1 if conv else T)
+        assert all(np.shares_memory(s, st.s) for s, _ in calls)
+        if i > 0 and not layers[i - 1].kind == "conv":
+            assert np.shares_memory(rows, walked[i - 1][1].s)
+    assert len(written) == sum(T if layer.kind == "conv" else 1 for layer in layers)
 
 
-def test_walk_lets_the_first_rows_go_after_step_0():
-    # The trainers take the first layer's rows at step 0; the readout never
-    # reads them, so the walk holds the unfolded patches no longer.
+def test_walk_lets_the_first_rows_go_after_layer_0():
+    # The readout never reads a layer's rows, so the walk holds the unfolded
+    # patches no longer than it takes to form the layer above.
     net, x, _, head = _split_case()
-    walk = _run_steps(net, x, head)
+    walk = _walk(net, x, head)
     rows, _ = next(walk)
-    patches = weakref.ref(rows[0])
-    assert rows[0].shape == (len(x) * 26 * 26, 9)
+    patches = weakref.ref(rows)
+    assert rows.shape == (len(x) * 26 * 26, 9)
     del rows
     rows, _ = next(walk)
-    assert rows[0] is None and patches() is None
+    assert rows.shape == (net.cfg.T * len(x), 8 * 13 * 13) and patches() is None
 
 
 def _walk_arrays(states):
@@ -373,29 +391,53 @@ def _walk_arrays(states):
 def test_walk_arrays_die_with_the_walk():
     net, x, _, head = _split_case()
 
-    def last_step():
-        for _, states in _run_steps(net, x, head):
-            arrays = [weakref.ref(a) for a in _walk_arrays(states)]
+    def walk_to_the_end():
+        arrays = []
+        for _, state in _walk(net, x, head, every_u=True):
+            arrays += [weakref.ref(a) for a in _walk_arrays([state])]
         return arrays
 
-    arrays = last_step()
+    arrays = walk_to_the_end()
     assert len(arrays) == 6 and all(a() is None for a in arrays)
 
 
 def test_ottt_buffers_die_with_the_batch(monkeypatch):
-    # The walk's states belong to one batch.
+    # The walk's states belong to one batch, and one ottt_step covers its T steps.
     net, x, y, head = _split_case()
-    step, held = training.ottt_step, {}
+    step, held, calls = training.ottt_step, {}, []
 
     def holding(net, states, y_onehot, epcfg, head):
+        calls.append(len(states))
         held.update((id(a), weakref.ref(a)) for a in _walk_arrays(states))
         return step(net, states, y_onehot, epcfg, head)
 
     monkeypatch.setattr(training, "ottt_step", holding)
     packet, _ = ottt_backward(net, x, y, ErrorPropConfig(), head)
-    assert len(held) == 6  # the same six arrays at every step
+    assert calls == [3] and len(held) == 6
     del packet
     assert all(r() is None for r in held.values())
+
+
+def test_split_ottt_batch_peak_memory():
+    # One 64-sample batch of the shipped split net in float32. Step by step,
+    # the batch peaked at 15.07 MiB; the layer-major walk keeps the conv
+    # layer's potentials of all T steps, one (T, 64 * 676, 8) float32 block
+    # (7.92 MiB), and no other conv-sized history: its spikes are pooled as
+    # they come and its backward runs a step at a time.
+    net, _, head = _shipped_conv()
+    for layer in [*net.blocks, *net.heads]:
+        layer.weight, layer.bias = layer.weight.astype(np.float32), layer.bias.astype(np.float32)
+    x = (make_rng(53, 0).integers(0, 256, size=(64, 784)) / 255.0).astype(np.float32)
+    y = _onehot(make_rng(54, 0).integers(0, 2, 64), 2).astype(np.float32)
+    block = net.cfg.T * 64 * 676 * 8 * 4
+    ottt_backward(net, x, y, ErrorPropConfig(), head)
+    tracemalloc.start()
+    try:
+        ottt_backward(net, x, y, ErrorPropConfig(), head)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.07 * 2**20 + block
 
 
 def test_two_threads_score_one_split_net_as_one_does():

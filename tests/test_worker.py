@@ -163,15 +163,14 @@ _TWO_TASKS = dict(seed=99, hlop="linear", n_tasks=2, train_per_task=300, test_pe
 @pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
 def test_projection_runs_on_the_worker_while_the_trainer_walks(data_pools, monkeypatch, on):
     # The trainer hands each layer's rows out once they are final, and the
-    # worker projects them; a projection the worker has not begun by the time
-    # the loop needs it runs on the main thread instead.
+    # worker projects every one of them; the loop waits for it.
     _force_worker(monkeypatch, on)
     on_main = []
     _wrap_projection(monkeypatch, lambda sub: on_main.append(
         threading.current_thread() is threading.main_thread()))
     run_continual(config_from_dict(_TWO_TASKS), data=data_pools)
     assert len(on_main) == 2 * 5 * 3  # two tasks of 5 batches, three circuits
-    assert (False in on_main) if on else all(on_main)
+    assert not any(on_main) if on else all(on_main)
 
 
 @pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])

@@ -103,7 +103,8 @@ def lif_step(
             f"input current shape {input_current.shape} does not match "
             f"state shape {state.u.shape}"
         )
-    if not np.isfinite(input_current).all():
+    held = steps.strides[0] == 0  # one block repeated: check it once
+    if not np.isfinite(steps[:1] if held else steps).all():
         raise ValueError("non-finite input current")
     for current in steps:
         (u_prev, u), (s_prev, s) = _slots(state.u, state.t), _slots(state.s, state.t)

@@ -11,11 +11,12 @@ Three trainers are provided:
   (trace[t+1] = lam * trace[t] + s[t+1]) and instantaneous per-step errors,
   no stored computational graph.
 
-The spiking trainers and the inference readout all read one layer-major
-walk, ``_walk``, on a static input: each layer runs its T steps in one pass,
-with one current product over its rows of every step, before the layer above
-starts. ``ottt_backward`` hands the walked states to ``ottt_step``, which
-forms every step's instantaneous errors with one product per layer.
+The spiking trainers read one layer-major walk, ``_walk``, on a static
+input: each layer runs its T steps in one pass, with one current product over
+its rows of every step, before the layer above starts. ``ottt_backward`` hands
+the walked states to ``ottt_step``, which forms every step's instantaneous
+errors with one product per layer. The inference readout, which keeps no
+step, runs every layer one step at a time instead.
 
 Every trainer emits a ``GradPacket`` of (delta, trace) row matrices per
 trainable layer, and every weight update is formed as delta^T @ x_hat — the
@@ -322,7 +323,7 @@ EVAL_STATES = 2**17
 
 def _walk(
     net: SpikingNet, x: np.ndarray, head: int = 0, every_u: bool = False,
-    every_s: bool = False, on_trace: OnTrace | None = None,
+    on_trace: OnTrace | None = None,
 ) -> Iterator[tuple[np.ndarray, LayerState]]:
     """Walk the layers for T steps on a static input, one layer at a time.
 
@@ -332,10 +333,10 @@ def _walk(
     rows, in): its trace rows, and one current product. Its state holds
     (slots, rows, n) histories (see ``LayerState``): a dense layer's spikes
     keep all T steps, which are the next layer's rows; a conv layer's one
-    slot, pooled step by step, or all T with ``every_s``. ``every_u`` keeps
-    every step's potentials (the trainers' surrogates read them), else one.
-    ``on_trace(i, rows)`` gets each layer's rows as soon as they are formed.
-    The walk holds a layer only while it forms the next one.
+    slot, pooled step by step. ``every_u`` keeps every step's potentials
+    (the trainers' surrogates read them), else one. ``on_trace(i, rows)``
+    gets each layer's rows as soon as they are formed. The walk holds a
+    layer only while it forms the next one.
     """
     cfg, layers = net.cfg, net.trainable_layers(head)
     carry = x
@@ -345,28 +346,18 @@ def _walk(
             on_trace(i, rows)
         current = _layer_current(layer, rows)
         r, n = len(current) // (cfg.T if i else 1), layer.out_dim
-        slots_s = cfg.T if every_s or layer.kind != "conv" else 1
         state = LayerState(np.zeros((cfg.T if every_u else 1, r, n), current.dtype),
-                           np.zeros((slots_s, r, n), current.dtype))
+                           np.zeros((1 if layer.kind == "conv" else cfg.T, r, n), current.dtype))
         currents = np.broadcast_to(current.reshape(-1, r, n), (cfg.T, r, n))
-        if slots_s == cfg.T:
+        if layer.kind != "conv":
             lif_step(state, currents, cfg)
-            carry = _post_block(layer, state.s.reshape(-1, n))
+            carry = state.s.reshape(-1, n)
         else:  # pool a conv layer's spikes one step at a time
             carry = np.empty((cfg.T, len(x), layers[i + 1].in_dim), current.dtype)
             for t, c in enumerate(currents):
                 carry[t] = _post_block(layer, lif_step(state, c, cfg)[1])
             carry = carry.reshape(-1, carry.shape[2])
         yield rows, state
-
-
-def _spiking_forward_pass(
-    net: SpikingNet, x: np.ndarray, head: int, on_trace: OnTrace | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Run T steps, returning per-layer (T, rows, n) potentials and spikes of
-    every step and the per-layer trace rows of ``_walk``."""
-    feeds, states = zip(*_walk(net, x, head, every_u=True, every_s=True, on_trace=on_trace))
-    return [st.u for st in states], [st.s for st in states], list(feeds)
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +384,14 @@ def bptt_sg_backward(
     """
     cfg = net.cfg
     layers = net.trainable_layers(head)
-    us, ss, traces = _spiking_forward_pass(net, x, head, on_trace)
-
-    rate = np.mean(ss[-1], axis=0)
+    traces, states = zip(*_walk(net, x, head, every_u=True, on_trace=on_trace))
+    rate = np.mean(states[-1].s, axis=0)
     # External error at the current layer's spikes at each step, top-down.
     ext = np.broadcast_to((softmax(rate) - y_onehot) / cfg.T, (cfg.T, *rate.shape))
 
     grads: list[LayerGrad] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        sg = surrogate_derivative(us[i], cfg)
+        sg = surrogate_derivative(states[i].u, cfg)
         cs: list[np.ndarray] = [None] * cfg.T  # type: ignore[list-item]
         c_next = np.zeros_like(sg[0])
         for t in range(cfg.T - 1, -1, -1):
@@ -409,7 +399,7 @@ def bptt_sg_backward(
             cs[t] = c_next = ds * sg[t] + cfg.lam * c_next
         grads[i] = LayerGrad(delta=sum(cs) if i == 0 else np.concatenate(cs), trace=traces[i])
         if i > 0:
-            ext = _error_below(layers, i, grads[i].delta, epcfg).reshape(us[i - 1].shape)
+            ext = _error_below(layers, i, grads[i].delta, epcfg).reshape(states[i - 1].u.shape)
     return GradPacket(layers=grads, batch=x.shape[0]), rate
 
 
@@ -558,10 +548,21 @@ def rate_backward(
 
 
 def spiking_rate_readout(net: SpikingNet, x: np.ndarray, head: int = 0) -> np.ndarray:
-    """Output firing rate over T steps (no learning, no lateral traffic)."""
-    for _, state in _walk(net, x, head):
-        pass
-    return state.s.sum(axis=0) / net.cfg.T
+    """Output firing rate over T steps (no learning, no lateral traffic), every
+    layer one step at a time: an evaluation batch fills ``EVAL_STATES`` with one
+    step of its first layer, so the walk's T-step histories would outgrow the cache."""
+    cfg, layers = net.cfg, net.trainable_layers(head)
+    first = _layer_current(layers[0], _presyn_rows(layers[0], x))  # every step's
+    states = [LayerState.zeros(len(first) if i == 0 else len(x), layer.out_dim, first.dtype)
+              for i, layer in enumerate(layers)]
+    rate = 0
+    for _ in range(cfg.T):
+        carry = None
+        for layer, state in zip(layers, states):
+            current = first if carry is None else _layer_current(layer, _presyn_rows(layer, carry))
+            carry = _post_block(layer, lif_step(state, current, cfg)[1])
+        rate = rate + carry
+    return rate / cfg.T
 
 
 def predict(net: SpikingNet, x: np.ndarray, trainer: str, head: int = 0) -> np.ndarray:

@@ -148,8 +148,8 @@ def test_criterion_4_gradient_correctness(monkeypatch):
     # The BPTT check steps the sigmoid-relaxed neuron, whose derivative is
     # the surrogate; the T=1 equality runs on real spikes.
     def smooth_loss(net, x, y):
-        _, ss, _ = training._spiking_forward_pass(net, x, 0)
-        rate = np.mean(ss[-1], axis=0)
+        *_, (_, out) = training._walk(net, x, 0)
+        rate = np.mean(out.s, axis=0)
         return float(-np.sum(y * np.log(softmax(rate))))
 
     def chain_loss(net, x, y):

@@ -39,7 +39,6 @@ from hlop.training import (
     _post_block,
     _presyn_rows,
     _route_error_to_block,
-    _spiking_forward_pass,
     _walk,
     backprop_error,
     build_conv_net,
@@ -323,8 +322,10 @@ class TestStaticInputHoisting:
         assert np.array_equal(spiking_rate_readout(net, x, head), _reference_readout(net, x, head))
 
     def test_forward_pass_matches_step_loop(self, case):
+        # Every step's potentials and every layer's rows; a dense layer keeps
+        # every step's spikes, a conv layer its last, pooled into the rows above.
         net, x, _, head = case()
-        us, ss, feeds = _spiking_forward_pass(net, x, head)
+        feeds, walked = zip(*_walk(net, x, head, every_u=True))
         layers = net.trainable_layers(head)
         states = [_zero_state(l, x.shape[0]) for l in layers]
         for t in range(net.cfg.T):
@@ -336,8 +337,9 @@ class TestStaticInputHoisting:
                 assert len(feeds[i]) == (n if i == 0 else net.cfg.T * n)
                 assert np.array_equal(feeds[i][0 if i == 0 else t * n :][:n], rows)
                 lif_step(states[i], _layer_current(layer, rows), net.cfg)
-                assert np.array_equal(us[i][t], states[i].u)
-                assert np.array_equal(ss[i][t], states[i].s)
+                assert np.array_equal(walked[i].u[t], states[i].u)
+                if layer.kind != "conv" or t == net.cfg.T - 1:
+                    assert np.array_equal(walked[i].s[t % len(walked[i].s)], states[i].s)
                 carry = _post_block(layer, states[i].s)
 
 
@@ -372,8 +374,8 @@ def test_walk_reuses_its_state_arrays(case, monkeypatch):
 
 
 def test_walk_lets_the_first_rows_go_after_layer_0():
-    # The readout never reads a layer's rows, so the walk holds the unfolded
-    # patches no longer than it takes to form the layer above.
+    # A caller that drops a layer's rows lets them go: the walk holds the
+    # unfolded patches no longer than it takes to form the layer above.
     net, x, _, head = _split_case()
     walk = _walk(net, x, head)
     rows, _ = next(walk)
@@ -476,7 +478,7 @@ def test_conv_state_is_the_map_state_in_patch_rows():
     (B, C, oh, ow) state of a plain map-layout walk, channels last. The walk
     forms its own currents, LIF steps and pooling."""
     net, x, _, head = _conv_case()
-    us, ss, _ = _spiking_forward_pass(net, x, head)
+    feeds, states = zip(*_walk(net, x, head, every_u=True))
     cfg, (conv, *dense) = net.cfg, net.trainable_layers(head)
     b, c, (oh, ow), p = len(x), conv.out_dim, conv.out_hw, conv.pool
     rows = unfold_patches(x, conv.kernel)
@@ -487,14 +489,16 @@ def test_conv_state_is_the_map_state_in_patch_rows():
     for t in range(cfg.T):
         u = cfg.lam * (u - cfg.v_th * s) + current
         s = (u >= cfg.v_th).astype(np.float64)
-        assert us[0][t].shape == ss[0][t].shape == (b * oh * ow, c)
-        assert np.array_equal(us[0][t], u.transpose(0, 2, 3, 1).reshape(-1, c))
-        assert np.array_equal(ss[0][t], s.transpose(0, 2, 3, 1).reshape(-1, c))
+        assert states[0].u[t].shape == (b * oh * ow, c)
+        assert np.array_equal(states[0].u[t], u.transpose(0, 2, 3, 1).reshape(-1, c))
         carry = s.reshape(b, c, oh // p, p, ow // p, p).mean(axis=(3, 5)).reshape(b, -1)
+        assert np.array_equal(feeds[1][t * b : (t + 1) * b], carry)  # the spikes, pooled
         for j, layer in enumerate(dense):
             du[j] = cfg.lam * (du[j] - cfg.v_th * ds[j]) + carry @ layer.weight.T + layer.bias
             ds[j] = carry = (du[j] >= cfg.v_th).astype(np.float64)
-            assert np.array_equal(us[j + 1][t], du[j]) and np.array_equal(ss[j + 1][t], ds[j])
+            st = states[j + 1]
+            assert np.array_equal(st.u[t], du[j]) and np.array_equal(st.s[t], ds[j])
+    assert np.array_equal(states[0].s[0], s.transpose(0, 2, 3, 1).reshape(-1, c))
 
 
 def test_avg_pool_exact_on_spike_maps():

@@ -42,9 +42,9 @@ from hlop.spiking import Layer, NeuronConfig
 from hlop.training import (
     ErrorPropConfig,
     SpikingNet,
-    _spiking_forward_pass,
     build_conv_net,
     build_mlp,
+    bptt_sg_backward,
     ottt_backward,
 )
 
@@ -600,8 +600,10 @@ class TestCollectFeeds:
         cfg = config_from_dict(dict(task=task, trainer=trainer))
         net = _audit_net(task)
         x = make_rng(71, 0).uniform(size=(24, 784))
-        feeds = loop.collect_feeds(cfg, net, x)
-        expect = _spiking_forward_pass(net, x, 0)[2]
+        feeds = loop.collect_feeds(cfg, net, x)  # the trace rows of the trainer's packet
+        backward = ottt_backward if trainer == "ottt" else bptt_sg_backward
+        y = np.eye(net.heads[0].out_dim)[np.arange(len(x)) % net.heads[0].out_dim]
+        expect = [g.trace for g in backward(net, x, y, ErrorPropConfig())[0].layers]
         assert len(feeds) == len(expect) == 3
         for got, want in zip(feeds, expect):
             assert got.shape == want.shape and np.array_equal(got, want) and want.any()

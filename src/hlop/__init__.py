@@ -10,8 +10,6 @@ from .lateral import LateralSubspace, quantize_subspace_output
 from .linalg import (
     kaiming_uniform_init,
     make_rng,
-    rowspace_projector,
-    subspace_alignment_error,
     topk_principal,
 )
 from .spiking import (
@@ -58,9 +56,7 @@ __all__ = [
     "quantize_subspace_output",
     "rate_backward",
     "rate_forward_transform",
-    "rowspace_projector",
     "sgd_update",
-    "subspace_alignment_error",
     "surrogate_derivative",
     "topk_principal",
     "unfold_patches",

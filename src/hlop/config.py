@@ -35,8 +35,6 @@ class ExperimentConfig:
     lam: float = 0.5
     v_th: float = 0.4
     a2: float = 0.25
-    delta_t: float = 0.05
-    tau: float = 1.0
     lr: float = 0.1
     batch: int = 64
     epochs: int = 1

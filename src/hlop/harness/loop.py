@@ -11,18 +11,20 @@ Batches enter the net as flat float rows, one per sample, whatever the task:
 only the conv layer views them as images. The run checks, before training
 and against the data, that the conv kernel and pool tile the images and
 that each circuit's schedule fits its layer's width.
-With a CPU to spare, one FIFO worker thread projects each layer's trace rows as
-soon as the trainer has finished them, runs the circuits' Hebbian repeats beside
-the next batch, in each circuit's order, and, once training has joined them,
-counts half of each task's evaluation batches; no result byte changes.
+The run's jobs go to one executor, in one order: each layer's trace projection
+as soon as the trainer has finished the rows, each circuit's Hebbian repeats
+(ending in its divergence check) once the loop has the projection, and half of each
+task's evaluation batches once training has joined the repeats. With a CPU to
+spare the executor is one FIFO worker thread, which runs the repeats beside the
+next batch; without one, ``_Inline`` runs each job as it is submitted. No result
+byte depends on which.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,9 +85,7 @@ class RunResult:
 
 def build_net(cfg: ExperimentConfig, seq: TaskSequence) -> SpikingNet:
     rng = make_rng(cfg.seed, SEED_WEIGHTS)
-    ncfg = NeuronConfig(
-        lam=cfg.lam, v_th=cfg.v_th, T=cfg.T, a2=cfg.a2, delta_t=cfg.delta_t, tau=cfg.tau
-    )
+    ncfg = NeuronConfig(lam=cfg.lam, v_th=cfg.v_th, T=cfg.T, a2=cfg.a2)
     if cfg.task == "split_mnist":
         net = build_conv_net(
             in_channels=1,
@@ -156,19 +156,15 @@ def eval_batch_rows(net: SpikingNet, n: int) -> int:
 
 
 def evaluate_task(
-    cfg: ExperimentConfig,
-    net: SpikingNet,
-    task: Task,
-    head: int,
-    pool: ThreadPoolExecutor | None = None,
+    cfg: ExperimentConfig, net: SpikingNet, task: Task, head: int, pool: Executor
 ) -> float:
     """Accuracy (%) on one task's test set, inference mode only.
 
-    The test rows are scored in ``eval_batch_rows``-sample batches. With a
-    ``pool`` (whose worker is idle: training has joined every Hebbian job), the
-    worker counts the odd-numbered batches while the caller counts the even
-    ones, so the two integer counts add up to the serial count. On an error in
-    the caller's half, the pool's owner joins the worker's."""
+    The test rows are scored in ``eval_batch_rows``-sample batches. The ``pool``
+    (idle: training has joined every Hebbian job) counts the odd-numbered batches
+    while the caller counts the even ones, so the two integer counts add up to
+    the serial count. On an error in the caller's half, the pool's owner joins
+    the pool's half."""
     n = task.test_x.shape[0]
     size = eval_batch_rows(net, n)
     starts = range(0, n, size)
@@ -181,8 +177,6 @@ def evaluate_task(
             correct += int(np.sum(pred == task.test_y[rows]))
         return correct
 
-    if pool is None:
-        return 100.0 * count(starts) / n
     odd = pool.submit(count, starts[1::2])
     return 100.0 * (count(starts[0::2]) + odd.result()) / n
 
@@ -217,9 +211,25 @@ class ScheduleError(ValueError):
 
 
 def _spare_cpu() -> bool:
-    """Whether a CPU is left for the worker that runs the Hebbian repeats and half
-    of the evaluation batches: more CPUs than BLAS threads (``blas_threads``)."""
+    """Whether a CPU is left for a worker thread beside the BLAS threads
+    (``blas_threads``); without one the run's jobs run ``_Inline``. A worker that
+    shares the CPUs with BLAS costs time: on a 2-vCPU host with BLAS unpinned,
+    in-process ``pmnist_hlop`` runs took 1.37–1.64 s with the worker against
+    1.30–1.44 s inline, the worker slower in 4 of 4 alternating fresh-process pairs."""
     return len(os.sched_getaffinity(0)) > blas_threads()
+
+
+class _Inline(Executor):
+    """The executor of a run without a spare CPU: ``submit`` runs the job on the
+    calling thread and returns its finished future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as e:
+            future.set_exception(e)
+        return future
 
 
 def _train_one_task(
@@ -230,28 +240,26 @@ def _train_one_task(
     task: Task,
     task_idx: int,
     head: int,
-    pool: ThreadPoolExecutor | None = None,
+    pool: Executor,
 ) -> None:
-    """Train on one task. With a ``pool``, the trainer hands each circuit's rows to the
-    worker mid-walk for ``hebbian_update``, and every ``learn`` runs there too. A
-    circuit's ``learn`` is joined, and its state
-    checked finite with rows no longer than ``MAX_HEBBIAN_ROW_NORM``, before its next
-    update and before this returns; every trained layer's weights and biases are checked
+    """Train on one task. The trainer hands each circuit's rows to ``pool`` mid-walk
+    for ``hebbian_update``, and each circuit's ``learn`` goes there too, ending in a
+    check that the circuit's state is finite with rows no longer than
+    ``MAX_HEBBIAN_ROW_NORM``. A circuit's ``learn`` is joined before its next update
+    and before this returns; every trained layer's weights and biases are checked
     finite after each batch's update. On an error the pool's owner joins what is left."""
     trainer = _TRAINERS[cfg.trainer]
     layers = net.trainable_layers(head)
     n = task.train_x.shape[0]
-    pending: dict[int, tuple[Future | None, int]] = {}
+    pending: dict[int, Future] = {}
     early: dict[int, Future] = {}
 
     def project_early(i: int, rows: np.ndarray) -> None:  # the trainers' on_trace
         if i in subspaces:
             early[i] = pool.submit(subspaces[i].hebbian_update, rows)
 
-    def join(i: int) -> None:
-        job, batch_no = pending.pop(i, (None, 0))
-        if job is not None:
-            job.result()
+    def learn_checked(learn, i: int, batch_no: int) -> None:
+        learn()
         sub = subspaces[i]
         where = f"task {task_idx + 1}, batch {batch_no}, circuit {i}"
         if not (np.isfinite(sub.H_new).all() and np.isfinite(sub.velocity).all()):
@@ -269,14 +277,14 @@ def _train_one_task(
             sl = order[start : start + cfg.batch]
             x = _net_input(task.train_x[sl])
             y1h = _onehot(task.train_y[sl], layers[-1].out_dim)
-            packet, _ = trainer(net, x, y1h, epcfg, head, project_early if pool else None)
+            packet, _ = trainer(net, x, y1h, epcfg, head, project_early)
             for i, (layer, grad) in enumerate(zip(layers, packet.layers)):
                 # The circuit learns from the raw rows and returns them projected.
                 if i in subspaces:
-                    join(i)
-                    job = early.pop(i, None)
-                    x_hat, learn = job.result() if job else subspaces[i].hebbian_update(grad.trace)
-                    pending[i] = (pool.submit(learn) if pool else learn(), batch_no)
+                    if i in pending:
+                        pending[i].result()
+                    x_hat, learn = early.pop(i).result()
+                    pending[i] = pool.submit(learn_checked, learn, i, batch_no)
                     grad = replace(grad, trace=x_hat)
                 with np.errstate(over="ignore", invalid="ignore"):  # named below instead
                     sgd_update(layer, grad, cfg.lr, packet.batch)
@@ -285,8 +293,8 @@ def _train_one_task(
                     raise DivergenceError(
                         f"task {task_idx + 1}, batch {batch_no}, layer {layer.name}: "
                         "non-finite weights")
-    for i in list(pending):
-        join(i)
+    for job in pending.values():
+        job.result()
 
 
 def run_continual(
@@ -358,7 +366,7 @@ def run_continual(
 
     logs: list[str] = []
     audit_store: dict | None = None
-    with ThreadPoolExecutor(max_workers=1) if _spare_cpu() else nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=1) if _spare_cpu() else _Inline() as pool:
         for t in range(start_task, len(seq.tasks)):
             task = seq.tasks[t]
             head = t if len(net.heads) > 1 else 0

@@ -91,21 +91,3 @@ def rowspace_projector(h: np.ndarray, rcond: float = 1e-8) -> np.ndarray:
         return np.zeros((n, n))
     return np.linalg.pinv(h, rcond=rcond) @ h
 
-
-def subspace_alignment_error(h: np.ndarray, m: np.ndarray) -> float:
-    """Normalized projector distance between rowspace(h) and rowspace(m).
-
-    ``||P_h - P_m||_F / sqrt(2k)`` where ``P_m = m.T @ m`` (m must have
-    orthonormal rows) and ``P_h`` is the least-squares projector onto
-    rowspace(h). 0 means identical subspaces; 1 means rank-k subspaces that
-    are mutually orthogonal. Invariant under invertible row re-mixing of h.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    k = m.shape[0]
-    if k == 0:
-        raise ValueError("reference subspace m must have at least one row")
-    if h.shape[1] != m.shape[1]:
-        raise ShapeError(f"dimension mismatch: h has n={h.shape[1]}, m has n={m.shape[1]}")
-    p_h = rowspace_projector(h)
-    p_m = m.T @ m
-    return float(np.linalg.norm(p_h - p_m, "fro") / np.sqrt(2.0 * k))

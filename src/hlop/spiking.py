@@ -20,20 +20,17 @@ import numpy as np
 from .linalg import ShapeError, kaiming_uniform_init
 
 
+DELTA_T = 0.05  # the rate transform's time step: its clamp is v_th / DELTA_T
+
+
 @dataclass
 class NeuronConfig:
-    """Neuron and simulation constants shared by all layers of a network.
-
-    ``delta_t`` and ``tau`` only matter for the rate-representation trainer;
-    spike-driven trainers use ``lam`` directly.
-    """
+    """Neuron and simulation constants shared by all layers of a network."""
 
     lam: float = 0.5
     v_th: float = 1.0
     T: int = 6
     a2: float = 0.25
-    delta_t: float = 0.05
-    tau: float = 1.0
 
     def __post_init__(self) -> None:
         # lam = 1 (no leak) is admitted so the pure-integration limit can be
@@ -49,8 +46,8 @@ class NeuronConfig:
 
     @property
     def rate_bound(self) -> float:
-        """Upper clamp of the rate transform, v_th / delta_t."""
-        return self.v_th / self.delta_t
+        """Upper clamp of the rate transform, v_th / DELTA_T."""
+        return self.v_th / DELTA_T
 
 
 @dataclass
@@ -143,7 +140,7 @@ def rate_forward_transform(
 ) -> np.ndarray:
     """Clamped linear map approximating one spiking layer in rate space.
 
-    z = clamp((W z_prev + b) / tau, 0, v_th / delta_t), applied row-wise for
+    z = clamp(W z_prev + b, 0, v_th / DELTA_T), applied row-wise for
     a (batch, in) input, in the weights' dtype. Differentiable almost
     everywhere; the rate trainer backpropagates through the interior region.
     """
@@ -151,7 +148,6 @@ def rate_forward_transform(
     pre = z_prev @ weight.T
     if bias is not None:
         pre = pre + bias
-    pre = pre / cfg.tau
     return np.clip(pre, 0.0, cfg.rate_bound)
 
 

@@ -519,8 +519,7 @@ def rate_backward(
     """Gradients through the rate-transform chain.
 
     Cross-entropy on the output encoding; errors pass the clamp gate (zero
-    where a unit saturated at either bound) and scale by 1/tau. Traces are
-    the presynaptic rates.
+    where a unit saturated at either bound). Traces are the presynaptic rates.
 
     Returns the grad packet and the output encoding (the logits).
     """
@@ -536,7 +535,7 @@ def rate_backward(
     for i in range(len(layers) - 1, -1, -1):
         z = outs[i]
         gate = ((z > 0.0) & (z < cfg.rate_bound)).astype(z.dtype)
-        c = err * gate / cfg.tau
+        c = err * gate
         grads[i] = LayerGrad(delta=c, trace=pres[i])
         if i > 0:
             err = _error_below(layers, i, c, epcfg)

@@ -1,16 +1,16 @@
 """Test-side references: a relaxed spike step, channel-first pooling, a
 finite-difference gradient, rate-mode neuron constants, dense gradients of a
-packet, a lateral circuit's full two-stage response, a streaming subspace run
-and the interference audit's first formula, none of which the system itself
-needs."""
+packet, a lateral circuit's full two-stage response, subspace alignment
+scoring, a streaming subspace run and the interference audit's first formula,
+none of which the system itself needs."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from hlop.lateral import LateralSubspace
-from hlop.linalg import make_rng, rowspace_projector, subspace_alignment_error, topk_principal
-from hlop.spiking import NeuronConfig, _slots
+from hlop.linalg import ShapeError, make_rng, rowspace_projector, topk_principal
+from hlop.spiking import DELTA_T, NeuronConfig, _slots
 
 
 def smooth_step(state, input_current, cfg):
@@ -68,11 +68,9 @@ def fd_weight_grad(loss_fn, layer, h=1e-5):
 
 
 def dsr_config(T: int = 20) -> NeuronConfig:
-    """The fixed rate-mode constants: v_th=0.3, tau=1.0, delta_t=0.05 and
-    lam=exp(-delta_t/tau)."""
-    delta_t, tau = 0.05, 1.0
-    return NeuronConfig(lam=float(np.exp(-delta_t / tau)), v_th=0.3, T=T, a2=0.25,
-                        delta_t=delta_t, tau=tau)
+    """The fixed rate-mode constants: v_th=0.3 and, with ``DELTA_T`` = 0.05 and a
+    membrane time constant of 1, lam=exp(-DELTA_T)."""
+    return NeuronConfig(lam=float(np.exp(-DELTA_T)), v_th=0.3, T=T, a2=0.25)
 
 
 def dense_grads(packet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -95,6 +93,25 @@ def lateral_response(sub: LateralSubspace, x):
     y_new = sub._out(x @ sub.H_new.T)
     x_minus_new = -(y_new @ sub.H_new)
     return y, x_minus, y_new, x_minus_new, x_minus + x_minus_new
+
+
+def subspace_alignment_error(h: np.ndarray, m: np.ndarray) -> float:
+    """Normalized projector distance between rowspace(h) and rowspace(m).
+
+    ``||P_h - P_m||_F / sqrt(2k)`` where ``P_m = m.T @ m`` (m must have
+    orthonormal rows) and ``P_h`` is the least-squares projector onto
+    rowspace(h). 0 means identical subspaces; 1 means rank-k subspaces that
+    are mutually orthogonal. Invariant under invertible row re-mixing of h.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    k = m.shape[0]
+    if k == 0:
+        raise ValueError("reference subspace m must have at least one row")
+    if h.shape[1] != m.shape[1]:
+        raise ShapeError(f"dimension mismatch: h has n={h.shape[1]}, m has n={m.shape[1]}")
+    p_h = rowspace_projector(h)
+    p_m = m.T @ m
+    return float(np.linalg.norm(p_h - p_m, "fro") / np.sqrt(2.0 * k))
 
 
 def streaming_subspace_demo(

@@ -556,7 +556,7 @@ class TestTrainOneTask:
         monkeypatch.setattr(LateralSubspace, "hebbian_update", hebbian)
         monkeypatch.setattr(LateralSubspace, "project_trace", project)
         before = [l.weight.copy() for l in net.trainable_layers(0)]
-        _train_one_task(cfg, net, ErrorPropConfig(), subspaces, task, 0, 0)
+        _train_one_task(cfg, net, ErrorPropConfig(), subspaces, task, 0, 0, loop._Inline())
         after = [l.weight for l in net.trainable_layers(0)]
         return seen, before, after
 
@@ -676,10 +676,10 @@ class TestEvalBatchRows:
 
 class TestConfigValidation:
     def test_unknown_key(self):
-        # The last five were keys once; each is refused like a key never known.
+        # All but the first were keys once; each is refused like a key never known.
         for key, value in [("bogus", 1), ("quant_scale", 20.0), ("quant_t_l", 40),
                            ("ss_scale", 0.0), ("audit_samples", 200),
-                           ("checkpoint_every_task", True)]:
+                           ("checkpoint_every_task", True), ("delta_t", 0.05), ("tau", 1.0)]:
             with pytest.raises(ConfigError) as exc:
                 config_from_dict({key: value})
             assert exc.value.problems == [f"unknown key '{key}'"]
@@ -695,7 +695,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_floats_are_refused(self, value):
         floats = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
-        assert "lr" in floats and "tau" in floats
+        assert "lr" in floats and "a2" in floats
         for name in floats:
             key = "lambda" if name == "lam" else name
             with pytest.raises(ConfigError) as exc:

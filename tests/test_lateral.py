@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hlop.lateral import QUANT_SCALE, QUANT_T_L, LateralSubspace, quantize_subspace_output
-from hlop.linalg import ShapeError, make_rng, subspace_alignment_error, topk_principal
-from reference import lateral_response
+from hlop.linalg import ShapeError, make_rng, topk_principal
+from reference import lateral_response, subspace_alignment_error
 
 
 def _orthonormal_rows(n, k, seed=0):

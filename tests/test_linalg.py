@@ -5,9 +5,9 @@ from hlop.linalg import (
     kaiming_uniform_init,
     make_rng,
     rowspace_projector,
-    subspace_alignment_error,
     topk_principal,
 )
+from reference import subspace_alignment_error
 
 
 class TestKaimingUniform:

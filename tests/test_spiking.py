@@ -107,7 +107,7 @@ class TestRateForwardTransform:
         assert not z.any()
 
     def test_interior_identity(self):
-        cfg = dsr_config()  # tau=1, bound=6
+        cfg = dsr_config()  # bound 0.3 / DELTA_T = 6
         w = np.eye(2)
         x = np.array([[1.0, 5.0]])
         assert np.allclose(rate_forward_transform(x, w, None, cfg), x)

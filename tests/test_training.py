@@ -113,7 +113,7 @@ def _oracle_rate_chain_loss(net, x, y_onehot):
     cfg = net.cfg
     z = x
     for layer in net.trainable_layers(0):
-        z = np.clip((z @ layer.weight.T + layer.bias) / cfg.tau, 0.0, cfg.rate_bound)
+        z = np.clip(z @ layer.weight.T + layer.bias, 0.0, cfg.rate_bound)
     p = softmax(z)
     return float(-np.sum(y_onehot * np.log(p)))
 
@@ -125,11 +125,11 @@ def _oracle_conv_rate_chain_loss(net, x, y_onehot):
     conv, *dense = net.trainable_layers(0)
     b, (oh, ow), p = len(x), conv.out_hw, conv.pool
     rows = unfold_patches(x, conv.kernel)
-    z = np.clip((rows @ conv.weight.T + conv.bias) / cfg.tau, 0.0, cfg.rate_bound)
+    z = np.clip(rows @ conv.weight.T + conv.bias, 0.0, cfg.rate_bound)
     z = z.reshape(b, oh, ow, -1).transpose(0, 3, 1, 2)
     z = z.reshape(b, -1, oh // p, p, ow // p, p).mean(axis=(3, 5)).reshape(b, -1)
     for layer in dense:
-        z = np.clip((z @ layer.weight.T + layer.bias) / cfg.tau, 0.0, cfg.rate_bound)
+        z = np.clip(z @ layer.weight.T + layer.bias, 0.0, cfg.rate_bound)
     return float(-np.sum(y_onehot * np.log(softmax(z))))
 
 

@@ -1,13 +1,16 @@
-"""The worker thread: same bytes on or off, errors and thread lifetime.
+"""The run's executor: same bytes whenever its jobs run, errors and thread lifetime.
 
-``run_continual`` runs each circuit's projections and Hebbian repeats, and
-half of each task's evaluation batches, on one worker thread when
-``loop._spare_cpu()`` says a CPU is left beside the BLAS threads. These tests
-force the worker on and off by monkeypatching that check.
+``run_continual`` hands each circuit's projections and Hebbian repeats, and
+half of each task's evaluation batches, to one executor: a FIFO worker thread
+when ``loop._spare_cpu()`` says a CPU is left beside the BLAS threads, else
+``loop._Inline``, which runs each job as it is submitted. These tests force
+either by monkeypatching that check, and ``_Deferred`` stands in for the
+worker to run each job as late as the worker could.
 """
 
 import sys
 import threading
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -90,8 +93,10 @@ def test_worker_needs_a_cpu_that_blas_leaves_free(monkeypatch, cpus, pins, spare
 
 
 @pytest.mark.parametrize("kw", [dict(hlop="linear"), dict(hlop="spiking"),
-                                dict(hlop="linear", task="split_mnist")],
-                         ids=["linear", "spiking", "split-conv"])
+                                dict(hlop="linear", task="split_mnist"),
+                                dict(hlop="linear", trainer="bptt"),
+                                dict(hlop="linear", trainer="rate")],
+                         ids=["linear", "spiking", "split-conv", "bptt", "rate"])
 def test_worker_on_and_off_write_the_same_bytes(run_env, monkeypatch, kw):
     on_main = set()
     _wrap_learn(monkeypatch, lambda sub, call: on_main.add(
@@ -110,6 +115,77 @@ def test_worker_on_and_off_write_the_same_bytes(run_env, monkeypatch, kw):
             outputs[on] = {name: (out / name).read_bytes() for name in OUTPUTS}
     finally:
         sys.setswitchinterval(interval)
+    for name in OUTPUTS:
+        assert outputs[True][name] == outputs[False][name], name
+
+
+class _Job(Future):
+    def __init__(self, pool, call):
+        super().__init__()
+        self.pool, self.call = pool, call
+
+    def run(self):
+        try:
+            self.set_result(self.call())
+        except Exception as e:
+            self.set_exception(e)
+
+    def result(self, timeout=None):
+        self.pool.run_through(self)
+        return super().result(timeout)
+
+
+class _Deferred(Executor):
+    """Runs each job in submission order, but only once a ``result()`` at or after
+    it is asked for, or at exit: the latest each job can run on the FIFO worker,
+    where ``loop._Inline`` runs it the earliest."""
+
+    def __init__(self):
+        self.queue: list[_Job] = []  # submitted, not yet run
+        self.most = 0  # the longest the queue grew
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.queue.append(_Job(self, lambda: fn(*args, **kwargs)))
+        self.most = max(self.most, len(self.queue))
+        return self.queue[-1]
+
+    def run_through(self, job):
+        while any(j is job for j in self.queue):
+            self.queue.pop(0).run()
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        while self.queue:
+            self.queue.pop(0).run()
+
+
+@pytest.mark.parametrize("kw, circuits", [(dict(hlop="linear"), 3),
+                                          (dict(hlop="linear", task="split_mnist"), 2)],
+                         ids=["pmnist-linear", "split-conv"])
+def test_jobs_run_as_late_as_the_worker_allows_write_the_inline_bytes(run_env, monkeypatch,
+                                                                      kw, circuits):
+    pools = []
+
+    def deferred(max_workers):
+        pools.append(_Deferred())
+        return pools[-1]
+
+    train_one_task = loop._train_one_task
+
+    def joined(*args):
+        train_one_task(*args)
+        assert not args[-1].queue  # every learn is joined before training returns
+
+    outputs = {}
+    for on in (True, False):
+        _force_worker(monkeypatch, on)
+        monkeypatch.setattr(loop, "ThreadPoolExecutor", deferred)
+        monkeypatch.setattr(loop, "_train_one_task", joined if on else train_one_task)
+        out = run_env / f"out-{on}"
+        assert main(["run", _write_cfg(run_env / f"{on}.cfg", out, **kw)]) == 0
+        outputs[on] = {name: (out / name).read_bytes() for name in OUTPUTS}
+    # Every circuit's learn of the last batch still waits when the trainer hands
+    # out this batch's rows.
+    assert [pool.most for pool in pools] == [2 * circuits]
     for name in OUTPUTS:
         assert outputs[True][name] == outputs[False][name], name
 
